@@ -2,17 +2,11 @@
 distributed antenna arrays with independent oscillators, and the resulting
 achievable downlink spectral efficiency."""
 
-from .channel import InterApChannel, leading_singular_pair, lmmse_estimate, \
-    sample_inter_ap_channel, sample_ue_channels
-from .compensation import CompensationState, DeltaStats, monte_carlo_delta, \
-    residual_delta, run_phase_trace
+from .compensation import DeltaStats, monte_carlo_delta, run_phase_trace
 from .config import ConfigError, SlotLayout, SystemParams, default_params, \
     derive_sigma_nu, derive_slot_layout, dump_config, load_config
 from .experiment import ResultRow, SweepSpec, emit_csv, fig2_sweep, fig3_sweep, run_sweep
-from .phase_noise import PhaseTrajectory, generate_trajectory
-from .rate import RateBreakdown, monte_carlo_rate_oracle, rate_at_position, \
-    spectral_efficiency
-from .sync import combine_bidirectional, measure_direction, measurement_variance
+from .rate import RateBreakdown, rate_at_position, spectral_efficiency
 from .timeline import Activity, SamplePlan, build_broken_slot, build_conventional_slot, \
     build_frame_schedule, estimation_time
 from .tracking import KalmanState, NoiseModel, derive_noise_model, kalman_init, \

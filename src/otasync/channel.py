@@ -1,22 +1,12 @@
-"""Rayleigh UE-AP channels, LMMSE effective-channel estimation and the
-inter-AP channel with its leading singular pair.
+"""Complex Gaussian draws and the per-run operator norm of the inter-array
+channel, the only property of G that the Monte Carlo engine needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemParams
-
-
-class NumericalError(RuntimeError):
-    """Iterative routine failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 def complex_normal(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
@@ -25,118 +15,12 @@ def complex_normal(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-@dataclass(frozen=True)
-class UeChannelSet:
-    """Block-fading channel vectors h[k, ap] for one slot, shape (K, 2, N)."""
-
-    h: np.ndarray
-    slot_index: int
-
-
-def sample_ue_channels(seed, params: SystemParams, slot_index: int = 0) -> UeChannelSet:
-    """i.i.d. Rayleigh fading: each entry of h[k, ap] ~ CN(0, beta_ue[k, ap]);
-    redrawn independently per slot by the caller."""
-    rng = np.random.default_rng(seed)
-    h = complex_normal(rng, (params.n_ues, 2, params.n_antennas),
-                       params.beta_ue[:, :, None])
-    return UeChannelSet(h=h, slot_index=slot_index)
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """LMMSE estimate of one effective channel q = e^{j nu} h."""
-
-    q_hat: np.ndarray
-    gamma: float
-    c: float
-    estimation_time: int
-    k: int
-    ap: int
-
-
-def lmmse_coefficient(params: SystemParams, k: int, ap: int):
-    """(c, gamma) for UE k (1-based) and AP ap (1 or 2):
-    c = sqrt(rho_ue K) beta / (rho_ue K beta + 1), gamma = sqrt(rho_ue K) beta c.
-    """
-    beta = params.beta_ue[k - 1, ap - 1]
-    amp = np.sqrt(params.rho_ue * params.n_ues)
-    c = amp * beta / (params.rho_ue * params.n_ues * beta + 1.0)
-    return float(c), float(amp * beta * c)
-
-
-def lmmse_estimate(y_pilot: np.ndarray, k: int, ap: int, params: SystemParams,
-                   est_time: int = 0) -> ChannelEstimate:
-    """Scale the correlated pilot observation by the LMMSE coefficient."""
-    c, gamma = lmmse_coefficient(params, k, ap)
-    return ChannelEstimate(q_hat=c * np.asarray(y_pilot), gamma=gamma, c=c,
-                           estimation_time=est_time, k=k, ap=ap)
-
-
-@dataclass(frozen=True)
-class InterApChannel:
-    """Static N x N channel between the arrays with its leading singular pair.
-
-    g_matrix @ u2 = op_norm * u1 (u2's largest-magnitude entry rotated to be
-    real nonnegative, which pins the pair deterministically).
-    """
-
-    g_matrix: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    op_norm: float
-
-
-def leading_singular_pair(g: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000):
-    """(u1, u2, op_norm) by single-vector power iteration on G^H G, stopping
-    when the Rayleigh quotient changes by less than `tol` (or raising after
-    `max_iter`)."""
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or not np.any(g):
-        raise ValueError("g must be a nonzero matrix")
-    gram = g.conj().T @ g
-    # deterministic start with a.s. nonzero overlap with the leading direction
-    rng = np.random.default_rng(0x5EED)
-    v = complex_normal(rng, g.shape[1])
-    v /= np.linalg.norm(v)
-    rayleigh = np.real(np.vdot(v, gram @ v))
-    delta = np.inf
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise ValueError("g must be a nonzero matrix")
-        v = w / norm
-        new = np.real(np.vdot(v, gram @ v))
-        delta = abs(new - rayleigh)
-        rayleigh = new
-        if delta < tol:
-            break
-    else:
-        raise NumericalError("power iteration did not converge", delta)
-    # phase convention: largest entry of u2 real nonnegative
-    peak = v[np.argmax(np.abs(v))]
-    if np.abs(peak) > 0:
-        v = v * (np.conj(peak) / np.abs(peak))
-    u2 = v / np.linalg.norm(v)
-    gu2 = g @ u2
-    op_norm = float(np.linalg.norm(gu2))
-    u1 = gu2 / op_norm
-    return u1, u2, op_norm
-
-
-def sample_inter_ap_channel(seed, params: SystemParams) -> InterApChannel:
-    """Draw G with i.i.d. CN(0, beta_g) entries and attach its singular data."""
-    rng = np.random.default_rng(seed)
-    g = complex_normal(rng, (params.n_antennas, params.n_antennas), params.beta_g)
-    u1, u2, op_norm = leading_singular_pair(g)
-    return InterApChannel(g_matrix=g, u1=u1, u2=u2, op_norm=op_norm)
-
-
 def batched_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> np.ndarray:
-    """Largest singular value of n independent G draws, shape (n,).
+    """Largest singular value of n independent G draws (i.i.d. CN(0, beta_g)
+    entries), shape (n,).
 
-    LAPACK-backed fast path for the Monte Carlo engine; cross-checked against
-    leading_singular_pair in the test suite.
+    LAPACK-backed; the test suite cross-checks it against a power-iteration
+    leading singular pair.
     """
     g = complex_normal(rng, (n, params.n_antennas, params.n_antennas), params.beta_g)
     return np.linalg.svd(g, compute_uv=False)[:, 0]

@@ -1,5 +1,7 @@
-"""Phase compensation at the arrays and the UEs, the residual phase factor
-Delta, and the Monte Carlo estimation of E[Delta] per frame position.
+"""Monte Carlo estimation of the residual phase factor means E[Delta] per
+frame position, with phase compensation at the arrays (theta, reset at each
+tracker output) and at the UEs (psi, reset at each demodulation pilot), and a
+single-run tracker trace.
 
 The engine simulates the oscillator paths only at the sample instants that
 enter the chain (exact sparse Wiener increments) and draws each sync
@@ -16,64 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import batched_op_norms
-from .config import SystemParams, derive_sigma_nu, derive_slot_layout
-from .phase_noise import PhaseTrajectory, run_seed, wiener_values_at
-from .timeline import SamplePlan, build_ap1_only_schedule, build_frame_schedule, \
-    estimation_time
-from .tracking import derive_noise_model, kalman_gain, noise_coefficients, \
-    representative_ue, wrap
+from .config import ConfigError, SystemParams, derive_sigma_nu, derive_slot_layout
+from .phase_noise import run_seed, wiener_values_at
+from .timeline import SamplePlan, build_ap1_only_schedule, build_frame_schedule
+from .tracking import derive_noise_model, kalman_gain, kalman_init, kalman_update, \
+    representative_ue
+from .tracking import wrap  # noqa: F401  unused here; perfbench/tracer.py rebinds it by name
 
 SCHEMES = ("kalman", "direct", "ap1_only")
 
 WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation
 CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: output is worker-count invariant)
 N_GROUPS = 10            # batch-mean groups for standard errors
-
-
-@dataclass
-class CompensationState:
-    """Piecewise-constant compensation phases: theta for the arrays (theta_1
-    is identically zero; theta_2 resets whenever a new tracker output arrives)
-    and psi for the UEs (reset at each demodulation pilot)."""
-
-    theta2: float = 0.0
-    psi: float = 0.0
-    last_theta_reset: int = 0
-    last_psi_reset: int = 0
-
-    def theta(self, ap: int) -> float:
-        return 0.0 if ap == 1 else self.theta2
-
-    def reset_theta2(self, tracker_output: float, time: int):
-        self.theta2 = float(tracker_output)
-        self.last_theta_reset = time
-
-
-def ap2_theta_from_tracker(tracker_output: float) -> float:
-    """AP 2's compensation phase is the latest tracker output, held constant
-    until the next estimate (current value = MMSE prediction for a process
-    with independent increments)."""
-    return float(tracker_output)
-
-
-def ue_psi_update(k: int, pilot_time: int, nu1: PhaseTrajectory, tau_c: int,
-                  n_ues: int, noise: float = 0.0) -> float:
-    """UE-side compensation phase from the demodulation pilot: the true
-    nu_1[pilot] + nu_1[[pilot]_{floor(K/2)}] (noiseless estimate), plus an
-    optional Gaussian estimation error for sensitivity studies."""
-    k_rep = representative_ue(n_ues)
-    ref = estimation_time(pilot_time, k_rep, tau_c)
-    return nu1.value_at(pilot_time) + nu1.value_at(ref) + noise
-
-
-def residual_delta(k: int, ap: int, i: int, nu_pair, comp: CompensationState,
-                   tau_c: int) -> complex:
-    """Unit-modulus residual phase factor
-    exp(j(-nu_ap[i] - nu_ap[[i]_k] + theta_ap + psi))."""
-    traj = nu_pair[ap - 1]
-    phase = (-traj.value_at(i) - traj.value_at(estimation_time(i, k, tau_c))
-             + comp.theta(ap) + comp.psi)
-    return complex(np.exp(1j * phase))
 
 
 @dataclass(frozen=True)
@@ -91,15 +47,6 @@ class DeltaStats:
     n_realizations: int
     group_means: np.ndarray
     group_counts: np.ndarray
-
-    def dump_csv(self) -> str:
-        lines = ["position,ap,re_mean,im_mean,abs_mean"]
-        for ap in (1, 2):
-            for n in range(self.mean_delta.shape[1]):
-                v = self.mean_delta[ap - 1, n]
-                if v != 0:
-                    lines.append(f"{n + 1},{ap},{v.real!r},{v.imag!r},{abs(v)!r}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +80,8 @@ class _CellGeometry:
 
 
 def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     layout = derive_slot_layout(params)
     if scheme == "ap1_only":
         return build_ap1_only_schedule(params, layout)
@@ -140,10 +89,8 @@ def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
 
 
 def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    layout = derive_slot_layout(params)
     plan = build_plan(params, scheme)
+    layout = derive_slot_layout(params)
     F, c = params.frame_len, params.tau_c
     k_rep = representative_ue(params.n_ues)
     synced = scheme != "ap1_only"
@@ -235,6 +182,13 @@ def _measure_pair(rng, vals, idx, op_norm, rho_ap):
     return out[1] - out[0]
 
 
+def _track(state, obs, model, scheme):
+    """Tracker step: `direct` passes every measurement through (a fresh
+    filter start each frame), `kalman` runs the filter from the first one."""
+    return kalman_init(obs, model) if state is None or scheme == "direct" \
+        else kalman_update(state, obs, model)
+
+
 def _psi_noise(rng, geom, n_runs):
     var = geom.params.ue_pilot_noise_var
     if var == 0.0:
@@ -253,35 +207,14 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
 
     if synced:
         op_norm = batched_op_norms(rng, p, n_runs)
-        meas_var = 1.0 / (p.rho_ap * op_norm**2)
-        c_zeta, c_xi = noise_coefficients(derive_slot_layout(p), p.n_ues, F)
-        sz, sx = c_zeta * geom.sigma_nu_sq, c_xi * geom.sigma_nu_sq
+        model = derive_noise_model(p, derive_slot_layout(p), op_norm)
+        i12 = (geom.warm_idx[geom.i1], geom.warm_idx[geom.i2])
 
     nu = rng.uniform(-np.pi, np.pi, (2, n_runs))
     last_global = 1
     theta2 = np.zeros(n_runs)
     psi = np.zeros(n_runs)
-    alpha_hat = np.zeros(n_runs)
-    p_var = np.zeros(n_runs)
-    started = False
-
-    i12 = None
-    if synced:
-        i12 = (geom.warm_idx[geom.i1], geom.warm_idx[geom.i2])
-
-    def tracker_step(obs):
-        nonlocal alpha_hat, p_var, started
-        if geom.scheme == "direct":
-            alpha_hat = obs
-            return
-        if not started:
-            alpha_hat = obs.copy()
-            p_var = sx + meas_var
-            started = True
-            return
-        kappa = kalman_gain(p_var, _VecModel(sz, sx, meas_var))
-        alpha_hat = alpha_hat + kappa * wrap(obs - alpha_hat)
-        p_var = p_var - kappa * (p_var + sx) + sz
+    state = None
 
     last_pilot_idx = geom.warm_idx.get(int(geom.plan.demod_pilot_samples[0, F - 1]))
     last_krep_idx = geom.warm_idx[(F - 1) * c + geom.k_rep]
@@ -289,8 +222,9 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
         vals, nu, last_global = _advance(rng, nu, last_global, f * L,
                                          geom.warm_offsets, geom.sigma_nu_sq)
         if synced:
-            tracker_step(_measure_pair(rng, vals, i12, op_norm, p.rho_ap))
-            theta2 = alpha_hat.copy()
+            state = _track(state, _measure_pair(rng, vals, i12, op_norm, p.rho_ap),
+                           model, geom.scheme)
+            theta2 = state.alpha_hat
         if last_pilot_idx is not None:
             noise = _psi_noise(rng, geom, n_runs)
             psi = vals[0, :, last_pilot_idx] + vals[0, :, last_krep_idx]
@@ -310,9 +244,9 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     theta2_new = theta2
     if synced:
         m12 = (geom.meas_idx[geom.i1], geom.meas_idx[geom.i2])
-        obs = _measure_pair(rng, vals, m12, op_norm, p.rho_ap)
-        tracker_step(obs)
-        theta2_new = alpha_hat
+        state = _track(state, _measure_pair(rng, vals, m12, op_norm, p.rho_ap),
+                       model, geom.scheme)
+        theta2_new = state.alpha_hat
 
     if per_ue:
         k_anchor = np.empty((p.n_ues, F), dtype=int)
@@ -337,17 +271,6 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
             ph = base_phase - vals[seg.ap, :, [seg.krep_idx]].T
             sums[..., seg.ap, seg.positions] += np.exp(1j * ph).sum(axis=0)
     return sums
-
-
-class _VecModel:
-    """NoiseModel stand-in with per-run measurement variances."""
-
-    __slots__ = ("sigma_zeta_sq", "sigma_xi_sq", "meas_var")
-
-    def __init__(self, sigma_zeta_sq, sigma_xi_sq, meas_var):
-        self.sigma_zeta_sq = sigma_zeta_sq
-        self.sigma_xi_sq = sigma_xi_sq
-        self.meas_var = meas_var
 
 
 def _chunk_task(args):
@@ -412,6 +335,8 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     """
     if scheme not in ("kalman", "direct"):
         raise ValueError("trace requires a synchronized scheme")
+    if n_frames < 1:
+        raise ConfigError(f"trace needs at least one frame, got {n_frames}")
     layout = derive_slot_layout(params)
     rng = np.random.default_rng(run_seed(master_seed, 0))
     op_norm = float(batched_op_norms(rng, params, 1)[0])
@@ -424,7 +349,7 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
 
     nu = rng.uniform(-np.pi, np.pi, (2, 1))
     last_global = 1
-    alpha_hat = p_var = kappa = 0.0
+    state = None
     rows = []
     for f in range(n_frames):
         vals, nu, last_global = _advance(rng, nu, last_global, f * L, offsets, sig2)
@@ -432,16 +357,10 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
                                   np.array([op_norm]), params.rho_ap)[0])
         alpha_true = float((vals[1, 0, idx[layout.i2]] + vals[1, 0, idx[k_rep]])
                            - (vals[0, 0, idx[layout.i2]] + vals[0, 0, idx[k_rep]]))
-        if scheme == "direct":
-            alpha_hat, p_var, kappa = obs, model.sigma_xi_sq + model.meas_var, 1.0
-        elif f == 0:
-            alpha_hat, p_var, kappa = obs, model.sigma_xi_sq + model.meas_var, 1.0
-        else:
-            kappa = kalman_gain(p_var, model)
-            alpha_hat = alpha_hat + kappa * wrap(obs - alpha_hat)
-            p_var = p_var - kappa * (p_var + model.sigma_xi_sq) + model.sigma_zeta_sq
-        rows.append(dict(n=f + 1, obs=obs, alpha_hat=float(alpha_hat),
-                         p_var=float(p_var), kappa=float(kappa), alpha_true=alpha_true))
+        prev, state = state, _track(state, obs, model, scheme)
+        kappa = kalman_gain(prev.p_var, model) if state.n > 1 else 1.0
+        rows.append(dict(n=f + 1, obs=obs, alpha_hat=float(state.alpha_hat),
+                         p_var=float(state.p_var), kappa=float(kappa), alpha_true=alpha_true))
     return rows
 
 

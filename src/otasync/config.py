@@ -102,12 +102,12 @@ class SystemParams:
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
         if not (math.isfinite(self.c_nu) and self.c_nu >= 0):
             raise ConfigError(f"c_nu must be nonnegative and finite, got {self.c_nu}")
-        if self.ue_pilot_noise_var < 0:
-            raise ConfigError("ue_pilot_noise_var must be nonnegative")
-        if np.any(self.beta_ue <= 0):
-            raise ConfigError("beta_ue entries must be positive")
-        if np.any(self.eta < 0):
-            raise ConfigError("eta entries must be nonnegative")
+        if not (math.isfinite(self.ue_pilot_noise_var) and self.ue_pilot_noise_var >= 0):
+            raise ConfigError("ue_pilot_noise_var must be nonnegative and finite")
+        if not np.all(np.isfinite(self.beta_ue) & (self.beta_ue > 0)):
+            raise ConfigError("beta_ue entries must be positive and finite")
+        if not np.all(np.isfinite(self.eta) & (self.eta >= 0)):
+            raise ConfigError("eta entries must be nonnegative and finite")
         col = self.eta.sum(axis=0)
         if np.any(col > 1 + 1e-12):
             raise ConfigError(

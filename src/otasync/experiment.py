@@ -30,6 +30,8 @@ class SweepSpec:
             raise ConfigError("f_values must be nonempty")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be >= 1")
+        if self.n_workers < 1:
+            raise ConfigError("n_workers must be >= 1")
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad:
             raise ConfigError(f"unknown scheme(s) {bad}; expected subset of {SCHEMES}")
@@ -111,20 +113,15 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int,
     """One sweep cell: Delta statistics -> rate table -> average per-UE SE.
 
     Returns (se_mean, se_stderr); the stderr comes from batch means over the
-    run groups."""
+    run groups. The overall mean and the live group means go through the rate
+    table as one stack."""
     plan = build_plan(params, scheme)
     stats = monte_carlo_delta(params, scheme, n_realizations, seed,
                               n_workers=n_workers)
-    rates = per_position_rates(params, plan, stats)
-    se = float(np.mean([spectral_efficiency(k, plan, rates)
-                        for k in range(1, params.n_ues + 1)]))
     live = stats.group_counts > 0
-    se_groups = []
-    for g in np.nonzero(live)[0]:
-        g_rates = per_position_rates(params, plan, stats,
-                                     mean_delta=stats.group_means[g])
-        se_groups.append(np.mean([spectral_efficiency(k, plan, g_rates)
-                                  for k in range(1, params.n_ues + 1)]))
+    tables = np.concatenate((stats.mean_delta[None], stats.group_means[live]))
+    se_all = spectral_efficiency(plan, per_position_rates(params, plan, tables)).mean(axis=-1)
+    se, se_groups = float(se_all[0]), se_all[1:]
     if len(se_groups) > 1:
         stderr = float(np.std(se_groups, ddof=1) / math.sqrt(len(se_groups)))
     else:
@@ -176,16 +173,3 @@ def emit_csv(rows) -> str:
     for r in rows:
         lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def parse_result_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ConfigError("unrecognized results header")
-    rows = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        rows.append(ResultRow(scheme=f[0], frame_len=int(f[1]), snr_ap_db=float(f[2]),
-                              c_nu=float(f[3]), se_mean=float(f[4]), se_stderr=float(f[5]),
-                              n_realizations=int(f[6]), wall_time_s=float(f[7])))
-    return rows

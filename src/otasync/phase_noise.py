@@ -7,48 +7,7 @@ downstream math demands it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PhaseTrajectory:
-    """Unwrapped oscillator phase at consecutive global sample indices."""
-
-    ap_id: int
-    start_index: int
-    values: np.ndarray
-
-    def value_at(self, i: int) -> float:
-        """Phase at global sample index i (1-based, incrementing across slots)."""
-        off = i - self.start_index
-        if off < 0 or off >= self.values.size:
-            raise IndexError(f"sample {i} outside trajectory [{self.start_index}, "
-                             f"{self.start_index + self.values.size - 1}]")
-        return float(self.values[off])
-
-    def __len__(self):
-        return self.values.size
-
-
-def generate_trajectory(seed, length: int, sigma_nu_sq: float,
-                        initial_phase: float = 0.0, ap_id: int = 1,
-                        start_index: int = 1) -> PhaseTrajectory:
-    """Random-walk phase path: values[0] = initial_phase, then cumulative
-    N(0, sigma_nu_sq) steps. Deterministic for a given seed.
-    """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if sigma_nu_sq < 0:
-        raise ValueError("sigma_nu_sq must be nonnegative")
-    rng = np.random.default_rng(seed)
-    steps = rng.standard_normal(length - 1) * np.sqrt(sigma_nu_sq)
-    values = np.empty(length)
-    values[0] = initial_phase
-    if length > 1:
-        values[1:] = initial_phase + np.cumsum(steps)
-    return PhaseTrajectory(ap_id=ap_id, start_index=start_index, values=values)
 
 
 def wiener_values_at(rng: np.random.Generator, start_values: np.ndarray,
@@ -74,14 +33,3 @@ def run_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     SeedSequence(master_seed, spawn_key=(index,)).
     """
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
-
-
-def dump_trajectories_csv(traj1: PhaseTrajectory, traj2: PhaseTrajectory) -> str:
-    """Debug dump: one row per sample index, columns (index, nu_1, nu_2)."""
-    if traj1.start_index != traj2.start_index or len(traj1) != len(traj2):
-        raise ValueError("trajectories must share the same index range")
-    lines = ["index,nu_1,nu_2"]
-    for off in range(len(traj1)):
-        i = traj1.start_index + off
-        lines.append(f"{i},{traj1.values[off]!r},{traj2.values[off]!r}")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Closed-form achievable downlink rate per frame position and the per-UE
-spectral efficiency, plus a brute-force Monte Carlo oracle that re-derives the
-signal/uncertainty/interference powers by direct simulation.
+spectral efficiency, evaluated on whole tables: every UE and position at
+once, for any stack of E[Delta] tables (for instance the overall mean and the
+batch-group means).
 """
 
 from __future__ import annotations
@@ -9,28 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import complex_normal, lmmse_coefficient
-from .compensation import DeltaStats
 from .config import SystemParams
 from .timeline import SamplePlan
 
 
 @dataclass(frozen=True)
-class RateInputs:
-    """Everything the closed form needs at one frame position."""
-
-    a: tuple                 # (a1, a2) downlink indicators
-    mean_delta: tuple        # complex E[Delta] per AP
-    gamma: np.ndarray        # (K, 2)
-    beta: np.ndarray         # (K, 2)
-    eta: np.ndarray          # (K, 2)
-    rho_ap: float
-    n_antennas: int
-
-
-@dataclass(frozen=True)
 class RateBreakdown:
-    """Signal and noise powers of the effective SINR and the resulting rate.
+    """Signal and noise powers of the effective SINR and the resulting rate,
+    each of shape (..., K, n).
 
     bu_power keeps only the estimate-uncertainty part N gamma (1 - |E[Delta]|^2);
     the fading-variance part of the beamforming uncertainty is grouped with the
@@ -38,205 +25,50 @@ class RateBreakdown:
     totals agree with the direct decomposition (asserted in tests).
     """
 
-    ds_power: float
-    bu_power: float
-    ui_power: float
-    rate_bits: float
+    ds_power: np.ndarray
+    bu_power: np.ndarray
+    ui_power: np.ndarray
+    rate_bits: np.ndarray
 
 
-def rate_inputs(params: SystemParams, a, mean_delta) -> RateInputs:
-    return RateInputs(a=tuple(int(x) for x in a),
-                      mean_delta=tuple(complex(d) for d in mean_delta),
-                      gamma=params.gamma(), beta=params.beta_ue, eta=params.eta,
-                      rho_ap=params.rho_ap, n_antennas=params.n_antennas)
-
-
-def rate_at_position(k: int, inputs: RateInputs) -> RateBreakdown:
-    """Achievable rate for UE k (1-based) at one position:
+def rate_at_position(params: SystemParams, a, mean_delta) -> RateBreakdown:
+    """Achievable rate of every UE k at every position n:
     log2(1 + N rho |sum_l a sqrt(eta gamma) E[Delta]|^2 /
          (N rho sum_l a eta gamma (1-|E[Delta]|^2) + rho sum_l a beta sum_k' eta + 1)).
+
+    a: (2, n) downlink indicators; mean_delta: (..., 2, n) complex E[Delta].
+    Positions where no AP transmits get zero powers and a zero rate.
     """
-    N, rho = inputs.n_antennas, inputs.rho_ap
-    ds_amp = 0.0 + 0.0j
-    bu = 0.0
-    ui = 0.0
-    for ap in range(2):
-        if not inputs.a[ap]:
-            continue
-        eta = inputs.eta[k - 1, ap]
-        gamma = inputs.gamma[k - 1, ap]
-        beta = inputs.beta[k - 1, ap]
-        d = inputs.mean_delta[ap]
-        ds_amp += np.sqrt(eta * gamma) * d
-        bu += N * rho * eta * gamma * max(0.0, 1.0 - abs(d) ** 2)
-        ui += rho * beta * float(inputs.eta[:, ap].sum())
-    ds = N * rho * abs(ds_amp) ** 2
-    rate = float(np.log2(1.0 + ds / (bu + ui + 1.0)))
-    return RateBreakdown(ds_power=float(ds), bu_power=float(bu), ui_power=float(ui),
-                         rate_bits=rate)
-
-
-def per_position_rates(params: SystemParams, plan: SamplePlan, stats: DeltaStats,
-                       mean_delta: np.ndarray | None = None) -> np.ndarray:
-    """(K, F*tau_c) rate table; zero wherever no AP sends payload data.
-
-    mean_delta overrides stats.mean_delta (used for group-wise error bars).
-    """
-    ed = stats.mean_delta if mean_delta is None else mean_delta
-    data = plan.data_mask()
-    rates = np.zeros((params.n_ues, plan.n_samples))
-    symmetric = bool(np.all(params.beta_ue == params.beta_ue[0, 0])
-                     and np.all(params.eta == params.eta[0, 0]))
-    ues = (1,) if symmetric else tuple(range(1, params.n_ues + 1))
-    for n in np.nonzero(data.any(axis=0))[0]:
-        a = (bool(data[0, n]), bool(data[1, n]))
-        inputs = rate_inputs(params, a, (ed[0, n], ed[1, n]))
-        for k in ues:
-            rates[k - 1, n] = rate_at_position(k, inputs).rate_bits
-    if symmetric:
-        rates[1:] = rates[0]
-    return rates
-
-
-def spectral_efficiency(k: int, plan: SamplePlan, rates: np.ndarray) -> float:
-    """Per-UE SE: plain average of the per-position rates over the frame."""
-    row = np.asarray(rates)
-    row = row[k - 1] if row.ndim == 2 else row
-    if row.size != plan.n_samples:
-        raise ValueError("need one rate per frame position")
-    return float(row.mean())
-
-
-def synthetic_delta(rng: np.random.Generator, target: complex, n: int) -> np.ndarray:
-    """Unit-modulus draws with E[Delta] = target: uniform phase for |target|=0,
-    else Gaussian phase jitter with variance -2 ln|target| around angle(target)."""
-    mod = abs(target)
-    if mod > 1:
-        raise ValueError("|E[Delta]| cannot exceed 1")
-    if mod == 0:
-        phase = rng.uniform(-np.pi, np.pi, n)
-    else:
-        phase = np.angle(target) + rng.standard_normal(n) * np.sqrt(-2.0 * np.log(mod))
-    return np.exp(1j * phase)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Empirical powers from direct simulation, with standard errors.
-
-    bu_power here is the full variance of the beamformed sum (it includes the
-    fading-variance part), so compare ds/bu+ui totals against the closed form.
-    """
-
-    ds_complex: complex
-    ds_stderr: float
-    bu_power: float
-    bu_stderr: float
-    ui_power: float
-    ui_stderr: float
-    n_samples: int
-
-
-def monte_carlo_rate_oracle(params: SystemParams, k: int, a, target_delta,
-                            n_samples: int, seed) -> OracleResult:
-    """Estimate the desired-signal mean, beamforming-uncertainty power and
-    inter-user interference power by simulating pilots, LMMSE estimation and
-    synthetic residual phase factors for every sample.
-    """
-    rng = np.random.default_rng(seed)
-    N, K, rho = params.n_antennas, params.n_ues, params.rho_ap
-    amp = np.sqrt(params.rho_ue * K)
-
-    delta = np.zeros((2, n_samples), dtype=complex)
-    for ap in range(2):
-        if a[ap]:
-            delta[ap] = synthetic_delta(rng, complex(target_delta[ap]), n_samples)
-
-    # fresh channels, pilot phases and pilot noise for every UE/AP/sample
-    signal = np.zeros(n_samples, dtype=complex)
-    ds_cf = 0.0 + 0.0j
-    ui_terms = []
-    q_k = {}
-    qhat = {}
-    for ap in range(2):
-        if not a[ap]:
-            continue
-        for kk in range(1, K + 1):
-            beta = params.beta_ue[kk - 1, ap]
-            c, gamma = lmmse_coefficient(params, kk, ap + 1)
-            h = complex_normal(rng, (n_samples, N), beta)
-            nu = rng.uniform(-np.pi, np.pi, n_samples)
-            z = complex_normal(rng, (n_samples, N))
-            q = np.exp(1j * nu)[:, None] * h
-            qhat[(kk, ap)] = c * (amp * q + z)
-            q_k[(kk, ap)] = q
-    for ap in range(2):
-        if not a[ap]:
-            continue
-        eta_k = params.eta[k - 1, ap]
-        _, gamma_k = lmmse_coefficient(params, k, ap + 1)
-        coupling = np.einsum("ij,ij->i", q_k[(k, ap)], np.conj(qhat[(k, ap)]))
-        signal += np.sqrt(rho * eta_k / (N * gamma_k)) * delta[ap] * coupling
-        ds_cf += np.sqrt(rho * eta_k * N * gamma_k) * complex(target_delta[ap])
-    for kk in range(1, K + 1):
-        if kk == k:
-            continue
-        term = np.zeros(n_samples, dtype=complex)
-        for ap in range(2):
-            if not a[ap]:
-                continue
-            eta_o = params.eta[kk - 1, ap]
-            _, gamma_o = lmmse_coefficient(params, kk, ap + 1)
-            coupling = np.einsum("ij,ij->i", q_k[(k, ap)], np.conj(qhat[(kk, ap)]))
-            term += np.sqrt(rho * eta_o / (N * gamma_o)) * delta[ap] * coupling
-        ui_terms.append(np.abs(term) ** 2)
-
-    ds_emp = signal.mean()
-    ds_err = float(np.sqrt((signal.real.var() + signal.imag.var()) / n_samples))
-    bu_samples = np.abs(signal - ds_cf) ** 2
-    ui_samples = np.sum(ui_terms, axis=0) if ui_terms else np.zeros(n_samples)
-    return OracleResult(
-        ds_complex=complex(ds_emp), ds_stderr=ds_err,
-        bu_power=float(bu_samples.mean()),
-        bu_stderr=float(bu_samples.std(ddof=1) / np.sqrt(n_samples)),
-        ui_power=float(ui_samples.mean()),
-        ui_stderr=float(ui_samples.std(ddof=1) / np.sqrt(n_samples)) if ui_terms else 0.0,
-        n_samples=n_samples,
-    )
-
-
-def closed_form_powers(params: SystemParams, k: int, a, target_delta):
-    """Closed-form (ds_power, bu_power, ui_power) in the oracle's grouping:
-    bu includes rho sum_l a eta_k beta_k, ui covers k' != k only."""
+    a = np.asarray(a, dtype=bool)
+    mean_delta = np.asarray(mean_delta)
     N, rho = params.n_antennas, params.rho_ap
     gamma = params.gamma()
     ds_amp = 0.0 + 0.0j
     bu = 0.0
     ui = 0.0
     for ap in range(2):
-        if not a[ap]:
-            continue
-        eta_k = params.eta[k - 1, ap]
-        d = complex(target_delta[ap])
-        ds_amp += np.sqrt(eta_k * gamma[k - 1, ap]) * d
-        bu += rho * eta_k * (params.beta_ue[k - 1, ap]
-                             + N * gamma[k - 1, ap] * (1.0 - abs(d) ** 2))
-        ui += rho * params.beta_ue[k - 1, ap] * float(
-            params.eta[:, ap].sum() - eta_k)
-    return float(N * rho * abs(ds_amp) ** 2), float(bu), float(ui)
+        on = a[ap]
+        eta = params.eta[:, ap, None]
+        g = gamma[:, ap, None]
+        d = mean_delta[..., None, ap, :]
+        ds_amp = ds_amp + np.where(on, np.sqrt(eta * g) * d, 0.0)
+        bu = bu + np.where(on, N * rho * eta * g * np.maximum(0.0, 1.0 - np.abs(d) ** 2), 0.0)
+        ui = ui + np.where(on, rho * params.beta_ue[:, ap, None] * params.eta[:, ap].sum(), 0.0)
+    ds = N * rho * np.abs(ds_amp) ** 2
+    return RateBreakdown(ds_power=ds, bu_power=bu, ui_power=np.broadcast_to(ui, ds.shape),
+                         rate_bits=np.log2(1.0 + ds / (bu + ui + 1.0)))
 
 
-def dump_rate_csv(params: SystemParams, plan: SamplePlan, stats: DeltaStats) -> str:
-    """Per-position rate table: (n, k, ds, bu, ui, rate)."""
-    data = plan.data_mask()
-    ed = stats.mean_delta
-    lines = ["n,k,ds,bu,ui,rate"]
-    for n in range(plan.n_samples):
-        if not data[:, n].any():
-            continue
-        inputs = rate_inputs(params, (data[0, n], data[1, n]), (ed[0, n], ed[1, n]))
-        for k in range(1, params.n_ues + 1):
-            b = rate_at_position(k, inputs)
-            lines.append(f"{n + 1},{k},{b.ds_power:.9g},{b.bu_power:.9g},"
-                         f"{b.ui_power:.9g},{b.rate_bits:.9g}")
-    return "\n".join(lines) + "\n"
+def per_position_rates(params: SystemParams, plan: SamplePlan, mean_delta) -> np.ndarray:
+    """(..., K, F*tau_c) rate table for (..., 2, F*tau_c) E[Delta] tables;
+    zero wherever no AP sends payload data."""
+    return rate_at_position(params, plan.data_mask(), mean_delta).rate_bits
+
+
+def spectral_efficiency(plan: SamplePlan, rates) -> np.ndarray:
+    """Per-UE SE, shape (..., K): plain average of the per-position rates
+    over the frame."""
+    rates = np.asarray(rates)
+    if rates.shape[-1] != plan.n_samples:
+        raise ValueError("need one rate per frame position")
+    return rates.mean(axis=-1)

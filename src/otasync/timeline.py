@@ -131,9 +131,6 @@ class SamplePlan:
         """(2, n_samples) bool: AP transmits payload data at that sample."""
         return self.labels == Activity.DL_DATA
 
-    def estimation_time(self, i: int, k: int) -> int:
-        return estimation_time(i, k, self.tau_c)
-
     def dump_csv(self) -> str:
         lines = ["n,ap1_label,ap2_label,a1,a2"]
         for n in range(self.n_samples):

@@ -40,40 +40,45 @@ def noise_coefficients(layout: SlotLayout, n_ues: int, frame_len: int):
 class NoiseModel:
     """Variances driving the tracker: inter-measurement drift (sigma_zeta_sq),
     estimation-instant offset drift (sigma_xi_sq), and the over-the-air
-    measurement error 1/(rho_ap ||G||^2) (meas_var)."""
+    measurement error 1/(rho_ap ||G||^2) (meas_var: a scalar, or one value
+    per run when the tracker state holds many runs)."""
 
     sigma_zeta_sq: float
     sigma_xi_sq: float
-    meas_var: float
+    meas_var: float | np.ndarray
 
     def __post_init__(self):
-        if min(self.sigma_zeta_sq, self.sigma_xi_sq, self.meas_var) < 0:
+        if min(self.sigma_zeta_sq, self.sigma_xi_sq) < 0 or np.any(self.meas_var < 0):
             raise ValueError("noise variances must be nonnegative")
         if self.sigma_xi_sq > self.sigma_zeta_sq + 1e-15:
             raise ValueError("sigma_xi_sq must not exceed sigma_zeta_sq")
 
 
-def derive_noise_model(params: SystemParams, layout: SlotLayout, op_norm: float) -> NoiseModel:
+def derive_noise_model(params: SystemParams, layout: SlotLayout, op_norm) -> NoiseModel:
+    """Noise model for a scalar op_norm or an array of per-run op norms."""
     c_zeta, c_xi = noise_coefficients(layout, params.n_ues, params.frame_len)
     sig2 = derive_sigma_nu(params)
-    if op_norm <= 0:
-        raise ValueError(f"op_norm must be positive, got {op_norm}")
+    if np.any(op_norm <= 0):
+        raise ValueError(f"op_norm must be positive, got {np.min(op_norm)}")
     return NoiseModel(sigma_zeta_sq=c_zeta * sig2, sigma_xi_sq=c_xi * sig2,
                       meas_var=1.0 / (params.rho_ap * op_norm**2))
 
 
 @dataclass(frozen=True)
 class KalmanState:
-    alpha_hat: float
-    p_var: float
+    """Tracker output and its model variance: scalars for one run, or arrays
+    with one entry per run."""
+
+    alpha_hat: float | np.ndarray
+    p_var: float | np.ndarray
     n: int = 1
 
 
-def kalman_init(first_obs: float, model: NoiseModel) -> KalmanState:
+def kalman_init(first_obs, model: NoiseModel) -> KalmanState:
     """No prior: start at the first raw measurement with its own error
     variance (the initial offset is uniform on the circle, so any fixed prior
     would bias the wrap)."""
-    return KalmanState(alpha_hat=float(first_obs),
+    return KalmanState(alpha_hat=first_obs,
                        p_var=model.sigma_xi_sq + model.meas_var, n=1)
 
 
@@ -82,10 +87,10 @@ def kalman_gain(p_var, model: NoiseModel):
     return (p_var + model.sigma_xi_sq) / (p_var + 3.0 * model.sigma_xi_sq + model.meas_var)
 
 
-def kalman_update(state: KalmanState, obs: float, model: NoiseModel) -> KalmanState:
+def kalman_update(state: KalmanState, obs, model: NoiseModel) -> KalmanState:
     """One measurement step, formulas applied verbatim and in order:
     gain, wrapped-innovation state update, variance update."""
     kappa = kalman_gain(state.p_var, model)
     alpha_hat = state.alpha_hat + kappa * wrap(obs - state.alpha_hat)
     p_var = state.p_var - kappa * (state.p_var + model.sigma_xi_sq) + model.sigma_zeta_sq
-    return KalmanState(alpha_hat=float(alpha_hat), p_var=float(p_var), n=state.n + 1)
+    return KalmanState(alpha_hat=alpha_hat, p_var=p_var, n=state.n + 1)

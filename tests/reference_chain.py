@@ -1,21 +1,21 @@
 """Slow, literal reference implementation of the full simulation chain.
 
 Dense per-sample oscillator trajectories, full N-dimensional sync signals
-through the operation-level API (measure_direction, kalman_init/update,
-CompensationState, residual_delta), processed event by event in sample order.
-Used as an independent oracle for the vectorized Monte Carlo engine.
+through the operation-level reference code in tests/oracles.py
+(measure_direction, CompensationState, residual_delta) and the scalar
+kalman_init/update, processed event by event in sample order. Used as an
+independent oracle for the vectorized Monte Carlo engine.
 """
 
 import numpy as np
 
-from otasync.channel import sample_inter_ap_channel
-from otasync.compensation import CompensationState, WARMUP_FRAMES, ap2_theta_from_tracker, \
-    build_plan, residual_delta, ue_psi_update
+from otasync.compensation import WARMUP_FRAMES, build_plan
 from otasync.config import derive_sigma_nu, derive_slot_layout
-from otasync.phase_noise import generate_trajectory, run_seed
-from otasync.sync import combine_bidirectional, measure_direction
+from otasync.phase_noise import run_seed
 from otasync.tracking import derive_noise_model, kalman_init, kalman_update, \
     representative_ue
+from tests.oracles import CompensationState, combine_bidirectional, generate_trajectory, \
+    measure_direction, residual_delta, sample_inter_ap_channel, ue_psi_update
 
 
 def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
@@ -76,11 +76,10 @@ def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
                     noise = 0.0
                     if params.ue_pilot_noise_var > 0:
                         noise = rng.standard_normal() * np.sqrt(params.ue_pilot_noise_var)
-                    comp.psi = ue_psi_update(k_rep, t, nu1, params.tau_c,
-                                             params.n_ues, noise)
+                    comp.psi = ue_psi_update(t, nu1, params.tau_c, params.n_ues, noise)
                     comp.last_psi_reset = t
                 elif kind == "theta":
-                    comp.reset_theta2(ap2_theta_from_tracker(tracker_out), t)
+                    comp.reset_theta2(tracker_out, t)
                 else:
                     ap = event[2]
                     d = residual_delta(k_rep, ap + 1, t, nu, comp, params.tau_c)

@@ -1,23 +1,10 @@
 import numpy as np
 import pytest
 
-from otasync.channel import complex_normal, leading_singular_pair, lmmse_coefficient, \
-    lmmse_estimate, sample_inter_ap_channel, sample_ue_channels
+from otasync.channel import batched_op_norms, complex_normal
 from otasync.config import default_params
 from tests.conftest import small_instance
-
-
-def test_ue_channels_zero_beta_limit():
-    p = small_instance(beta_ue=1e-300)
-    chans = sample_ue_channels(0, p)
-    assert np.all(np.abs(chans.h) < 1e-100)
-
-
-def test_ue_channels_deterministic():
-    p = small_instance()
-    a = sample_ue_channels(3, p)
-    b = sample_ue_channels(3, p)
-    assert np.array_equal(a.h, b.h)
+from tests.oracles import leading_singular_pair, lmmse_coefficient, sample_inter_ap_channel
 
 
 def test_ue_channels_empirical_variance():
@@ -40,24 +27,15 @@ def test_lmmse_coefficient_reference():
 
 def test_lmmse_zero_beta():
     p = small_instance(beta_ue=1e-12)
-    est = lmmse_estimate(np.ones(8), 1, 1, p)
-    assert np.all(np.abs(est.q_hat) < 1e-9)
-    assert est.gamma < 1e-12
+    c, gamma = lmmse_coefficient(p, 1, 1)
+    assert abs(c) < 1e-9
+    assert gamma < 1e-12
 
 
 def test_lmmse_noiseless_limit():
     p = small_instance(rho_ue=1e8)
     _, gamma = lmmse_coefficient(p, 1, 1)
     assert gamma == pytest.approx(0.01, rel=1e-4)
-
-
-def test_lmmse_estimate_scales_observation():
-    p = default_params()
-    y = np.arange(4) + 1j
-    est = lmmse_estimate(y, 2, 1, p, est_time=105)
-    c, _ = lmmse_coefficient(p, 2, 1)
-    assert np.allclose(est.q_hat, c * y)
-    assert est.estimation_time == 105
 
 
 def test_lmmse_statistics_match_model():
@@ -125,6 +103,14 @@ def test_op_norm_concentration_near_mp_edge():
         ratios.append(chan.op_norm**2 / (p.n_antennas * p.beta_g))
     ratios = np.array(ratios)
     assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
+
+
+def test_batched_op_norms_match_power_iteration():
+    p = default_params(n_antennas=8, beta_g=1e-3)
+    norms = batched_op_norms(np.random.default_rng(3), p, 4)
+    g = complex_normal(np.random.default_rng(3), (4, 8, 8), p.beta_g)
+    for i in range(4):
+        assert norms[i] == pytest.approx(leading_singular_pair(g[i])[2], rel=1e-9)
 
 
 def test_inter_ap_channel_consistency():

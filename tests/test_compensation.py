@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from otasync.compensation import CompensationState, WARMUP_FRAMES, ap2_theta_from_tracker, \
-    build_plan, monte_carlo_delta, residual_delta, run_phase_trace, ue_psi_update
-from otasync.config import default_params, derive_sigma_nu
-from otasync.phase_noise import PhaseTrajectory, generate_trajectory
+from otasync.compensation import build_plan, monte_carlo_delta, run_phase_trace
+from otasync.config import ConfigError, derive_sigma_nu
 from otasync.rate import per_position_rates, spectral_efficiency
+from tests.oracles import CompensationState, PhaseTrajectory, generate_trajectory, \
+    residual_delta, ue_psi_update
 from tests.reference_chain import reference_delta
 
 SIGMA_REF = 3.9478417604357436e-05
@@ -20,22 +20,22 @@ def _flat(value, length=400):
 def test_theta_hold_semantics():
     comp = CompensationState()
     assert comp.theta(1) == 0.0
-    comp.reset_theta2(ap2_theta_from_tracker(0.7), time=97)
+    comp.reset_theta2(0.7, time=97)
     assert comp.theta(2) == 0.7
     assert comp.theta(1) == 0.0  # theta_1 pinned at zero
     assert comp.last_theta_reset == 97
-    comp.reset_theta2(ap2_theta_from_tracker(-0.2), time=197)
+    comp.reset_theta2(-0.2, time=197)
     assert comp.theta(2) == -0.2
 
 
 def test_psi_zero_phase_noise():
     nu1 = _flat(0.0)
-    assert ue_psi_update(5, 56, nu1, 100, 10) == 0.0
+    assert ue_psi_update(56, nu1, 100, 10) == 0.0
 
 
 def test_psi_is_true_value_at_pilot():
     nu1 = generate_trajectory(3, 400, SIGMA_REF, initial_phase=0.5)
-    psi = ue_psi_update(5, 156, nu1, 100, 10)
+    psi = ue_psi_update(156, nu1, 100, 10)
     assert psi == pytest.approx(nu1.value_at(156) + nu1.value_at(105), abs=1e-15)
 
 
@@ -71,7 +71,7 @@ def test_residual_pilot_instant_identity():
     nu1 = generate_trajectory(12, 400, SIGMA_REF, initial_phase=0.9)
     comp = CompensationState()
     pilot = 156
-    comp.psi = ue_psi_update(5, pilot, nu1, 100, 10)
+    comp.psi = ue_psi_update(pilot, nu1, 100, 10)
     d = residual_delta(5, 1, pilot, (nu1, _flat(0.0)), comp, 100)
     assert d == pytest.approx(1 + 0j, abs=1e-12)
 
@@ -191,8 +191,8 @@ def test_engine_matches_reference_chain(scheme, params):
     assert diff.max() < 0.05
     # and the spectral efficiencies agree
     plan = build_plan(p, scheme)
-    se_e = spectral_efficiency(1, plan, per_position_rates(p, plan, eng))
-    se_r = spectral_efficiency(1, plan, per_position_rates(p, plan, eng, mean_delta=ref))
+    se_e = spectral_efficiency(plan, per_position_rates(p, plan, eng.mean_delta))[0]
+    se_r = spectral_efficiency(plan, per_position_rates(p, plan, ref))[0]
     assert se_e == pytest.approx(se_r, abs=0.03)
 
 
@@ -211,6 +211,8 @@ def test_ue_pilot_noise_flag_degrades_mean(params):
 def test_invalid_scheme(params):
     with pytest.raises(ValueError):
         monte_carlo_delta(params, "zero_forcing", 10, 0)
+    with pytest.raises(ConfigError, match="unknown scheme"):
+        build_plan(params, "zero_forcing")
     with pytest.raises(ValueError):
         monte_carlo_delta(params, "kalman", 0, 0)
 
@@ -223,3 +225,5 @@ def test_trace_output_fields(params):
     assert all(0 < k < 1 for k in kappas)
     with pytest.raises(ValueError):
         run_phase_trace(params, 5, 2, scheme="ap1_only")
+    with pytest.raises(ConfigError):
+        run_phase_trace(params, 0, 2)

@@ -78,6 +78,18 @@ def test_tau_p_equals_n_ues_enforced():
         default_params(tau_p=7, tau_u=45)
 
 
+@pytest.mark.parametrize("field", ["beta_ue", "eta", "ue_pilot_noise_var"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_values_rejected(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        default_params(**{field: bad})
+    if field != "ue_pilot_noise_var":
+        table = np.full((10, 2), 0.01)
+        table[3, 1] = bad
+        with pytest.raises(ConfigError, match=field):
+            default_params(**{field: table})
+
+
 def test_power_constraint_enforced():
     with pytest.raises(ConfigError, match="power constraint"):
         default_params(eta=0.2)  # sum over 10 UEs = 2 > 1

@@ -7,7 +7,8 @@ import pytest
 from otasync.cli import cli_main
 from otasync.config import ConfigError, default_params, dump_config
 from otasync.experiment import ResultRow, SweepSpec, cell_seed, emit_csv, fig2_sweep, \
-    fig3_sweep, parse_result_csv, parse_sweep, run_sweep
+    fig3_sweep, parse_sweep, run_sweep
+from tests.oracles import parse_result_csv
 
 QUICK = SweepSpec(f_values=(1, 2), schemes=("kalman", "direct", "ap1_only"),
                   snr_ap_db=(-15.0,), n_realizations=300, master_seed=9)
@@ -25,6 +26,8 @@ def test_sweep_spec_validation():
         SweepSpec(f_values=(1,), schemes=("zeroforcing",))
     with pytest.raises(ConfigError):
         SweepSpec(f_values=(1,), n_realizations=0)
+    with pytest.raises(ConfigError):
+        SweepSpec(f_values=(1,), n_workers=0)
 
 
 def test_fig_presets():
@@ -162,9 +165,22 @@ def test_cli_usage_error():
 
 def test_cli_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("tau_p = 7\n")
-    assert cli_main(["--config", str(cfg)]) == 2
+    for line in ("tau_p = 7", "beta_ue = nan", "eta = nan", "ue_pilot_noise_var = inf"):
+        cfg.write_text(line + "\n")
+        assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
     assert cli_main(["--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dump-plan", "--scheme", "bogus"],
+    ["--workers", "0", "--realizations", "10"],
+    ["--dump-trace", "--trace-frames", "0"],
+    ["--dump-trace", "--trace-frames", "-3"],
+])
+def test_cli_bad_run_options(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_bad_sweep(tmp_path):
@@ -198,25 +214,3 @@ def test_fig2_preset_row_grid(tmp_path):
     assert len(rows) == 50
     assert sum(r.scheme == "ap1_only" for r in rows) == 10
     assert sum(r.scheme == "kalman" for r in rows) == 20
-
-
-def test_delta_and_rate_dumps(params):
-    from otasync.compensation import monte_carlo_delta, build_plan
-    from otasync.rate import dump_rate_csv
-    stats = monte_carlo_delta(params, "direct", 100, 1)
-    lines = stats.dump_csv().strip().splitlines()
-    assert lines[0] == "position,ap,re_mean,im_mean,abs_mean"
-    assert len(lines) == 1 + 80  # 40 payload positions per AP
-    plan = build_plan(params, "direct")
-    rlines = dump_rate_csv(params, plan, stats).strip().splitlines()
-    assert rlines[0] == "n,k,ds,bu,ui,rate"
-    assert len(rlines) == 1 + 43 * params.n_ues
-
-
-def test_trajectory_debug_dump():
-    from otasync.phase_noise import dump_trajectories_csv, generate_trajectory
-    t1 = generate_trajectory(1, 5, 1e-5, ap_id=1)
-    t2 = generate_trajectory(2, 5, 1e-5, ap_id=2)
-    lines = dump_trajectories_csv(t1, t2).strip().splitlines()
-    assert lines[0] == "index,nu_1,nu_2"
-    assert len(lines) == 6

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from otasync.phase_noise import generate_trajectory, run_seed, wiener_values_at
+from otasync.phase_noise import run_seed, wiener_values_at
+from tests.oracles import generate_trajectory
 
 SIGMA_REF = 3.9478417604357436e-05
 

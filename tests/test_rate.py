@@ -6,20 +6,28 @@ import pytest
 
 from otasync.compensation import monte_carlo_delta, build_plan
 from otasync.config import default_params
-from otasync.rate import RateBreakdown, closed_form_powers, monte_carlo_rate_oracle, \
-    per_position_rates, rate_at_position, rate_inputs, spectral_efficiency, synthetic_delta
+from otasync.rate import RateBreakdown, per_position_rates, rate_at_position, \
+    spectral_efficiency
 from tests.conftest import small_instance
+from tests.oracles import closed_form_powers, monte_carlo_rate_oracle, synthetic_delta
+
+
+def _at(params, k, a, mean_delta) -> RateBreakdown:
+    """Breakdown for UE k (1-based) at one position with indicators a."""
+    b = rate_at_position(params, np.reshape(a, (2, 1)), np.reshape(mean_delta, (2, 1)))
+    return RateBreakdown(*(float(x[k - 1, 0]) for x in
+                           (b.ds_power, b.bu_power, b.ui_power, b.rate_bits)))
 
 
 def test_rate_zero_when_no_ap_transmits(params):
-    b = rate_at_position(1, rate_inputs(params, (0, 0), (1.0, 1.0)))
+    b = _at(params, 1, (0, 0), (1.0, 1.0))
     assert b.ds_power == 0.0 and b.rate_bits == 0.0
 
 
 def test_rate_reference_working_point(params):
     # symmetric scenario, perfect compensation on both APs; frozen values
     # computed by hand from the closed form (gamma = 0.1/11)
-    b = rate_at_position(4, rate_inputs(params, (1, 1), (1.0, 1.0)))
+    b = _at(params, 4, (1, 1), (1.0, 1.0))
     assert b.ds_power == pytest.approx(46.54545454545455, rel=1e-12)
     assert b.bu_power == 0.0
     assert b.ui_power == pytest.approx(4.0, rel=1e-12)
@@ -27,14 +35,14 @@ def test_rate_reference_working_point(params):
 
 
 def test_rate_zero_mean_delta(params):
-    b = rate_at_position(1, rate_inputs(params, (1, 1), (0.0, 0.0)))
+    b = _at(params, 1, (1, 1), (0.0, 0.0))
     assert b.ds_power == 0.0
     assert b.rate_bits == 0.0
     assert b.bu_power > 0  # uncertainty is maximal
 
 
 def test_rate_single_ap(params):
-    b = rate_at_position(1, rate_inputs(params, (1, 0), (1.0, 0.0)))
+    b = _at(params, 1, (1, 0), (1.0, 0.0))
     assert b.ds_power == pytest.approx(64 * 200 * 0.1 * (0.1 / 11), rel=1e-12)
     assert b.ui_power == pytest.approx(2.0, rel=1e-12)
 
@@ -42,17 +50,16 @@ def test_rate_single_ap(params):
 def test_rate_monotone_in_mean_delta(params):
     rates = []
     for d in np.linspace(0, 1, 11):
-        rates.append(rate_at_position(1, rate_inputs(params, (1, 1), (d, d))).rate_bits)
+        rates.append(_at(params, 1, (1, 1), (d, d)).rate_bits)
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
 def test_rate_uses_complex_mean_phase(params):
-    aligned = rate_at_position(1, rate_inputs(params, (1, 1), (0.9, 0.9)))
-    opposed = rate_at_position(1, rate_inputs(params, (1, 1), (0.9, -0.9)))
+    aligned = _at(params, 1, (1, 1), (0.9, 0.9))
+    opposed = _at(params, 1, (1, 1), (0.9, -0.9))
     assert opposed.ds_power == pytest.approx(0.0, abs=1e-9)
     assert aligned.rate_bits > opposed.rate_bits
-    rotated = rate_at_position(1, rate_inputs(params, (1, 1),
-                                              (0.9 * np.exp(1j), 0.9 * np.exp(1j))))
+    rotated = _at(params, 1, (1, 1), (0.9 * np.exp(1j), 0.9 * np.exp(1j)))
     assert rotated.rate_bits == pytest.approx(aligned.rate_bits, rel=1e-12)
 
 
@@ -60,22 +67,56 @@ def test_denominator_groupings_agree(params):
     # the closed form's denominator grouping equals the direct decomposition's
     # bu + ui for any mean_delta
     for d1, d2 in ((1.0, 1.0), (0.3, 0.8j), (0.0, 0.5)):
-        b = rate_at_position(2, rate_inputs(params, (1, 1), (d1, d2)))
+        b = _at(params, 2, (1, 1), (d1, d2))
         ds, bu, ui = closed_form_powers(params, 2, (1, 1), (d1, d2))
         assert b.ds_power == pytest.approx(ds, rel=1e-12)
         assert b.bu_power + b.ui_power == pytest.approx(bu + ui, rel=1e-12)
 
 
+def _hetero_params():
+    rng = np.random.default_rng(31)
+    beta = rng.uniform(0.002, 0.05, (10, 2))
+    eta = rng.uniform(0.1, 1.0, (10, 2))
+    return default_params(beta_ue=beta, eta=eta / eta.sum(axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize("make_params", [default_params, _hetero_params],
+                         ids=["default", "hetero"])
+def test_rate_table_matches_scalar_reference(make_params):
+    # every (stack, k, position) of the vectorized table against the scalar
+    # per-UE loop; positions cover both APs, each AP alone and no AP
+    p = make_params()
+    rng = np.random.default_rng(32)
+    a = np.array([[1, 1, 0, 0, 1, 1, 0, 1],
+                  [1, 0, 1, 0, 1, 1, 0, 0]], dtype=bool)
+    n = a.shape[1]
+    mod = rng.uniform(0.0, 1.0, (3, 2, n))
+    mod[0, :, 4] = 1.0
+    mean_delta = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, 2, n)))
+    b = rate_at_position(p, a, mean_delta)
+    assert b.ds_power.shape == (3, p.n_ues, n)
+    for s in range(3):
+        for k in range(1, p.n_ues + 1):
+            for pos in range(n):
+                ds, bu, ui = closed_form_powers(p, k, a[:, pos], mean_delta[s, :, pos])
+                np.testing.assert_allclose(b.ds_power[s, k - 1, pos], ds, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(b.bu_power[s, k - 1, pos] + b.ui_power[s, k - 1, pos],
+                                           bu + ui, rtol=1e-12, atol=0)
+    assert np.all(b.rate_bits[:, :, ~a.any(axis=0)] == 0.0)
+
+
 def test_spectral_efficiency_zero(params):
     plan = build_plan(params, "kalman")
-    assert spectral_efficiency(1, plan, np.zeros((10, 100))) == 0.0
+    assert np.all(spectral_efficiency(plan, np.zeros((10, 100))) == 0.0)
+    with pytest.raises(ValueError):
+        spectral_efficiency(plan, np.zeros((10, 99)))
 
 
 def test_spectral_efficiency_conventional_position_count(params):
     # constant rate r at the 41 payload positions of a conventional-only slot
     plan = build_plan(params, "ap1_only")
     rates = np.where(plan.data_mask()[0], 2.0, 0.0)
-    assert spectral_efficiency(1, plan, np.tile(rates, (10, 1))) == \
+    assert spectral_efficiency(plan, np.tile(rates, (10, 1)))[0] == \
         pytest.approx(0.41 * 2.0, rel=1e-12)
 
 
@@ -87,14 +128,14 @@ def test_spectral_efficiency_broken_position_count(params):
     rates = np.where(data.any(axis=0), 1.0, 0.0)
     union = np.count_nonzero(data.any(axis=0))
     assert union == 43  # 37 joint + 3 + 3 solo
-    assert spectral_efficiency(1, plan, np.tile(rates, (10, 1))) == \
+    assert spectral_efficiency(plan, np.tile(rates, (10, 1)))[0] == \
         pytest.approx(union / 100, rel=1e-12)
 
 
 def test_per_position_rates_layout(params):
     stats = monte_carlo_delta(params, "kalman", 300, 3)
     plan = build_plan(params, "kalman")
-    rates = per_position_rates(params, plan, stats)
+    rates = per_position_rates(params, plan, stats.mean_delta)
     assert rates.shape == (10, 100)
     data_any = plan.data_mask().any(axis=0)
     assert np.all(rates[:, ~data_any] == 0)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from otasync.channel import InterApChannel, leading_singular_pair, complex_normal
-from otasync.config import default_params
-from otasync.phase_noise import PhaseTrajectory, generate_trajectory
-from otasync.sync import SyncMeasurement, combine_bidirectional, measure_direction, \
-    measurement_variance
+from otasync.channel import complex_normal
+from otasync.config import default_params, derive_slot_layout
+from otasync.tracking import derive_noise_model
+from tests.oracles import InterApChannel, PhaseTrajectory, combine_bidirectional, \
+    generate_trajectory, leading_singular_pair, measure_direction
 
 
 def _chan_with_norm(n, target_norm_sq, seed=0):
@@ -119,17 +119,15 @@ def test_high_snr_consistency():
 
 
 def test_measurement_variance_values():
+    # combined measurement error variance 1/(rho_ap ||G||^2): the two
+    # per-direction angle MSEs of 0.5/(rho_ap ||G||^2) summed
+    def measurement_variance(rho_ap, op_norm):
+        p = default_params(rho_ap=rho_ap)
+        return derive_noise_model(p, derive_slot_layout(p), op_norm).meas_var
+
     assert measurement_variance(200.0, np.sqrt(0.05)) == pytest.approx(0.1, rel=1e-12)
     assert measurement_variance(1e12, 1.0) == pytest.approx(1e-12)
     assert measurement_variance(400.0, np.sqrt(0.05)) == \
         pytest.approx(measurement_variance(200.0, np.sqrt(0.05)) / 2)
     with pytest.raises(ValueError):
         measurement_variance(200.0, 0.0)
-
-
-def test_sync_measurement_consistency_check():
-    SyncMeasurement(frame_index=0, alpha_21=0.1, alpha_12=0.3,
-                    alpha_bar=0.3 - 0.1, true_target=0.2)
-    with pytest.raises(ValueError):
-        SyncMeasurement(frame_index=0, alpha_21=0.1, alpha_12=0.3,
-                        alpha_bar=0.0, true_target=0.2)

@@ -102,6 +102,31 @@ def test_kalman_update_worked_example():
     assert new.n == state.n + 1
 
 
+def test_kalman_per_run_arrays_match_scalar_steps():
+    # array state and per-run meas_var: each run follows the scalar recursion
+    p = default_params()
+    lay = derive_slot_layout(p)
+    rng = np.random.default_rng(3)
+    op_norm = rng.uniform(0.05, 0.5, 6)
+    obs = rng.uniform(-np.pi, np.pi, (4, 6))
+    model = derive_noise_model(p, lay, op_norm)
+    state = kalman_init(obs[0], model)
+    for row in obs[1:]:
+        state = kalman_update(state, row, model)
+    for r in range(6):
+        one = derive_noise_model(p, lay, float(op_norm[r]))
+        ref = kalman_init(float(obs[0, r]), one)
+        for row in obs[1:]:
+            ref = kalman_update(ref, float(row[r]), one)
+        assert state.alpha_hat[r] == ref.alpha_hat
+        assert state.p_var[r] == ref.p_var
+    assert state.n == 4
+    with pytest.raises(ValueError):
+        derive_noise_model(p, lay, np.array([0.1, 0.0]))
+    with pytest.raises(ValueError):
+        NoiseModel(sigma_zeta_sq=1.0, sigma_xi_sq=0.5, meas_var=np.array([0.1, -0.1]))
+
+
 def test_kalman_uninformative_observation():
     model = NoiseModel(sigma_zeta_sq=0.017, sigma_xi_sq=0.003, meas_var=1e18)
     state = KalmanState(alpha_hat=0.5, p_var=0.01)
