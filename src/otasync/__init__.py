@@ -8,7 +8,7 @@ from .config import ConfigError, SlotLayout, SystemParams, default_params, \
 from .experiment import ResultRow, SweepSpec, emit_csv, fig2_sweep, fig3_sweep, run_sweep
 from .rate import RateBreakdown, rate_at_position, spectral_efficiency
 from .timeline import Activity, SamplePlan, build_broken_slot, build_conventional_slot, \
-    build_frame_schedule, estimation_time
+    build_frame_schedule
 from .tracking import KalmanState, NoiseModel, derive_noise_model, kalman_init, \
     kalman_update, wrap
 

@@ -53,30 +53,36 @@ class DeltaStats:
 # static per-cell description of what the engine must simulate
 
 @dataclass(frozen=True)
-class _Segment:
-    ap: int                  # 0-based
-    positions: np.ndarray    # frame offsets (1-based) carrying payload data
-    anchor_idx: np.ndarray   # indices of those offsets in the measured-frame grid
-    krep_idx: int            # grid index of the slot's representative pilot sample
-    theta_updated: bool      # use the tracker output of the current frame
-    psi_slot: int            # slot index whose pilot sets psi; 0 = carried over
+class _Grid:
+    """Sample instants one frame simulates, as 1-based frame offsets, with the
+    grid columns the sync measurement and the UE psi updates read."""
+
+    offsets: np.ndarray      # increasing frame offsets
+    sync_cols: tuple         # columns of i1 and i2 (synced schemes)
+    psi_slots: np.ndarray    # slots (1-based) whose psi this frame sets
+    pilot_cols: np.ndarray   # column of AP 1's demod pilot in each of those slots
+    krep_cols: np.ndarray    # column of the representative UE's pilot there
 
 
 @dataclass(frozen=True)
 class _CellGeometry:
+    """Warm-up and measured frame grids, plus one entry per payload position
+    (AP, 1-based frame offset) in frame order; `segments` slices the positions
+    into runs that share AP, slot, psi slot and tracker output."""
+
     params: SystemParams
-    plan: SamplePlan
     scheme: str
     sigma_nu_sq: float
     k_rep: int
-    warm_offsets: np.ndarray
-    warm_idx: dict
-    meas_offsets: np.ndarray
-    meas_idx: dict
+    warmup: _Grid
+    measured: _Grid
+    ap: np.ndarray           # (P,) 0-based AP
+    pos: np.ndarray          # (P,) frame offset
+    col: np.ndarray          # (P,) column in the measured grid
+    ue_col: np.ndarray       # (K, P) column of each UE's pilot in the position's slot
+    tracker: np.ndarray      # (P,) 0: none (AP 1), 1: previous frame's, 2: this frame's
+    psi_slot: np.ndarray     # (P,) slot whose pilot set psi; 0 = carried over
     segments: tuple
-    pilot_slots: np.ndarray  # slots with a demod pilot (1-based), for psi draws
-    i1: int
-    i2: int
 
 
 def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
@@ -91,70 +97,35 @@ def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
 def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
     plan = build_plan(params, scheme)
     layout = derive_slot_layout(params)
-    F, c = params.frame_len, params.tau_c
     k_rep = representative_ue(params.n_ues)
-    synced = scheme != "ap1_only"
+    sync = np.array([layout.i1, layout.i2] if scheme != "ap1_only" else [], dtype=int)
+    # AP 1 sends a demod pilot in every slot of both schedules; it sets psi
+    demod, krep = plan.demod_pilot_samples[0], plan.pilot_samples[:, k_rep - 1]
 
-    needed = set()
-    for s in range(1, F + 1):
-        base = (s - 1) * c
-        needed.update(base + k for k in range(1, params.n_ues + 1))
-        for ap in range(2):
-            p = plan.demod_pilot_samples[ap, s - 1]
-            if p > 0:
-                needed.add(int(p))
-    if synced:
-        needed.update((layout.i1, layout.i2))
-    data = plan.data_mask()
-    for ap in range(2):
-        needed.update(int(i) for i in np.nonzero(data[ap])[0] + 1)
-    meas_offsets = np.array(sorted(needed))
-    meas_idx = {int(o): j for j, o in enumerate(meas_offsets)}
+    ap, idx = np.nonzero(plan.data_mask())
+    pos, slot = idx + 1, idx // params.tau_c   # 1-based offset, 0-based slot
 
-    last_base = (F - 1) * c
-    warm = {last_base + k_rep}
-    p_last = plan.demod_pilot_samples[0, F - 1]
-    if p_last > 0:
-        warm.add(int(p_last))
-    if synced:
-        warm.update((layout.i1, layout.i2))
-    warm_offsets = np.array(sorted(warm))
-    warm_idx = {int(o): j for j, o in enumerate(warm_offsets)}
+    def grid(psi_slots, *extra):
+        pilots, reps = demod[psi_slots - 1], krep[psi_slots - 1]
+        offsets = np.flatnonzero(np.bincount(np.concatenate((pilots, reps, sync) + extra)))
+        return _Grid(offsets, tuple(np.searchsorted(offsets, sync)), psi_slots,
+                     np.searchsorted(offsets, pilots), np.searchsorted(offsets, reps))
 
-    segments = []
-    for ap in range(2):
-        rows = np.nonzero(data[ap])[0] + 1
-        if rows.size == 0:
-            continue
-        for s in range(1, F + 1):
-            base = (s - 1) * c
-            in_slot = rows[(rows > base) & (rows <= base + c)]
-            if in_slot.size == 0:
-                continue
-            pilot = plan.demod_pilot_samples[ap, s - 1]
-            for pre_pilot in (True, False):
-                pos = in_slot[in_slot < pilot] if pre_pilot else in_slot[in_slot > pilot]
-                if pilot <= 0:
-                    pos = in_slot if pre_pilot else in_slot[:0]
-                if pos.size == 0:
-                    continue
-                psi_slot = (s - 1) if pre_pilot else s
-                segments.append(_Segment(
-                    ap=ap,
-                    positions=pos,
-                    anchor_idx=np.array([meas_idx[int(p)] for p in pos]),
-                    krep_idx=meas_idx[base + k_rep],
-                    theta_updated=bool(synced and pos[0] > layout.i2),
-                    psi_slot=psi_slot,
-                ))
+    warmup = grid(np.array([params.frame_len]))
+    measured = grid(np.arange(1, params.frame_len + 1), plan.pilot_samples.ravel(),
+                    plan.demod_pilot_samples[plan.demod_pilot_samples > 0], pos)
 
-    pilot_slots = np.nonzero(plan.demod_pilot_samples[0] > 0)[0] + 1
-    return _CellGeometry(params=params, plan=plan, scheme=scheme,
-                         sigma_nu_sq=derive_sigma_nu(params), k_rep=k_rep,
-                         warm_offsets=warm_offsets, warm_idx=warm_idx,
-                         meas_offsets=meas_offsets, meas_idx=meas_idx,
-                         segments=tuple(segments), pilot_slots=pilot_slots,
-                         i1=layout.i1, i2=layout.i2)
+    psi_slot = slot + (pos > plan.demod_pilot_samples[ap, slot])
+    tracker = np.where(ap == 0, 0, 1 + (pos > layout.i2))
+    keys = np.stack((ap, slot, psi_slot, tracker))
+    starts = np.flatnonzero(np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0))
+    segments = tuple(map(slice, starts, np.append(starts[1:], pos.size)))
+    return _CellGeometry(
+        params=params, scheme=scheme, sigma_nu_sq=derive_sigma_nu(params), k_rep=k_rep,
+        warmup=warmup, measured=measured, ap=ap, pos=pos,
+        col=np.searchsorted(measured.offsets, pos),
+        ue_col=np.searchsorted(measured.offsets, plan.pilot_samples[slot].T),
+        tracker=tracker, psi_slot=psi_slot, segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -189,87 +160,50 @@ def _track(state, obs, model, scheme):
         else kalman_update(state, obs, model)
 
 
-def _psi_noise(rng, geom, n_runs):
-    var = geom.params.ue_pilot_noise_var
-    if var == 0.0:
-        return None
-    return rng.standard_normal((geom.pilot_slots.size, n_runs)) * np.sqrt(var)
-
-
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                     master_seed: int, per_ue: bool):
-    """One vectorized chunk of independent runs; returns the complex Delta sum
-    per (AP, position) (or per (UE, AP, position) when per_ue)."""
+    """One vectorized chunk of independent runs: WARMUP_FRAMES frames on the
+    sparse warm-up grid, then the measured frame on the full grid. Returns
+    the complex Delta sum per (AP, position), or per (UE, AP, position)
+    when per_ue."""
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
     synced = geom.scheme != "ap1_only"
-    F, c, L = p.frame_len, p.tau_c, p.frame_len * p.tau_c
+    F, L = p.frame_len, p.frame_len * p.tau_c
+    noise_sd = np.sqrt(p.ue_pilot_noise_var)
 
     if synced:
         op_norm = batched_op_norms(rng, p, n_runs)
         model = derive_noise_model(p, derive_slot_layout(p), op_norm)
-        i12 = (geom.warm_idx[geom.i1], geom.warm_idx[geom.i2])
 
     nu = rng.uniform(-np.pi, np.pi, (2, n_runs))
     last_global = 1
-    theta2 = np.zeros(n_runs)
-    psi = np.zeros(n_runs)
     state = None
-
-    last_pilot_idx = geom.warm_idx.get(int(geom.plan.demod_pilot_samples[0, F - 1]))
-    last_krep_idx = geom.warm_idx[(F - 1) * c + geom.k_rep]
-    for f in range(WARMUP_FRAMES):
+    theta = [np.zeros(n_runs)] * 3      # [none, previous frame's, this frame's]
+    psi = [np.zeros(n_runs)] * (F + 1)  # by slot; psi[0] is carried over
+    for f in range(WARMUP_FRAMES + 1):
+        grid = geom.measured if f == WARMUP_FRAMES else geom.warmup
         vals, nu, last_global = _advance(rng, nu, last_global, f * L,
-                                         geom.warm_offsets, geom.sigma_nu_sq)
+                                         grid.offsets, geom.sigma_nu_sq)
         if synced:
-            state = _track(state, _measure_pair(rng, vals, i12, op_norm, p.rho_ap),
+            state = _track(state, _measure_pair(rng, vals, grid.sync_cols, op_norm, p.rho_ap),
                            model, geom.scheme)
-            theta2 = state.alpha_hat
-        if last_pilot_idx is not None:
-            noise = _psi_noise(rng, geom, n_runs)
-            psi = vals[0, :, last_pilot_idx] + vals[0, :, last_krep_idx]
-            if noise is not None:
-                psi = psi + noise[-1]
+            theta = [theta[0], theta[2], state.alpha_hat]
+        psi[0] = psi[F]
+        # one noise draw per slot, also for the slots the grid skips
+        noise = rng.standard_normal((F, n_runs)) * noise_sd if noise_sd else np.zeros(F)
+        for s, pilot_col, krep_col in zip(grid.psi_slots, grid.pilot_cols, grid.krep_cols):
+            psi[s] = vals[0, :, pilot_col] + vals[0, :, krep_col] + noise[s - 1]
 
-    vals, nu, last_global = _advance(rng, nu, last_global, WARMUP_FRAMES * L,
-                                     geom.meas_offsets, geom.sigma_nu_sq)
-    noise = _psi_noise(rng, geom, n_runs)
-    psi_by_slot = {0: psi}
-    for j, s in enumerate(geom.pilot_slots):
-        base = (int(s) - 1) * c
-        pval = int(geom.plan.demod_pilot_samples[0, int(s) - 1])
-        val = vals[0, :, geom.meas_idx[pval]] + vals[0, :, geom.meas_idx[base + geom.k_rep]]
-        psi_by_slot[int(s)] = val + noise[j] if noise is not None else val
-
-    theta2_new = theta2
-    if synced:
-        m12 = (geom.meas_idx[geom.i1], geom.meas_idx[geom.i2])
-        state = _track(state, _measure_pair(rng, vals, m12, op_norm, p.rho_ap),
-                       model, geom.scheme)
-        theta2_new = state.alpha_hat
-
-    if per_ue:
-        k_anchor = np.empty((p.n_ues, F), dtype=int)
-        for k in range(1, p.n_ues + 1):
-            for s in range(F):
-                k_anchor[k - 1, s] = geom.meas_idx[s * c + k]
-        sums = np.zeros((p.n_ues, 2, L + 1), dtype=complex)
-    else:
-        sums = np.zeros((2, L + 1), dtype=complex)
-
+    ue_rows = np.arange(p.n_ues) if per_ue else np.array(geom.k_rep - 1)  # (K,) or ()
+    sums = np.zeros(ue_rows.shape + (2, L + 1), dtype=complex)
     for seg in geom.segments:
-        theta = (theta2_new if seg.theta_updated else theta2) if seg.ap == 1 \
-            else np.zeros(n_runs)
-        psi_seg = psi_by_slot[seg.psi_slot]
-        base_phase = theta[:, None] + psi_seg[:, None] - vals[seg.ap, :, seg.anchor_idx].T
-        if per_ue:
-            slot = (int(seg.positions[0]) - 1) // c
-            for k in range(p.n_ues):
-                ph = base_phase - vals[seg.ap, :, [k_anchor[k, slot]]].T
-                sums[k, seg.ap, seg.positions] += np.exp(1j * ph).sum(axis=0)
-        else:
-            ph = base_phase - vals[seg.ap, :, [seg.krep_idx]].T
-            sums[..., seg.ap, seg.positions] += np.exp(1j * ph).sum(axis=0)
+        ap, first = geom.ap[seg.start], seg.start
+        base_phase = theta[geom.tracker[first]][:, None] + psi[geom.psi_slot[first]][:, None] \
+            - vals[ap, :, geom.col[seg]].T
+        for k, out in zip(ue_rows.flat, sums.reshape(-1, 2, L + 1)):
+            ph = base_phase - vals[ap, :, [geom.ue_col[k, first]]].T
+            out[ap, geom.pos[seg]] += np.exp(1j * ph).sum(axis=0)
     return sums
 
 
@@ -294,7 +228,6 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     geom = _cell_geometry(params, scheme)
-    L = params.frame_len * params.tau_c
 
     bounds = list(range(0, n_realizations, CHUNK_SIZE)) + [n_realizations]
     tasks = [(params, scheme, j, bounds[j + 1] - bounds[j], master_seed, per_ue)
@@ -318,8 +251,7 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
 
     mean = (total / n_realizations)[..., 1:]
     with np.errstate(invalid="ignore", divide="ignore"):
-        gmeans = group_sums[..., 1:] / group_counts[:, None, None] if not per_ue \
-            else group_sums[..., 1:] / group_counts[:, None, None, None]
+        gmeans = group_sums[..., 1:] / group_counts.reshape((-1,) + (1,) * len(shape))
     gmeans = np.nan_to_num(gmeans)
     return DeltaStats(scheme=scheme, mean_delta=mean, n_realizations=n_realizations,
                       group_means=gmeans, group_counts=group_counts)
@@ -345,7 +277,7 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     k_rep = representative_ue(params.n_ues)
     L = params.frame_len * params.tau_c
     offsets = np.array(sorted({k_rep, layout.i1, layout.i2}))
-    idx = {int(o): j for j, o in enumerate(offsets)}
+    c1, c2, c_rep = np.searchsorted(offsets, [layout.i1, layout.i2, k_rep])
 
     nu = rng.uniform(-np.pi, np.pi, (2, 1))
     last_global = 1
@@ -353,10 +285,9 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     rows = []
     for f in range(n_frames):
         vals, nu, last_global = _advance(rng, nu, last_global, f * L, offsets, sig2)
-        obs = float(_measure_pair(rng, vals, (idx[layout.i1], idx[layout.i2]),
-                                  np.array([op_norm]), params.rho_ap)[0])
-        alpha_true = float((vals[1, 0, idx[layout.i2]] + vals[1, 0, idx[k_rep]])
-                           - (vals[0, 0, idx[layout.i2]] + vals[0, 0, idx[k_rep]]))
+        obs = float(_measure_pair(rng, vals, (c1, c2), np.array([op_norm]), params.rho_ap)[0])
+        alpha_true = float((vals[1, 0, c2] + vals[1, 0, c_rep])
+                           - (vals[0, 0, c2] + vals[0, 0, c_rep]))
         prev, state = state, _track(state, obs, model, scheme)
         kappa = kalman_gain(prev.p_var, model) if state.n > 1 else 1.0
         rows.append(dict(n=f + 1, obs=obs, alpha_hat=float(state.alpha_hat),

@@ -37,14 +37,6 @@ _TRANSMITTING = (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX)
 _UPLINK_SIDE = (Activity.UL_PILOT, Activity.UL_DATA, Activity.SYNC_RX)
 
 
-def estimation_time(i: int, k: int, tau_c: int) -> int:
-    """Global index of the k-th sample of the slot containing sample i,
-    i - 1 - ((i - 1 - k) mod tau_c); this is when UE k's uplink pilot was
-    received and its effective channel estimated.
-    """
-    return i - 1 - ((i - 1 - k) % tau_c)
-
-
 def _fill(labels: np.ndarray, span: tuple, activity: Activity):
     start, stop = span
     if stop >= start:

@@ -16,7 +16,6 @@ import numpy as np
 from otasync.config import ConfigError, SystemParams
 from otasync.channel import complex_normal
 from otasync.experiment import CSV_COLUMNS, ResultRow
-from otasync.timeline import estimation_time
 from otasync.tracking import representative_ue
 
 
@@ -202,6 +201,14 @@ class CompensationState:
     def reset_theta2(self, tracker_output: float, time: int):
         self.theta2 = float(tracker_output)
         self.last_theta_reset = time
+
+
+def estimation_time(i: int, k: int, tau_c: int) -> int:
+    """Global index of the k-th sample of the slot containing sample i,
+    i - 1 - ((i - 1 - k) mod tau_c); this is when UE k's uplink pilot was
+    received and its effective channel estimated.
+    """
+    return i - 1 - ((i - 1 - k) % tau_c)
 
 
 def ue_psi_update(pilot_time: int, nu1: PhaseTrajectory, tau_c: int,

@@ -183,6 +183,17 @@ def test_cli_bad_run_options(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc", [MemoryError("cannot allocate G"), RuntimeError("boom")])
+def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
+    def fail(spec, params):
+        raise exc
+    monkeypatch.setattr("otasync.cli.run_sweep", fail)
+    out = tmp_path / "out.csv"
+    assert cli_main(["--realizations", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"otasync: {type(exc).__name__}: {exc}\n"
+    assert not out.exists()
+
+
 def test_cli_bad_sweep(tmp_path):
     sw = tmp_path / "bad.sweep"
     sw.write_text("schemes = zf\nf_values = 1\n")

@@ -3,7 +3,8 @@ import pytest
 
 from otasync.config import ConfigError, default_params, derive_slot_layout
 from otasync.timeline import Activity, build_ap1_only_schedule, build_broken_slot, \
-    build_conventional_slot, build_frame_schedule, estimation_time
+    build_conventional_slot, build_frame_schedule
+from tests.oracles import estimation_time
 
 UPLINK_SIDE = (Activity.UL_PILOT, Activity.UL_DATA, Activity.SYNC_RX)
 DOWNLINK_SIDE = (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX)
