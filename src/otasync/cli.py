@@ -100,13 +100,13 @@ def cli_main(argv=None) -> int:
         return 2
 
     try:
+        scheme = args.scheme or "kalman"   # --dump-plan/--dump-trace take one scheme
         if args.dump_plan:
-            scheme = (args.scheme or "kalman").split(",")[0]
             _write(build_plan(params, scheme).dump_csv(), args.out)
             return 0
         if args.dump_trace:
             seed = args.seed if args.seed is not None else 1
-            rows = run_phase_trace(params, args.trace_frames, seed)
+            rows = run_phase_trace(params, args.trace_frames, seed, scheme)
             _write(dump_trace_csv(rows), args.out)
             return 0
         spec = _resolve_sweep(args)

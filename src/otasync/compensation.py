@@ -38,8 +38,9 @@ class DeltaStats:
     UEs (per-UE breakdown available from monte_carlo_delta(per_ue=True)).
 
     mean_delta: (2, F*tau_c) complex, zero at positions where the AP sends no
-    payload data; group_means: (N_GROUPS, 2, F*tau_c) batch means for
-    standard-error estimates.
+    payload data; group_means: (G, 2, F*tau_c) batch means for standard-error
+    estimates, G = min(N_GROUPS, n_realizations), over groups of consecutive
+    runs (run r in group r * G // n_realizations) of group_counts runs each.
     """
 
     scheme: str
@@ -96,9 +97,8 @@ def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
 
 def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
     plan = build_plan(params, scheme)
-    layout = derive_slot_layout(params)
     k_rep = representative_ue(params.n_ues)
-    sync = np.array([layout.i1, layout.i2] if scheme != "ap1_only" else [], dtype=int)
+    sync = np.array([sample for sample, _, _ in plan.sync_events], dtype=int)
     # AP 1 sends a demod pilot in every slot of both schedules; it sets psi
     demod, krep = plan.demod_pilot_samples[0], plan.pilot_samples[:, k_rep - 1]
 
@@ -116,7 +116,8 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
                     plan.demod_pilot_samples[plan.demod_pilot_samples > 0], pos)
 
     psi_slot = slot + (pos > plan.demod_pilot_samples[ap, slot])
-    tracker = np.where(ap == 0, 0, 1 + (pos > layout.i2))
+    # AP 2 applies this frame's tracker output after the last sync instant
+    tracker = np.where(ap == 0, 0, 1 + (pos > sync.max(initial=0)))
     keys = np.stack((ap, slot, psi_slot, tracker))
     starts = np.flatnonzero(np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0))
     segments = tuple(map(slice, starts, np.append(starts[1:], pos.size)))
@@ -161,20 +162,20 @@ def _track(state, obs, model, scheme):
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
-                    master_seed: int, per_ue: bool):
+                    master_seed: int, per_ue: bool, group_starts):
     """One vectorized chunk of independent runs: WARMUP_FRAMES frames on the
     sparse warm-up grid, then the measured frame on the full grid. Returns
-    the complex Delta sum per (AP, position), or per (UE, AP, position)
-    when per_ue."""
+    the complex Delta sums per (group, AP, position), or per (group, UE, AP,
+    position) when per_ue, over the runs that start at each of group_starts."""
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
-    synced = geom.scheme != "ap1_only"
+    synced = bool(geom.measured.sync_cols)
     F, L = p.frame_len, p.frame_len * p.tau_c
     noise_sd = np.sqrt(p.ue_pilot_noise_var)
 
     if synced:
         op_norm = batched_op_norms(rng, p, n_runs)
-        model = derive_noise_model(p, derive_slot_layout(p), op_norm)
+        model = derive_noise_model(p, op_norm)
 
     nu = rng.uniform(-np.pi, np.pi, (2, n_runs))
     last_global = 1
@@ -190,27 +191,28 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                            model, geom.scheme)
             theta = [theta[0], theta[2], state.alpha_hat]
         psi[0] = psi[F]
-        # one noise draw per slot, also for the slots the grid skips
-        noise = rng.standard_normal((F, n_runs)) * noise_sd if noise_sd else np.zeros(F)
-        for s, pilot_col, krep_col in zip(grid.psi_slots, grid.pilot_cols, grid.krep_cols):
-            psi[s] = vals[0, :, pilot_col] + vals[0, :, krep_col] + noise[s - 1]
+        n_set = grid.psi_slots.size
+        noise = rng.standard_normal((n_set, n_runs)) * noise_sd if noise_sd else np.zeros(n_set)
+        for s, pilot_col, krep_col, eps in zip(grid.psi_slots, grid.pilot_cols,
+                                               grid.krep_cols, noise):
+            psi[s] = vals[0, :, pilot_col] + vals[0, :, krep_col] + eps
 
     ue_rows = np.arange(p.n_ues) if per_ue else np.array(geom.k_rep - 1)  # (K,) or ()
-    sums = np.zeros(ue_rows.shape + (2, L + 1), dtype=complex)
+    sums = np.zeros(ue_rows.shape + (len(group_starts), 2, L + 1), dtype=complex)
     for seg in geom.segments:
         ap, first = geom.ap[seg.start], seg.start
         base_phase = theta[geom.tracker[first]][:, None] + psi[geom.psi_slot[first]][:, None] \
             - vals[ap, :, geom.col[seg]].T
-        for k, out in zip(ue_rows.flat, sums.reshape(-1, 2, L + 1)):
+        for k, out in zip(ue_rows.flat, sums.reshape(-1, len(group_starts), 2, L + 1)):
             ph = base_phase - vals[ap, :, [geom.ue_col[k, first]]].T
-            out[ap, geom.pos[seg]] += np.exp(1j * ph).sum(axis=0)
-    return sums
+            out[:, ap, geom.pos[seg]] += np.add.reduceat(np.exp(1j * ph), group_starts, axis=0)
+    return np.moveaxis(sums, -3, 0)
 
 
 def _chunk_task(args):
-    params, scheme, chunk_index, n_runs, master_seed, per_ue = args
+    params, scheme, chunk_index, n_runs, master_seed, per_ue, group_starts = args
     geom = _cell_geometry(params, scheme)
-    return _simulate_chunk(geom, chunk_index, n_runs, master_seed, per_ue)
+    return _simulate_chunk(geom, chunk_index, n_runs, master_seed, per_ue, group_starts)
 
 
 def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
@@ -223,36 +225,35 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     accumulates Delta over one measured frame. Runs are split into fixed-size
     chunks with seeds spawned from (master_seed, chunk index), and chunk
     results are reduced in index order, so the output is bit-identical for
-    any worker count.
+    any worker count. The batch-mean groups are consecutive runs, independent
+    of the chunking.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     geom = _cell_geometry(params, scheme)
+    n_groups = min(N_GROUPS, n_realizations)
+    group = np.arange(n_realizations) * n_groups // n_realizations
 
-    bounds = list(range(0, n_realizations, CHUNK_SIZE)) + [n_realizations]
-    tasks = [(params, scheme, j, bounds[j + 1] - bounds[j], master_seed, per_ue)
-             for j in range(len(bounds) - 1)]
+    tasks = []
+    for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
+        chunk_group = group[start:start + CHUNK_SIZE]
+        tasks.append((params, scheme, j, chunk_group.size, master_seed, per_ue,
+                      np.flatnonzero(np.diff(chunk_group, prepend=-1))))
 
     if n_workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             partials = list(pool.map(_chunk_task, tasks))
     else:
-        partials = [_simulate_chunk(geom, j, n, master_seed, per_ue)
-                    for (_, _, j, n, _, _) in tasks]
+        partials = [_simulate_chunk(geom, *task[2:]) for task in tasks]
 
-    shape = partials[0].shape
-    total = np.zeros(shape, dtype=complex)
-    group_sums = np.zeros((N_GROUPS,) + shape, dtype=complex)
-    group_counts = np.zeros(N_GROUPS, dtype=int)
+    group_sums = np.zeros((n_groups,) + partials[0].shape[1:], dtype=complex)
     for j, part in enumerate(partials):
-        total += part
-        group_sums[j % N_GROUPS] += part
-        group_counts[j % N_GROUPS] += tasks[j][3]
+        first = group[j * CHUNK_SIZE]
+        group_sums[first:first + len(part)] += part
+    group_counts = np.bincount(group, minlength=n_groups)
 
-    mean = (total / n_realizations)[..., 1:]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gmeans = group_sums[..., 1:] / group_counts.reshape((-1,) + (1,) * len(shape))
-    gmeans = np.nan_to_num(gmeans)
+    mean = (group_sums.sum(axis=0) / n_realizations)[..., 1:]
+    gmeans = group_sums[..., 1:] / group_counts.reshape((-1,) + (1,) * (group_sums.ndim - 1))
     return DeltaStats(scheme=scheme, mean_delta=mean, n_realizations=n_realizations,
                       group_means=gmeans, group_counts=group_counts)
 
@@ -272,7 +273,7 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     layout = derive_slot_layout(params)
     rng = np.random.default_rng(run_seed(master_seed, 0))
     op_norm = float(batched_op_norms(rng, params, 1)[0])
-    model = derive_noise_model(params, layout, op_norm)
+    model = derive_noise_model(params, op_norm)
     sig2 = derive_sigma_nu(params)
     k_rep = representative_ue(params.n_ues)
     L = params.frame_len * params.tau_c

@@ -152,8 +152,6 @@ def default_params(**overrides) -> SystemParams:
 
 def derive_sigma_nu(params: SystemParams) -> float:
     """Per-sample Wiener phase-increment variance, 4*pi^2*f_c^2*c_nu/f_s [rad^2]."""
-    if params.f_s <= 0:
-        raise ConfigError("f_s must be positive")
     out = 4.0 * math.pi**2 * params.f_c**2 * params.c_nu / params.f_s
     if not math.isfinite(out):
         raise ConfigError(f"sigma_nu^2 is not finite for f_c={params.f_c}, c_nu={params.c_nu}")
@@ -178,19 +176,14 @@ class SlotLayout:
     i2: int
     demod_pilot_index: int
 
-    def ranges(self):
-        return (self.ul_pilot, self.ul_data, self.guard1, self.downlink, self.guard2)
-
 
 def derive_slot_layout(params: SystemParams) -> SlotLayout:
+    """Ranges of the slot; they partition 1..tau_c because SystemParams
+    enforces tau_p + tau_u + tau_d + 2*tau_g = tau_c."""
     p, u, g, d, c = params.tau_p, params.tau_u, params.tau_g, params.tau_d, params.tau_c
-    if p + u + d + 2 * g != c:
-        raise ConfigError(
-            f"slot does not fill exactly: tau_p + tau_u + tau_d + 2*tau_g = {p+u+d+2*g} != tau_c = {c}"
-        )
     i1 = p + u
     i2 = p + u + g + d
-    layout = SlotLayout(
+    return SlotLayout(
         tau_c=c,
         ul_pilot=(1, p),
         ul_data=(p + 1, i1),
@@ -201,34 +194,45 @@ def derive_slot_layout(params: SystemParams) -> SlotLayout:
         i2=i2,
         demod_pilot_index=i1 + g + 1,
     )
-    # paranoia: the ranges must partition 1..tau_c
-    cover = np.zeros(c + 1, dtype=int)
-    for start, stop in layout.ranges():
-        if stop >= start:
-            cover[start:stop + 1] += 1
-    if np.any(cover[1:] != 1):
-        raise ConfigError("slot ranges do not partition 1..tau_c")
-    return layout
+
+
+def read_key_values(text: str, keys, parse) -> dict:
+    """Read a flat `key = value` document: '#' starts a comment, blank lines
+    are skipped, and parse(key, raw) converts each value. A line without '=',
+    an unknown or repeated key and a malformed value raise ConfigError naming
+    the line."""
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+        key, raw = (s.strip() for s in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'")
+        try:
+            values[key] = parse(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: malformed value for '{key}' ({exc})") from exc
+    return values
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    is_db = False
-    if raw.lower().endswith("db"):
+    is_db = raw.lower().endswith("db")
+    if is_db:
         if key not in _DB_KEYS:
-            raise ConfigError(f"key '{key}' does not accept a dB value")
-        is_db = True
+            raise ValueError(f"'{key}' does not accept a dB value")
         raw = raw[:-2].strip()
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _MATRIX_KEYS:
-            parts = [float(x) for x in raw.split(",")]
-            vals = [10 ** (v / 10.0) for v in parts] if is_db else parts
-            return vals[0] if len(vals) == 1 else np.array(vals)
-        v = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"malformed value for '{key}': {raw!r}") from exc
+    if key in _INT_KEYS:
+        return int(raw)
+    if key in _MATRIX_KEYS:
+        parts = [float(x) for x in raw.split(",")]
+        vals = [10 ** (v / 10.0) for v in parts] if is_db else parts
+        return vals[0] if len(vals) == 1 else np.array(vals)
+    v = float(raw)
     return 10 ** (v / 10.0) if is_db else v
 
 
@@ -239,19 +243,7 @@ def load_config(text: str) -> SystemParams:
     beta_ue/eta accept one value (broadcast) or 2K comma-separated values
     (row-major over (UE, AP)).
     """
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        values[key] = _parse_value(key, raw)
+    values = read_key_values(text, _ALL_KEYS, _parse_value)
 
     merged = dict(DEFAULTS)
     merged.update(values)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compensation import SCHEMES, build_plan, monte_carlo_delta
-from .config import ConfigError, SystemParams
+from .config import ConfigError, SystemParams, read_key_values
 from .rate import per_position_rates, spectral_efficiency
 
 
@@ -70,20 +70,7 @@ _SWEEP_KEYS = {
 
 def parse_sweep(text: str) -> SweepSpec:
     """Flat key=value sweep document, comma-separated lists."""
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(f"line {lineno}: unknown sweep key '{key}'")
-        try:
-            values[key] = _SWEEP_KEYS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: malformed value for '{key}': {raw!r}") from exc
+    values = read_key_values(text, _SWEEP_KEYS, lambda key, raw: _SWEEP_KEYS[key](raw))
     if "f_values" not in values:
         raise ConfigError("sweep must define f_values")
     return SweepSpec(**values)
@@ -112,14 +99,13 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int,
              n_workers: int = 1):
     """One sweep cell: Delta statistics -> rate table -> average per-UE SE.
 
-    Returns (se_mean, se_stderr); the stderr comes from batch means over the
-    run groups. The overall mean and the live group means go through the rate
-    table as one stack."""
+    Returns (se_mean, se_stderr); the stderr comes from batch means over
+    groups of consecutive runs. The overall mean and the group means go
+    through the rate table as one stack."""
     plan = build_plan(params, scheme)
     stats = monte_carlo_delta(params, scheme, n_realizations, seed,
                               n_workers=n_workers)
-    live = stats.group_counts > 0
-    tables = np.concatenate((stats.mean_delta[None], stats.group_means[live]))
+    tables = np.concatenate((stats.mean_delta[None], stats.group_means))
     se_all = spectral_efficiency(plan, per_position_rates(params, plan, tables)).mean(axis=-1)
     se, se_groups = float(se_all[0]), se_all[1:]
     if len(se_groups) > 1:

@@ -132,22 +132,13 @@ class SamplePlan:
         return "\n".join(lines) + "\n"
 
 
-def _assemble(params: SystemParams, layout: SlotLayout, slot_labels, sync_events,
-              ap2_active: bool) -> SamplePlan:
+def _assemble(params: SystemParams, layout: SlotLayout, slot_labels, sync_events) -> SamplePlan:
     F, c, K = params.frame_len, layout.tau_c, params.n_ues
     labels = np.concatenate(slot_labels, axis=1)
     a = np.isin(labels, _TRANSMITTING)
     pilots = np.arange(F)[:, None] * c + np.arange(1, K + 1)[None, :]
-    demod = np.full((2, F), -1, dtype=int)
-    for s in range(F):
-        base = s * c
-        for ap in range(2):
-            col = slot_labels[s][ap]
-            hits = np.nonzero(col == Activity.DL_DEMOD_PILOT)[0]
-            if hits.size:
-                demod[ap, s] = base + hits[0] + 1
-    if not ap2_active:
-        demod[1, :] = -1
+    hit = labels.reshape(2, F, c) == Activity.DL_DEMOD_PILOT
+    demod = np.where(hit.any(axis=2), np.arange(F) * c + hit.argmax(axis=2) + 1, -1)
     return SamplePlan(tau_c=c, frame_len=F, labels=labels, a=a,
                       sync_events=tuple(sync_events), pilot_samples=pilots,
                       demod_pilot_samples=demod)
@@ -158,7 +149,7 @@ def build_frame_schedule(params: SystemParams, layout: SlotLayout) -> SamplePlan
     broken, events = build_broken_slot(layout)
     conv = build_conventional_slot(layout)
     slot_labels = [broken] + [np.stack([conv, conv])] * (params.frame_len - 1)
-    return _assemble(params, layout, slot_labels, events, ap2_active=True)
+    return _assemble(params, layout, slot_labels, events)
 
 
 def build_ap1_only_schedule(params: SystemParams, layout: SlotLayout) -> SamplePlan:
@@ -167,4 +158,4 @@ def build_ap1_only_schedule(params: SystemParams, layout: SlotLayout) -> SampleP
     conv = build_conventional_slot(layout)
     idle = np.full(layout.tau_c, Activity.IDLE, dtype=np.int8)
     slot_labels = [np.stack([conv, idle])] * params.frame_len
-    return _assemble(params, layout, slot_labels, (), ap2_active=False)
+    return _assemble(params, layout, slot_labels, ())

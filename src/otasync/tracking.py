@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SlotLayout, SystemParams, derive_sigma_nu
+from .config import SystemParams, derive_sigma_nu, derive_slot_layout
 
 
 def wrap(angle):
@@ -26,12 +26,13 @@ def representative_ue(n_ues: int) -> int:
     return max(1, n_ues // 2)
 
 
-def noise_coefficients(layout: SlotLayout, n_ues: int, frame_len: int):
+def noise_coefficients(params: SystemParams):
     """Integer multiples of sigma_nu^2 for the process/observation drifts:
     (8 F tau_c - 4 (i2 - floor(K/2)), 2 (i1 - floor(K/2))).
     """
-    k_rep = representative_ue(n_ues)
-    c_zeta = 8 * frame_len * layout.tau_c - 4 * (layout.i2 - k_rep)
+    layout = derive_slot_layout(params)
+    k_rep = representative_ue(params.n_ues)
+    c_zeta = 8 * params.frame_len * params.tau_c - 4 * (layout.i2 - k_rep)
     c_xi = 2 * (layout.i1 - k_rep)
     return c_zeta, c_xi
 
@@ -54,9 +55,9 @@ class NoiseModel:
             raise ValueError("sigma_xi_sq must not exceed sigma_zeta_sq")
 
 
-def derive_noise_model(params: SystemParams, layout: SlotLayout, op_norm) -> NoiseModel:
+def derive_noise_model(params: SystemParams, op_norm) -> NoiseModel:
     """Noise model for a scalar op_norm or an array of per-run op norms."""
-    c_zeta, c_xi = noise_coefficients(layout, params.n_ues, params.frame_len)
+    c_zeta, c_xi = noise_coefficients(params)
     sig2 = derive_sigma_nu(params)
     if np.any(op_norm <= 0):
         raise ValueError(f"op_norm must be positive, got {np.min(op_norm)}")

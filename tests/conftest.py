@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import strategies as st
 
 from otasync.config import default_params
 
@@ -24,3 +25,14 @@ def small_instance(**overrides):
                 beta_ue=0.01, eta=0.5)
     base.update(overrides)
     return default_params(**base)
+
+
+@st.composite
+def geometries(draw):
+    """Slot geometries that both schedules accept (the broken slot needs
+    tau_u > tau_g and tau_d > tau_g + 1), with F = 1..4 slots per frame."""
+    k, g = draw(st.integers(1, 12)), draw(st.integers(0, 5))
+    u, d = draw(st.integers(g + 1, g + 40)), draw(st.integers(g + 2, g + 40))
+    return default_params(n_ues=k, tau_p=k, tau_u=u, tau_g=g, tau_d=d,
+                          tau_c=k + u + d + 2 * g, frame_len=draw(st.integers(1, 4)),
+                          eta=1.0 / k)

@@ -35,7 +35,7 @@ def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
         rng = np.random.default_rng(run_seed(master_seed, r))
         if synced:
             chan = sample_inter_ap_channel(rng, params)
-            model = derive_noise_model(params, layout, chan.op_norm)
+            model = derive_noise_model(params, chan.op_norm)
         init = rng.uniform(-np.pi, np.pi, 2)
         nu1 = generate_trajectory(rng, total, sig2, initial_phase=init[0], ap_id=1)
         nu2 = generate_trajectory(rng, total, sig2, initial_phase=init[1], ap_id=2)

@@ -148,7 +148,7 @@ def test_criterion_04_measurement_mse_scaling():
 
 def test_criterion_05_noise_model_integer_coefficients():
     p = default_params()
-    c_zeta, c_xi = noise_coefficients(derive_slot_layout(p), p.n_ues, frame_len=1)
+    c_zeta, c_xi = noise_coefficients(p)
     ok = (c_zeta, c_xi) == (432, 94)
     _report("C5", "drift-variance bookkeeping", ok, f"coefficients ({c_zeta}, {c_xi})")
 

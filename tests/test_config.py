@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from otasync.config import ConfigError, default_params, derive_sigma_nu, \
     derive_slot_layout, dump_config, load_config
+from tests.conftest import geometries
 
 
 def test_defaults_match_reference_scenario():
@@ -60,12 +61,17 @@ def test_layout_minimal_slot():
     assert lay.downlink == (3, 4)
 
 
-def test_layout_ranges_partition(params):
-    lay = derive_slot_layout(params)
+@settings(max_examples=100, deadline=None)
+@given(geometries())
+def test_layout_ranges_partition(geometry):
+    # SystemParams' fill invariant is the only check: the ranges follow from it
+    lay = derive_slot_layout(geometry)
     seen = []
-    for start, stop in lay.ranges():
+    for start, stop in (lay.ul_pilot, lay.ul_data, lay.guard1, lay.downlink, lay.guard2):
         seen.extend(range(start, stop + 1))
-    assert sorted(seen) == list(range(1, params.tau_c + 1))
+    assert seen == list(range(1, geometry.tau_c + 1))
+    assert (lay.i1, lay.i2) == (lay.ul_data[1], lay.downlink[1])
+    assert lay.demod_pilot_index == lay.downlink[0]
 
 
 def test_slot_fill_invariant_enforced():
@@ -125,10 +131,12 @@ def test_load_config_unknown_key():
 def test_load_config_malformed_value():
     with pytest.raises(ConfigError, match="malformed"):
         load_config("rho_ue = fast")
+    with pytest.raises(ConfigError, match="^line 3: malformed value for 'eta'"):
+        load_config("# header\nn_antennas = 32\neta = 0.1,x\n")
 
 
 def test_load_config_db_on_non_power_key():
-    with pytest.raises(ConfigError, match="dB"):
+    with pytest.raises(ConfigError, match="line 1: .*dB"):
         load_config("tau_c = 100dB")
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from otasync.cli import cli_main
+from otasync.compensation import monte_carlo_delta
 from otasync.config import ConfigError, default_params, dump_config
 from otasync.experiment import ResultRow, SweepSpec, cell_seed, emit_csv, fig2_sweep, \
-    fig3_sweep, parse_sweep, run_sweep
+    fig3_sweep, parse_sweep, run_cell, run_sweep
 from tests.oracles import parse_result_csv
 
 QUICK = SweepSpec(f_values=(1, 2), schemes=("kalman", "direct", "ap1_only"),
@@ -56,6 +57,10 @@ def test_parse_sweep_errors():
         parse_sweep("f_values = one")
     with pytest.raises(ConfigError):
         parse_sweep("n_realizations = 10")  # f_values missing
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'n_realizations'"):
+        parse_sweep("f_values = 1\nn_realizations = 10\nn_realizations = 20\n")
+    with pytest.raises(ConfigError, match="line 2: malformed value for 'master_seed'"):
+        parse_sweep("f_values = 1\nmaster_seed = 1.5\n")
 
 
 def test_cell_seed_scheme_independent():
@@ -121,6 +126,20 @@ def test_sweep_worker_invariance(params):
     a = run_sweep(base, params)[0]
     b = run_sweep(multi, params)[0]
     assert a.se_mean == b.se_mean  # bit-identical reduction
+    assert a.se_stderr == b.se_stderr and math.isfinite(a.se_stderr)
+
+
+@pytest.mark.parametrize("n", [2, 500, 1100])
+def test_stderr_groups_are_consecutive_runs(n, params):
+    # min(10, n) groups of consecutive runs, sizes differing by at most one,
+    # so the stderr is finite below one chunk (1024 runs)
+    stats = monte_carlo_delta(params, "ap1_only", n, 8)
+    assert stats.group_counts.sum() == n and len(stats.group_counts) == min(10, n)
+    assert np.ptp(stats.group_counts) <= 1
+    weighted = np.tensordot(stats.group_counts, stats.group_means, axes=1) / n
+    assert np.allclose(weighted, stats.mean_delta, rtol=0.0, atol=1e-12)
+    se, stderr = run_cell(params, "ap1_only", n, 8)
+    assert math.isfinite(stderr) and 0 <= stderr < 0.1
 
 
 def test_cli_default_run(tmp_path):
@@ -173,6 +192,9 @@ def test_cli_bad_config(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--dump-plan", "--scheme", "bogus"],
+    ["--dump-plan", "--scheme", "ap1_only,bogus"],
+    ["--dump-plan", "--scheme", "kalman,direct"],
+    ["--dump-trace", "--scheme", "ap1_only"],
     ["--workers", "0", "--realizations", "10"],
     ["--dump-trace", "--trace-frames", "0"],
     ["--dump-trace", "--trace-frames", "-3"],
@@ -196,8 +218,10 @@ def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
 
 def test_cli_bad_sweep(tmp_path):
     sw = tmp_path / "bad.sweep"
-    sw.write_text("schemes = zf\nf_values = 1\n")
-    assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
+    for text in ("schemes = zf\nf_values = 1\n",
+                 "f_values = 1\nn_realizations = 10\nn_realizations = 20\n"):
+        sw.write_text(text)
+        assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
 
 
 def test_cli_dump_plan(tmp_path):
@@ -215,6 +239,12 @@ def test_cli_dump_trace(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,obs,alpha_hat,p_var,kappa,alpha_true"
     assert len(lines) == 26
+    # --scheme direct passes every measurement through: gain 1, output = obs
+    assert cli_main(["--dump-trace", "--trace-frames", "25", "--seed", "2",
+                     "--scheme", "direct", "--out", str(out)]) == 0
+    direct = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert all(r[1] == r[2] and r[4] == "1.0" for r in direct)
+    assert [r[2] for r in direct] != [ln.split(",")[2] for ln in lines[1:]]  # not kalman
 
 
 def test_fig2_preset_row_grid(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otasync.channel import complex_normal
-from otasync.config import default_params, derive_slot_layout
+from otasync.config import default_params
 from otasync.tracking import derive_noise_model
 from tests.oracles import InterApChannel, PhaseTrajectory, combine_bidirectional, \
     generate_trajectory, leading_singular_pair, measure_direction
@@ -123,7 +123,7 @@ def test_measurement_variance_values():
     # per-direction angle MSEs of 0.5/(rho_ap ||G||^2) summed
     def measurement_variance(rho_ap, op_norm):
         p = default_params(rho_ap=rho_ap)
-        return derive_noise_model(p, derive_slot_layout(p), op_norm).meas_var
+        return derive_noise_model(p, op_norm).meas_var
 
     assert measurement_variance(200.0, np.sqrt(0.05)) == pytest.approx(0.1, rel=1e-12)
     assert measurement_variance(1e12, 1.0) == pytest.approx(1e-12)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from otasync.config import ConfigError, default_params, derive_slot_layout
 from otasync.timeline import Activity, build_ap1_only_schedule, build_broken_slot, \
     build_conventional_slot, build_frame_schedule
+from tests.conftest import geometries
 from tests.oracles import estimation_time
 
 UPLINK_SIDE = (Activity.UL_PILOT, Activity.UL_DATA, Activity.SYNC_RX)
@@ -186,6 +188,19 @@ def test_ap1_only_schedule(params):
     assert plan.sync_events == ()
     assert np.count_nonzero(plan.labels[0] == Activity.DL_DATA) == 41
     assert plan.demod_pilot_samples[1, 0] == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometries())
+def test_demod_pilot_samples_over_valid_geometries(geometry):
+    # both APs send their demod pilot at the same slot offset in every slot of
+    # the synced schedule; with AP 2 switched off it sends none
+    lay = derive_slot_layout(geometry)
+    expect = np.arange(geometry.frame_len) * geometry.tau_c + lay.demod_pilot_index
+    synced = build_frame_schedule(geometry, lay).demod_pilot_samples
+    ap1_only = build_ap1_only_schedule(geometry, lay).demod_pilot_samples
+    assert np.array_equal(synced, [expect, expect])
+    assert np.array_equal(ap1_only, [expect, np.full_like(expect, -1)])
 
 
 def test_plan_dump_csv(params):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otasync.config import default_params, derive_slot_layout
+from otasync.config import default_params
 from otasync.tracking import KalmanState, NoiseModel, derive_noise_model, kalman_gain, \
     kalman_init, kalman_update, noise_coefficients, representative_ue, wrap
 
@@ -48,17 +48,15 @@ def test_representative_ue():
 
 def test_noise_coefficients_reference_geometry():
     p = default_params()
-    lay = derive_slot_layout(p)
-    c_zeta, c_xi = noise_coefficients(lay, p.n_ues, frame_len=1)
+    c_zeta, c_xi = noise_coefficients(p)
     assert (c_zeta, c_xi) == (432, 94)  # exact integers
-    c_zeta2, _ = noise_coefficients(lay, p.n_ues, frame_len=3)
+    c_zeta2, _ = noise_coefficients(default_params(frame_len=3))
     assert c_zeta2 == 8 * 300 - 4 * 92
 
 
 def test_derive_noise_model_values():
     p = default_params()
-    lay = derive_slot_layout(p)
-    model = derive_noise_model(p, lay, op_norm=math.sqrt(0.05))
+    model = derive_noise_model(p, op_norm=math.sqrt(0.05))
     assert model.sigma_zeta_sq == pytest.approx(432 * SIGMA_REF, rel=1e-12)
     assert model.sigma_xi_sq == pytest.approx(94 * SIGMA_REF, rel=1e-12)
     assert model.meas_var == pytest.approx(0.1, rel=1e-12)
@@ -66,7 +64,7 @@ def test_derive_noise_model_values():
 
 def test_derive_noise_model_zero_quality():
     p = default_params(c_nu=0.0)
-    model = derive_noise_model(p, derive_slot_layout(p), op_norm=1.0)
+    model = derive_noise_model(p, op_norm=1.0)
     assert model.sigma_zeta_sq == 0.0 and model.sigma_xi_sq == 0.0
 
 
@@ -105,16 +103,15 @@ def test_kalman_update_worked_example():
 def test_kalman_per_run_arrays_match_scalar_steps():
     # array state and per-run meas_var: each run follows the scalar recursion
     p = default_params()
-    lay = derive_slot_layout(p)
     rng = np.random.default_rng(3)
     op_norm = rng.uniform(0.05, 0.5, 6)
     obs = rng.uniform(-np.pi, np.pi, (4, 6))
-    model = derive_noise_model(p, lay, op_norm)
+    model = derive_noise_model(p, op_norm)
     state = kalman_init(obs[0], model)
     for row in obs[1:]:
         state = kalman_update(state, row, model)
     for r in range(6):
-        one = derive_noise_model(p, lay, float(op_norm[r]))
+        one = derive_noise_model(p, float(op_norm[r]))
         ref = kalman_init(float(obs[0, r]), one)
         for row in obs[1:]:
             ref = kalman_update(ref, float(row[r]), one)
@@ -122,7 +119,7 @@ def test_kalman_per_run_arrays_match_scalar_steps():
         assert state.p_var[r] == ref.p_var
     assert state.n == 4
     with pytest.raises(ValueError):
-        derive_noise_model(p, lay, np.array([0.1, 0.0]))
+        derive_noise_model(p, np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
         NoiseModel(sigma_zeta_sq=1.0, sigma_xi_sq=0.5, meas_var=np.array([0.1, -0.1]))
 
