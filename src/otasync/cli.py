@@ -119,7 +119,7 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"otasync: I/O failure: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # e.g. MemoryError allocating the channel draws at large N
+    except Exception as exc:  # e.g. MemoryError allocating a chunk's draws
         print(f"otasync: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,11 @@ tracker output) and at the UEs (psi, reset at each demodulation pilot), and a
 single-run tracker trace.
 
 The engine simulates the oscillator paths only at the sample instants that
-enter the chain (exact sparse Wiener increments) and draws each sync
-measurement as its exact one-dimensional matched-filter projection; both are
-distributional identities with the dense/vector formulation, which the test
-suite cross-checks against a slow full-chain reference.
+enter the chain (exact sparse Wiener increments), draws the inter-array
+channel's operator norm from its bidiagonal model (otasync.channel) and each
+sync measurement as its exact one-dimensional matched-filter projection; all
+three are distributional identities with the dense/vector formulation, which
+the test suite cross-checks against a slow full-chain reference.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
                       per_ue: bool = False):
     """Estimate E[Delta] at every frame position over independent runs.
 
-    Each run draws its own inter-array channel and oscillator paths, runs
+    Each run draws its own inter-array op norm and oscillator paths, runs
     WARMUP_FRAMES frames to bring the tracker to steady state, then
     accumulates Delta over one measured frame. Runs are split into fixed-size
     chunks with seeds spawned from (master_seed, chunk index), and chunk
@@ -266,8 +267,9 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     alpha_true): the raw combined measurement, the tracker output, its model
     variance and gain, and the true inter-array phase difference at i2.
     """
-    if scheme not in ("kalman", "direct"):
-        raise ValueError("trace requires a synchronized scheme")
+    traceable = ("kalman", "direct")
+    if scheme not in traceable:
+        raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {traceable}")
     if n_frames < 1:
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
     layout = derive_slot_layout(params)

@@ -1,10 +1,11 @@
 """Operation-level reference code that only the test oracles use.
 
 Dense oscillator trajectories, the full N x N inter-array channel with its
-leading singular pair from power iteration, N-dimensional sync signals,
-scalar compensation state, LMMSE estimation and a brute-force Monte Carlo
-re-derivation of the rate terms. The engine in `otasync` works on sparse,
-exact one-dimensional reductions of this chain; the tests compare the two.
+leading singular pair from power iteration and its SVD operator norm,
+N-dimensional sync signals, scalar compensation state, LMMSE estimation and
+a brute-force Monte Carlo re-derivation of the rate terms. The engine in
+`otasync` works on sparse, exact one-dimensional reductions of this chain;
+the tests compare the two.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from otasync.config import ConfigError, SystemParams
-from otasync.channel import complex_normal
 from otasync.experiment import CSV_COLUMNS, ResultRow
 from otasync.tracking import representative_ue
 
@@ -63,6 +63,20 @@ def generate_trajectory(seed, length: int, sigma_nu_sq: float,
 
 # ---------------------------------------------------------------------------
 # channels: LMMSE coefficient and the inter-array channel
+
+def complex_normal(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian with per-entry variance."""
+    scale = np.sqrt(np.asarray(variance) / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def dense_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> np.ndarray:
+    """Largest singular value of n dense N x N draws of G with i.i.d.
+    CN(0, beta_g) entries, by LAPACK SVD: the reference law for
+    otasync.channel.batched_op_norms. Holds all n matrices at once."""
+    g = complex_normal(rng, (n, params.n_antennas, params.n_antennas), params.beta_g)
+    return np.linalg.svd(g, compute_uv=False)[:, 0]
+
 
 class NumericalError(RuntimeError):
     """Iterative routine failed to converge; carries the last residual."""

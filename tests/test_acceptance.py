@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from otasync.channel import complex_normal
 from otasync.config import default_params, derive_slot_layout
 from otasync.experiment import emit_csv, fig2_sweep, fig3_sweep, run_cell, run_sweep, \
     SweepSpec
@@ -20,8 +19,8 @@ from otasync.timeline import Activity, build_frame_schedule
 from otasync.tracking import NoiseModel, kalman_gain, kalman_update, KalmanState, \
     noise_coefficients, wrap
 from tests.conftest import small_instance
-from tests.oracles import InterApChannel, closed_form_powers, leading_singular_pair, \
-    lmmse_coefficient, measure_direction, monte_carlo_rate_oracle
+from tests.oracles import InterApChannel, closed_form_powers, complex_normal, \
+    leading_singular_pair, lmmse_coefficient, measure_direction, monte_carlo_rate_oracle
 
 ACCEPT_SEED = 20250810
 N_REAL = 10_000

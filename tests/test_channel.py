@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from otasync.channel import batched_op_norms, complex_normal
+from otasync.channel import batched_op_norms, gram_top_eigenvalue
 from otasync.config import default_params
 from tests.conftest import small_instance
-from tests.oracles import leading_singular_pair, lmmse_coefficient, sample_inter_ap_channel
+from tests.oracles import complex_normal, dense_op_norms, leading_singular_pair, \
+    lmmse_coefficient, sample_inter_ap_channel
 
 
 def test_ue_channels_empirical_variance():
@@ -105,12 +108,92 @@ def test_op_norm_concentration_near_mp_edge():
     assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
 
 
-def test_batched_op_norms_match_power_iteration():
-    p = default_params(n_antennas=8, beta_g=1e-3)
-    norms = batched_op_norms(np.random.default_rng(3), p, 4)
-    g = complex_normal(np.random.default_rng(3), (4, 8, 8), p.beta_g)
-    for i in range(4):
-        assert norms[i] == pytest.approx(leading_singular_pair(g[i])[2], rel=1e-9)
+def _bidiagonal_draws(seed, N, n):
+    # the chi-square draws batched_op_norms makes: B_ii^2 ~ chi^2_{2(N-i+1)},
+    # B_i,i+1^2 ~ chi^2_{2(N-i)}, i = 1..N, one column per run
+    dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))
+    chi_sq = np.random.default_rng(seed).chisquare(dof[:, None], (2 * N - 1, n))
+    return chi_sq[:N], chi_sq[N:]
+
+
+def _dense_bidiagonal(diag_sq, super_sq):
+    return np.diag(np.sqrt(diag_sq)) + np.diag(np.sqrt(super_sq), 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 64])
+def test_batched_op_norms_match_svd_of_same_bidiagonal(N):
+    p = default_params(n_antennas=N, beta_g=1e-3)
+    norms = batched_op_norms(np.random.default_rng(N), p, 32)
+    diag_sq, super_sq = _bidiagonal_draws(N, N, 32)
+    for r in range(32):
+        s = np.linalg.svd(_dense_bidiagonal(diag_sq[:, r], super_sq[:, r]), compute_uv=False)[0]
+        assert norms[r] == pytest.approx(np.sqrt(p.beta_g / 2) * s, rel=1e-12)
+
+
+@pytest.mark.parametrize("b_diag, b_super", [
+    ([0.0, 0.0, 0.0], [0.0, 0.0]),          # B = 0
+    ([1.0, 0.0], [1.0]),                    # rank-one B^T B
+    ([0.0, 2.0, 0.0], [0.0, 0.0]),          # diagonal B^T B with zero entries
+    ([0.0, 0.0, 0.0], [1.0, 3.0]),          # zero diagonal
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    ([1e-160, 1.0, 1e150], [1e-160, 1e-150]),
+])
+def test_gram_top_eigenvalue_degenerate_bidiagonals(b_diag, b_super):
+    # exact zero and tiny pivots take the pivmin guard: no 0/0, x/0 or overflow
+    diag_sq, super_sq = np.square(b_diag)[:, None], np.square(b_super)[:, None]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        lam = gram_top_eigenvalue(diag_sq, super_sq)[0]
+    s = np.linalg.svd(_dense_bidiagonal(diag_sq[:, 0], super_sq[:, 0]), compute_uv=False)[0]
+    assert np.isfinite(lam)
+    assert np.sqrt(lam) == pytest.approx(s, rel=1e-12, abs=1e-300)
+
+
+def _ks_distance(a, b):
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate((a, b))
+    return np.max(np.abs(np.searchsorted(a, x, "right") / a.size
+                         - np.searchsorted(b, x, "right") / b.size))
+
+
+@pytest.mark.parametrize("N, n_dense", [(8, 20_000), (64, 4000)])
+def test_batched_op_norms_law_matches_dense_svd(N, n_dense):
+    # two-sample KS at the 0.1% level (asymptotic c = 1.949), and E[1/||G||^2],
+    # which sets the tracker's meas_var, within 3 standard errors of the difference
+    p = default_params(n_antennas=N, beta_g=1e-3)
+    rng = np.random.default_rng(40 + N)
+    dense = np.concatenate([dense_op_norms(rng, p, 500) for _ in range(n_dense // 500)])
+    bidiag = batched_op_norms(np.random.default_rng(50 + N), p, 20_000)
+    n, m = dense.size, bidiag.size
+    assert _ks_distance(dense, bidiag) < 1.949 * np.sqrt((n + m) / (n * m))
+    inv_d, inv_b = dense**-2.0, bidiag**-2.0
+    se = np.sqrt(inv_d.var() / n + inv_b.var() / m)
+    assert abs(inv_d.mean() - inv_b.mean()) < 3 * se
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_batched_op_norms_near_mp_edge(N):
+    # ||G||^2 / (N beta_g) lies near the Marchenko-Pastur edge 4, shifted by the
+    # Tracy-Widom (beta = 2) mean -1.7711 on the scale 2^(4/3) N^(-2/3)
+    p = default_params(n_antennas=N, beta_g=1e-3)
+    ratios = batched_op_norms(np.random.default_rng(N), p, 1000)**2 / (N * p.beta_g)
+    assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
+    edge = 4.0 + 2 ** (4 / 3) * N ** (-2 / 3) * -1.7711
+    assert ratios.mean() == pytest.approx(edge, abs=0.03)
+
+
+def test_batched_op_norms_memory_linear_in_n():
+    # O(N) per run: 64 bytes per (antenna, run) bounds the traced peak, 32 MiB
+    # here; a dense G for the same call would hold 4 GiB
+    N, n = 512, 1024
+    p = default_params(n_antennas=N)
+    tracemalloc.start()
+    try:
+        norms = batched_op_norms(np.random.default_rng(0), p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (n,) and np.all(np.isfinite(norms))
+    assert peak < 64 * N * n
 
 
 def test_inter_ap_channel_consistency():

@@ -263,8 +263,9 @@ def test_trace_output_fields(params):
     assert set(rows[0]) == {"n", "obs", "alpha_hat", "p_var", "kappa", "alpha_true"}
     kappas = [r["kappa"] for r in rows[5:]]
     assert all(0 < k < 1 for k in kappas)
-    with pytest.raises(ValueError):
-        run_phase_trace(params, 5, 2, scheme="ap1_only")
+    for scheme in ("ap1_only", "bogus"):
+        with pytest.raises(ConfigError, match=f"cannot trace scheme '{scheme}'; expected one of"):
+            run_phase_trace(params, 5, 2, scheme=scheme)
     with pytest.raises(ConfigError):
         run_phase_trace(params, 0, 2)
 

@@ -198,11 +198,16 @@ def test_cli_bad_config(tmp_path):
     ["--workers", "0", "--realizations", "10"],
     ["--dump-trace", "--trace-frames", "0"],
     ["--dump-trace", "--trace-frames", "-3"],
+    ["--dump-trace", "--scheme", "bogus"],
 ])
-def test_cli_bad_run_options(tmp_path, argv):
+def test_cli_bad_run_options(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert cli_main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    if argv[:2] == ["--dump-trace", "--scheme"]:
+        assert err == f"otasync: cannot trace scheme {argv[2]!r}; " \
+                      "expected one of ('kalman', 'direct')\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("cannot allocate G"), RuntimeError("boom")])

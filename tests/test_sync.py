@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from otasync.channel import complex_normal
 from otasync.config import default_params
 from otasync.tracking import derive_noise_model
 from tests.oracles import InterApChannel, PhaseTrajectory, combine_bidirectional, \
-    generate_trajectory, leading_singular_pair, measure_direction
+    complex_normal, generate_trajectory, leading_singular_pair, measure_direction
 
 
 def _chan_with_norm(n, target_norm_sq, seed=0):
