@@ -29,13 +29,13 @@ def gram_top_eigenvalue(diag_sq: np.ndarray, super_sq: np.ndarray) -> np.ndarray
     B^T B is tridiagonal with diagonal B_ii^2 + B_i-1,i^2 and squared
     off-diagonal B_ii^2 B_i,i+1^2. x lies above every eigenvalue exactly when
     every pivot of the LDL^T factorization of B^T B - x I is negative (Sturm
-    count N); pivots of magnitude at most `pivmin` count as negative and are
-    replaced by -pivmin, as in LAPACK's dstebz.
+    count N); pivots of magnitude at most the matrix's own `pivmin` count as
+    negative and are replaced by -pivmin, as in LAPACK's dstebz.
     """
     diag = diag_sq.astype(float)
     diag[1:] += super_sq
     off_sq = diag_sq[:-1] * super_sq
-    pivmin = np.finfo(float).tiny * max(1.0, float(off_sq.max(initial=0.0)))
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, off_sq.max(axis=0, initial=0.0))
 
     lo = diag.max(axis=0)                      # lambda_max >= every diagonal entry
     pivots = diag.copy()                       # Gershgorin bounds first, then the pivots
@@ -44,12 +44,12 @@ def gram_top_eigenvalue(diag_sq: np.ndarray, super_sq: np.ndarray) -> np.ndarray
     pivots[1:] += off
     hi = pivots.max(axis=0)
 
-    guarded = np.empty_like(lo)
+    guarded, neg_pivmin = np.empty_like(lo), -pivmin
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         np.subtract(diag, mid, out=pivots)
         for i in range(1, diag.shape[0]):
-            np.minimum(pivots[i - 1], -pivmin, out=guarded)
+            np.minimum(pivots[i - 1], neg_pivmin, out=guarded)
             np.divide(off_sq[i - 1], guarded, out=guarded)
             pivots[i] -= guarded
         above = pivots.max(axis=0) <= pivmin

@@ -3,12 +3,15 @@ frame position, with phase compensation at the arrays (theta, reset at each
 tracker output) and at the UEs (psi, reset at each demodulation pilot), and a
 single-run tracker trace.
 
-The engine simulates the oscillator paths only at the sample instants that
-enter the chain (exact sparse Wiener increments), draws the inter-array
+The engine simulates the oscillator paths only at the sample instants the
+compensation reads (exact sparse Wiener increments), draws the inter-array
 channel's operator norm from its bidiagonal model (otasync.channel) and each
 sync measurement as its exact one-dimensional matched-filter projection; all
-three are distributional identities with the dense/vector formulation, which
-the test suite cross-checks against a slow full-chain reference.
+three are distributional identities with the dense/vector formulation. At a
+payload position it takes the conditional mean of Delta given those instants,
+integrating out the independent Wiener increment from the position's anchor
+(the last instant before it), which keeps E[Delta]. The test suite
+cross-checks the engine against a slow full-chain reference.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class DeltaStats:
     payload data; group_means: (G, 2, F*tau_c) batch means for standard-error
     estimates, G = min(N_GROUPS, n_realizations), over groups of consecutive
     runs (run r in group r * G // n_realizations) of group_counts runs each.
+    A one-run group's |mean| is the position's weight whatever the run.
     """
 
     scheme: str
@@ -70,7 +74,8 @@ class _Grid:
 class _CellGeometry:
     """Warm-up and measured frame grids, plus one entry per payload position
     (AP, 1-based frame offset) in frame order; `segments` slices the positions
-    into runs that share AP, slot, psi slot and tracker output."""
+    into runs that share AP and anchor, and with it slot, psi slot and tracker
+    output (each changes at a grid instant)."""
 
     params: SystemParams
     scheme: str
@@ -80,7 +85,8 @@ class _CellGeometry:
     measured: _Grid
     ap: np.ndarray           # (P,) 0-based AP
     pos: np.ndarray          # (P,) frame offset
-    col: np.ndarray          # (P,) column in the measured grid
+    anchor: np.ndarray       # (P,) measured-grid column of the last instant before it
+    weight: np.ndarray       # (P,) exp(-(pos - anchor offset) sigma_nu^2 / 2)
     ue_col: np.ndarray       # (K, P) column of each UE's pilot in the position's slot
     tracker: np.ndarray      # (P,) 0: none (AP 1), 1: previous frame's, 2: this frame's
     psi_slot: np.ndarray     # (P,) slot whose pilot set psi; 0 = carried over
@@ -114,18 +120,20 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
 
     warmup = grid(np.array([params.frame_len]))
     measured = grid(np.arange(1, params.frame_len + 1), plan.pilot_samples.ravel(),
-                    plan.demod_pilot_samples[plan.demod_pilot_samples > 0], pos)
+                    plan.demod_pilot_samples[plan.demod_pilot_samples > 0])
+    anchor = np.searchsorted(measured.offsets, pos) - 1   # payload is never on the grid
+    sigma_nu_sq = derive_sigma_nu(params)
 
     psi_slot = slot + (pos > plan.demod_pilot_samples[ap, slot])
     # AP 2 applies this frame's tracker output after the last sync instant
     tracker = np.where(ap == 0, 0, 1 + (pos > sync.max(initial=0)))
-    keys = np.stack((ap, slot, psi_slot, tracker))
+    keys = np.stack((ap, anchor))
     starts = np.flatnonzero(np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0))
     segments = tuple(map(slice, starts, np.append(starts[1:], pos.size)))
     return _CellGeometry(
-        params=params, scheme=scheme, sigma_nu_sq=derive_sigma_nu(params), k_rep=k_rep,
-        warmup=warmup, measured=measured, ap=ap, pos=pos,
-        col=np.searchsorted(measured.offsets, pos),
+        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, k_rep=k_rep,
+        warmup=warmup, measured=measured, ap=ap, pos=pos, anchor=anchor,
+        weight=np.exp(-(pos - measured.offsets[anchor]) * sigma_nu_sq / 2),
         ue_col=np.searchsorted(measured.offsets, plan.pilot_samples[slot].T),
         tracker=tracker, psi_slot=psi_slot, segments=segments)
 
@@ -165,8 +173,9 @@ def _track(state, obs, model, scheme):
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                     master_seed: int, per_ue: bool, group_starts):
     """One vectorized chunk of independent runs: WARMUP_FRAMES frames on the
-    sparse warm-up grid, then the measured frame on the full grid. Returns
-    the complex Delta sums per (group, AP, position), or per (group, UE, AP,
+    sparse warm-up grid, then the measured frame on the pilot and sync grid.
+    Returns the sums of each run's Delta given the grid (its value at the
+    anchor times the weight) per (group, AP, position), or per (group, UE, AP,
     position) when per_ue, over the runs that start at each of group_starts."""
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
@@ -202,11 +211,12 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     sums = np.zeros(ue_rows.shape + (len(group_starts), 2, L + 1), dtype=complex)
     for seg in geom.segments:
         ap, first = geom.ap[seg.start], seg.start
-        base_phase = theta[geom.tracker[first]][:, None] + psi[geom.psi_slot[first]][:, None] \
-            - vals[ap, :, geom.col[seg]].T
+        compensation = theta[geom.tracker[first]] + psi[geom.psi_slot[first]]
+        at_anchor = vals[ap, :, geom.anchor[first]]
         for k, out in zip(ue_rows.flat, sums.reshape(-1, len(group_starts), 2, L + 1)):
-            ph = base_phase - vals[ap, :, [geom.ue_col[k, first]]].T
-            out[:, ap, geom.pos[seg]] += np.add.reduceat(np.exp(1j * ph), group_starts, axis=0)
+            ph = compensation - (at_anchor + vals[ap, :, geom.ue_col[k, first]])
+            out[:, ap, geom.pos[seg]] += \
+                np.add.reduceat(np.exp(1j * ph), group_starts)[:, None] * geom.weight[seg]
     return np.moveaxis(sums, -3, 0)
 
 

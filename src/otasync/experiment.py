@@ -100,7 +100,8 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int,
     """One sweep cell: Delta statistics -> rate table -> average per-UE SE.
 
     Returns (se_mean, se_stderr); the stderr comes from batch means over
-    groups of consecutive runs. The overall mean and the group means go
+    groups of consecutive runs (NaN below 2 runs per group, whose |E[Delta]|
+    is fixed by the position). The overall mean and the group means go
     through the rate table as one stack."""
     plan = build_plan(params, scheme)
     stats = monte_carlo_delta(params, scheme, n_realizations, seed,
@@ -108,8 +109,9 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int,
     tables = np.concatenate((stats.mean_delta[None], stats.group_means))
     se_all = spectral_efficiency(plan, per_position_rates(params, plan, tables)).mean(axis=-1)
     se, se_groups = float(se_all[0]), se_all[1:]
-    if len(se_groups) > 1:
-        stderr = float(np.std(se_groups, ddof=1) / math.sqrt(len(se_groups)))
+    if stats.group_counts.min() >= 2:
+        # spread about one group's value: exactly 0 when every group agrees
+        stderr = float(np.std(se_groups - se_groups[0], ddof=1) / math.sqrt(len(se_groups)))
     else:
         stderr = float("nan")
     return se, stderr

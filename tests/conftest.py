@@ -1,9 +1,16 @@
-import dataclasses
+import os
 
-import pytest
-from hypothesis import strategies as st
+# One BLAS thread, before numpy loads BLAS: the oracles' many small products
+# slow down by orders of magnitude when BLAS threads contend for the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from otasync.config import default_params
+import dataclasses  # noqa: E402
+
+import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from otasync.config import default_params  # noqa: E402
 
 
 @pytest.fixture

@@ -130,14 +130,17 @@ def test_batched_op_norms_match_svd_of_same_bidiagonal(N):
         assert norms[r] == pytest.approx(np.sqrt(p.beta_g / 2) * s, rel=1e-12)
 
 
-@pytest.mark.parametrize("b_diag, b_super", [
+DEGENERATE_BIDIAGONALS = [
     ([0.0, 0.0, 0.0], [0.0, 0.0]),          # B = 0
     ([1.0, 0.0], [1.0]),                    # rank-one B^T B
     ([0.0, 2.0, 0.0], [0.0, 0.0]),          # diagonal B^T B with zero entries
     ([0.0, 0.0, 0.0], [1.0, 3.0]),          # zero diagonal
     ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
     ([1e-160, 1.0, 1e150], [1e-160, 1e-150]),
-])
+]
+
+
+@pytest.mark.parametrize("b_diag, b_super", DEGENERATE_BIDIAGONALS)
 def test_gram_top_eigenvalue_degenerate_bidiagonals(b_diag, b_super):
     # exact zero and tiny pivots take the pivmin guard: no 0/0, x/0 or overflow
     diag_sq, super_sq = np.square(b_diag)[:, None], np.square(b_super)[:, None]
@@ -146,6 +149,20 @@ def test_gram_top_eigenvalue_degenerate_bidiagonals(b_diag, b_super):
     s = np.linalg.svd(_dense_bidiagonal(diag_sq[:, 0], super_sq[:, 0]), compute_uv=False)[0]
     assert np.isfinite(lam)
     assert np.sqrt(lam) == pytest.approx(s, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("b_diag, b_super", DEGENERATE_BIDIAGONALS)
+def test_gram_top_eigenvalue_batch_matches_column_calls(b_diag, b_super):
+    # pivmin is set per matrix, so a column's eigenvalue does not depend on its
+    # batch-mates: here a degenerate case, chi draws and one draw scaled by 1e150
+    diag_sq, super_sq = _bidiagonal_draws(len(b_diag), len(b_diag), 4)
+    diag_sq[:, 1] *= 1e150
+    super_sq[:, 1] *= 1e150
+    diag_sq = np.column_stack((np.square(b_diag), diag_sq))
+    super_sq = np.column_stack((np.square(b_super), super_sq))
+    batch = gram_top_eigenvalue(diag_sq, super_sq)
+    alone = [gram_top_eigenvalue(diag_sq[:, [r]], super_sq[:, [r]])[0] for r in range(5)]
+    assert np.array_equal(batch, alone)
 
 
 def _ks_distance(a, b):

@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otasync.compensation import CHUNK_SIZE, build_plan, monte_carlo_delta, run_phase_trace
+from otasync.compensation import CHUNK_SIZE, _cell_geometry, build_plan, monte_carlo_delta, \
+    run_phase_trace
 from otasync.config import ConfigError, default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
+from otasync.tracking import representative_ue
+from tests.conftest import geometries
 from tests.oracles import CompensationState, PhaseTrajectory, generate_trajectory, \
     residual_delta, ue_psi_update
 from tests.reference_chain import reference_delta
@@ -209,6 +214,60 @@ def test_engine_matches_reference_chain(scheme, params):
     se_e = spectral_efficiency(plan, per_position_rates(p, plan, eng.mean_delta))[0]
     se_r = spectral_efficiency(plan, per_position_rates(p, plan, ref))[0]
     assert se_e == pytest.approx(se_r, abs=0.03)
+
+
+def _ap1_payload(p):
+    """AP 1's payload positions and the demod pilot of each one's slot."""
+    plan = build_plan(p, "ap1_only")
+    pos = np.flatnonzero(plan.data_mask()[0]) + 1
+    return pos, plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
+
+
+def test_ap1_only_shared_mean_is_the_anchor_weight(params):
+    # without UE-pilot noise, psi cancels AP 1's phase at the demod pilot, the
+    # anchor of every payload sample of its slot: each run contributes exactly
+    # exp(-(p - d) sigma^2 / 2), so no run-to-run spread is left
+    p = dataclasses.replace(params, frame_len=3, c_nu=5e-15)
+    pos, demod = _ap1_payload(p)
+    expect = np.exp(-(pos - demod) * derive_sigma_nu(p) / 2)
+    assert expect.min() < 0.5
+    stats = monte_carlo_delta(p, "ap1_only", 300, 21)
+    assert np.allclose(stats.mean_delta[0, pos - 1], expect, rtol=1e-12, atol=0.0)
+    assert run_cell(p, "ap1_only", 300, 21)[1] == 0.0
+
+
+def test_ap1_only_per_ue_mean_matches_closed_form(params):
+    # UE k's residual adds AP 1's drift from k_rep's pilot to its own,
+    # N(0, |k - k_rep| sigma^2), to the anchor increment integrated out
+    p = dataclasses.replace(params, frame_len=2, c_nu=5e-15)
+    pos, demod = _ap1_payload(p)
+    lag = np.abs(np.arange(1, p.n_ues + 1) - representative_ue(p.n_ues))
+    expect = np.exp(-(pos - demod + lag[:, None]) * derive_sigma_nu(p) / 2)
+    stats = monte_carlo_delta(p, "ap1_only", 2000, 22, per_ue=True)
+    got, groups = stats.mean_delta[:, 0, pos - 1], stats.group_means[:, :, 0, pos - 1]
+    stderr = np.sqrt((np.abs(groups - got) ** 2).sum(axis=0) / (len(groups) - 1) / len(groups))
+    assert np.all(np.abs(got - expect) <= 4 * stderr + 1e-12 * expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries(), st.sampled_from(["kalman", "ap1_only"]))
+def test_anchor_follows_every_instant_the_compensation_reads(p, scheme):
+    # the conditional mean rests on this: the increment from a position's
+    # anchor to the position is independent of everything its Delta reads
+    geom = _cell_geometry(p, scheme)
+    grid = geom.measured
+    at = grid.offsets[geom.anchor]
+    assert np.all(at < geom.pos) and not np.isin(geom.pos, grid.offsets).any()
+    assert np.all(grid.offsets[geom.ue_col] <= at)          # every UE's pilot in the slot
+    this = geom.psi_slot > 0                                 # psi set in this frame
+    for cols in (grid.pilot_cols, grid.krep_cols):
+        assert np.all(grid.offsets[cols[geom.psi_slot[this] - 1]] <= at[this])
+    fresh = geom.tracker == 2                                # this frame's tracker output
+    assert np.all(grid.offsets[list(grid.sync_cols)].max(initial=0) <= at[fresh])
+    # a segment's positions share what the accumulation reads at its first one
+    for seg in geom.segments:
+        for table in (geom.ap, geom.anchor, geom.tracker, geom.psi_slot, geom.ue_col):
+            assert np.all(table[..., seg] == table[..., seg.start, None])
 
 
 @pytest.mark.parametrize("scheme", ["ap1_only", "kalman"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from otasync.cli import cli_main
-from otasync.compensation import monte_carlo_delta
+from otasync.compensation import N_GROUPS, monte_carlo_delta
 from otasync.config import ConfigError, default_params, dump_config
 from otasync.experiment import ResultRow, SweepSpec, cell_seed, emit_csv, fig2_sweep, \
     fig3_sweep, parse_sweep, run_cell, run_sweep
@@ -132,14 +132,18 @@ def test_sweep_worker_invariance(params):
 @pytest.mark.parametrize("n", [2, 500, 1100])
 def test_stderr_groups_are_consecutive_runs(n, params):
     # min(10, n) groups of consecutive runs, sizes differing by at most one,
-    # so the stderr is finite below one chunk (1024 runs)
+    # so the stderr is finite below one chunk (1024 runs); with one run per
+    # group it is NaN, as every group's |E[Delta]| is the position's weight
     stats = monte_carlo_delta(params, "ap1_only", n, 8)
     assert stats.group_counts.sum() == n and len(stats.group_counts) == min(10, n)
     assert np.ptp(stats.group_counts) <= 1
     weighted = np.tensordot(stats.group_counts, stats.group_means, axes=1) / n
     assert np.allclose(weighted, stats.mean_delta, rtol=0.0, atol=1e-12)
     se, stderr = run_cell(params, "ap1_only", n, 8)
-    assert math.isfinite(stderr) and 0 <= stderr < 0.1
+    if n < 2 * N_GROUPS:
+        assert math.isnan(stderr)
+    else:
+        assert math.isfinite(stderr) and 0 <= stderr < 0.1
 
 
 def test_cli_default_run(tmp_path):
