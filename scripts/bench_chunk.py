@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time one 1024-run Monte Carlo chunk (otasync.compensation._simulate_chunk,
-shared tables, N_GROUPS batch-mean groups) per scheme at F in {1, 10}, with
+N_GROUPS batch-mean groups, one sum per segment) per scheme at F in {1, 10}, with
 BLAS on one thread. Each timing is the median of REPEATS calls on fresh
 seeds; a separate call records the tracemalloc peak. The cell geometry is
 built outside the timed call, as monte_carlo_delta builds it once per cell.
@@ -44,17 +44,18 @@ def _measure(geom):
     times = []
     for r in range(REPEATS):
         t0 = perf_counter()
-        sums = _simulate_chunk(geom, r, CHUNK_SIZE, SEED, False, group_starts)
+        sums = _simulate_chunk(geom, r, CHUNK_SIZE, SEED, group_starts)
         times.append(perf_counter() - t0)
     tracemalloc.start()
     try:
-        _simulate_chunk(geom, 0, CHUNK_SIZE, SEED, False, group_starts)
+        _simulate_chunk(geom, 0, CHUNK_SIZE, SEED, group_starts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    mean_delta = sums.sum(axis=0)[..., 1:] / CHUNK_SIZE
+    # (G, S) segment sums -> E[Delta] per payload position
+    mean_delta = sums.sum(axis=0)[geom.segment] * geom.weight / CHUNK_SIZE
     return dict(s=statistics.median(times), s_all=times, peak_mib=peak / 2**20,
-                mean_abs_delta=float(np.abs(mean_delta[mean_delta != 0]).mean()))
+                mean_abs_delta=float(np.abs(mean_delta).mean()))
 
 
 def main(argv=None):

@@ -92,7 +92,7 @@ def cli_main(argv=None) -> int:
 
     try:
         params = load_config_file(args.config) if args.config else default_params()
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         print(f"otasync: invalid config: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -38,8 +38,8 @@ N_GROUPS = 10            # batch-mean groups for standard errors
 
 @dataclass(frozen=True)
 class DeltaStats:
-    """Monte Carlo averages of Delta per (AP, frame position), shared across
-    UEs (per-UE breakdown available from monte_carlo_delta(per_ue=True)).
+    """Monte Carlo averages of Delta per (AP, frame position) for the
+    representative UE floor(K/2), whose pilot instant stands in for every UE.
 
     mean_delta: (2, F*tau_c) complex, zero at positions where the AP sends no
     payload data; group_means: (G, 2, F*tau_c) batch means for standard-error
@@ -48,7 +48,6 @@ class DeltaStats:
     A one-run group's |mean| is the position's weight whatever the run.
     """
 
-    scheme: str
     mean_delta: np.ndarray
     n_realizations: int
     group_means: np.ndarray
@@ -72,25 +71,24 @@ class _Grid:
 
 @dataclass(frozen=True)
 class _CellGeometry:
-    """Warm-up and measured frame grids, plus one entry per payload position
-    (AP, 1-based frame offset) in frame order; `segments` slices the positions
-    into runs that share AP and anchor, and with it slot, psi slot and tracker
-    output (each changes at a grid instant)."""
+    """Warm-up and measured frame grids, one entry per payload position
+    (AP, 1-based frame offset) in frame order, and the segments: runs of
+    positions that share everything their Delta reads on the grid."""
 
     params: SystemParams
     scheme: str
     sigma_nu_sq: float
-    k_rep: int
     warmup: _Grid
     measured: _Grid
     ap: np.ndarray           # (P,) 0-based AP
     pos: np.ndarray          # (P,) frame offset
-    anchor: np.ndarray       # (P,) measured-grid column of the last instant before it
+    segment: np.ndarray      # (P,) row of the position's segment
     weight: np.ndarray       # (P,) exp(-(pos - anchor offset) sigma_nu^2 / 2)
-    ue_col: np.ndarray       # (K, P) column of each UE's pilot in the position's slot
-    tracker: np.ndarray      # (P,) 0: none (AP 1), 1: previous frame's, 2: this frame's
-    psi_slot: np.ndarray     # (P,) slot whose pilot set psi; 0 = carried over
-    segments: tuple
+    # (S, 5) per segment: AP, anchor (measured-grid column of the last instant
+    # before it), column of the representative UE's pilot in its slot, tracker
+    # output (0: none, AP 1; 1: previous frame's; 2: this frame's) and the
+    # slot whose pilot set psi (0 = carried over)
+    segments: np.ndarray
 
 
 def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
@@ -124,18 +122,17 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
     anchor = np.searchsorted(measured.offsets, pos) - 1   # payload is never on the grid
     sigma_nu_sq = derive_sigma_nu(params)
 
-    psi_slot = slot + (pos > plan.demod_pilot_samples[ap, slot])
-    # AP 2 applies this frame's tracker output after the last sync instant
-    tracker = np.where(ap == 0, 0, 1 + (pos > sync.max(initial=0)))
-    keys = np.stack((ap, anchor))
-    starts = np.flatnonzero(np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0))
-    segments = tuple(map(slice, starts, np.append(starts[1:], pos.size)))
+    keys = np.stack((
+        ap, anchor, np.searchsorted(measured.offsets, krep[slot]),
+        # AP 2 applies this frame's tracker output after the last sync instant
+        np.where(ap == 0, 0, 1 + (pos > sync.max(initial=0))),
+        slot + (pos > plan.demod_pilot_samples[ap, slot])))
+    starts = np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0)
     return _CellGeometry(
-        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, k_rep=k_rep,
-        warmup=warmup, measured=measured, ap=ap, pos=pos, anchor=anchor,
+        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq,
+        warmup=warmup, measured=measured, ap=ap, pos=pos, segment=np.cumsum(starts) - 1,
         weight=np.exp(-(pos - measured.offsets[anchor]) * sigma_nu_sq / 2),
-        ue_col=np.searchsorted(measured.offsets, plan.pilot_samples[slot].T),
-        tracker=tracker, psi_slot=psi_slot, segments=segments)
+        segments=keys[:, starts].T)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +168,13 @@ def _track(state, obs, model, scheme):
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
-                    master_seed: int, per_ue: bool, group_starts):
+                    master_seed: int, group_starts):
     """One vectorized chunk of independent runs: WARMUP_FRAMES frames on the
-    sparse warm-up grid, then the measured frame on the pilot and sync grid.
-    Returns the sums of each run's Delta given the grid (its value at the
-    anchor times the weight) per (group, AP, position), or per (group, UE, AP,
-    position) when per_ue, over the runs that start at each of group_starts."""
+    sparse warm-up grid (synced schemes only: nothing reads them otherwise),
+    then the measured frame on the pilot and sync grid. Returns (G, S): per
+    group (the runs from each of group_starts) and segment, the sum of each
+    run's Delta at the segment's anchor; a position's Delta given the grid is
+    that value times its weight."""
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
     synced = bool(geom.measured.sync_cols)
@@ -192,7 +190,7 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     state = None
     theta = [np.zeros(n_runs)] * 3      # [none, previous frame's, this frame's]
     psi = [np.zeros(n_runs)] * (F + 1)  # by slot; psi[0] is carried over
-    for f in range(WARMUP_FRAMES + 1):
+    for f in range(0 if synced else WARMUP_FRAMES, WARMUP_FRAMES + 1):
         grid = geom.measured if f == WARMUP_FRAMES else geom.warmup
         vals, nu, last_global = _advance(rng, nu, last_global, f * L,
                                          grid.offsets, geom.sigma_nu_sq)
@@ -207,32 +205,24 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                                                grid.krep_cols, noise):
             psi[s] = vals[0, :, pilot_col] + vals[0, :, krep_col] + eps
 
-    ue_rows = np.arange(p.n_ues) if per_ue else np.array(geom.k_rep - 1)  # (K,) or ()
-    sums = np.zeros(ue_rows.shape + (len(group_starts), 2, L + 1), dtype=complex)
-    for seg in geom.segments:
-        ap, first = geom.ap[seg.start], seg.start
-        compensation = theta[geom.tracker[first]] + psi[geom.psi_slot[first]]
-        at_anchor = vals[ap, :, geom.anchor[first]]
-        for k, out in zip(ue_rows.flat, sums.reshape(-1, len(group_starts), 2, L + 1)):
-            ph = compensation - (at_anchor + vals[ap, :, geom.ue_col[k, first]])
-            out[:, ap, geom.pos[seg]] += \
-                np.add.reduceat(np.exp(1j * ph), group_starts)[:, None] * geom.weight[seg]
-    return np.moveaxis(sums, -3, 0)
+    sums = np.empty((len(group_starts), len(geom.segments)), dtype=complex)
+    for j, (ap, anchor, krep_col, tracker, psi_slot) in enumerate(geom.segments):
+        ph = theta[tracker] + psi[psi_slot] - (vals[ap, :, anchor] + vals[ap, :, krep_col])
+        sums[:, j] = np.add.reduceat(np.exp(1j * ph), group_starts)
+    return sums
 
 
 def _chunk_task(args):
-    params, scheme, chunk_index, n_runs, master_seed, per_ue, group_starts = args
-    geom = _cell_geometry(params, scheme)
-    return _simulate_chunk(geom, chunk_index, n_runs, master_seed, per_ue, group_starts)
+    return _simulate_chunk(*args)
 
 
 def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
-                      master_seed: int, n_workers: int = 1,
-                      per_ue: bool = False):
+                      master_seed: int, n_workers: int = 1):
     """Estimate E[Delta] at every frame position over independent runs.
 
     Each run draws its own inter-array op norm and oscillator paths, runs
-    WARMUP_FRAMES frames to bring the tracker to steady state, then
+    WARMUP_FRAMES frames to bring the tracker to steady state (synced
+    schemes), then
     accumulates Delta over one measured frame. Runs are split into fixed-size
     chunks with seeds spawned from (master_seed, chunk index), and chunk
     results are reduced in index order, so the output is bit-identical for
@@ -248,25 +238,26 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     tasks = []
     for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
         chunk_group = group[start:start + CHUNK_SIZE]
-        tasks.append((params, scheme, j, chunk_group.size, master_seed, per_ue,
+        tasks.append((geom, j, chunk_group.size, master_seed,
                       np.flatnonzero(np.diff(chunk_group, prepend=-1))))
 
     if n_workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        n_procs = min(n_workers, len(tasks))   # the pool forks them all on the first submit
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_procs) as pool:
             partials = list(pool.map(_chunk_task, tasks))
     else:
-        partials = [_simulate_chunk(geom, *task[2:]) for task in tasks]
+        partials = [_simulate_chunk(*task) for task in tasks]
 
-    group_sums = np.zeros((n_groups,) + partials[0].shape[1:], dtype=complex)
+    group_sums = np.zeros((n_groups, 2, params.frame_len * params.tau_c), dtype=complex)
     for j, part in enumerate(partials):
         first = group[j * CHUNK_SIZE]
-        group_sums[first:first + len(part)] += part
+        group_sums[first:first + len(part), geom.ap, geom.pos - 1] += \
+            part[:, geom.segment] * geom.weight
     group_counts = np.bincount(group, minlength=n_groups)
-
-    mean = (group_sums.sum(axis=0) / n_realizations)[..., 1:]
-    gmeans = group_sums[..., 1:] / group_counts.reshape((-1,) + (1,) * (group_sums.ndim - 1))
-    return DeltaStats(scheme=scheme, mean_delta=mean, n_realizations=n_realizations,
-                      group_means=gmeans, group_counts=group_counts)
+    return DeltaStats(mean_delta=group_sums.sum(axis=0) / n_realizations,
+                      n_realizations=n_realizations,
+                      group_means=group_sums / group_counts[:, None, None],
+                      group_counts=group_counts)
 
 
 def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,

@@ -68,6 +68,7 @@ class SystemParams:
     ue_pilot_noise_var: float = 0.0
 
     def __post_init__(self):
+        _check_counts(vars(self))   # before _as_table sizes the tables with n_ues
         object.__setattr__(self, "beta_ue", _as_table(self.beta_ue, self.n_ues, "beta_ue"))
         object.__setattr__(self, "eta", _as_table(self.eta, self.n_ues, "eta"))
         self.validate()
@@ -83,11 +84,6 @@ class SystemParams:
         return True
 
     def validate(self):
-        for name in ("n_antennas", "n_ues", "tau_c", "tau_p", "tau_u", "tau_d", "frame_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if self.tau_g < 0:
-            raise ConfigError(f"tau_g must be nonnegative, got {self.tau_g}")
         filled = self.tau_p + self.tau_u + self.tau_d + 2 * self.tau_g
         if filled != self.tau_c:
             raise ConfigError(
@@ -127,6 +123,14 @@ class SystemParams:
 
     def with_snr_ap_db(self, snr_db: float) -> "SystemParams":
         return replace(self, beta_g=10 ** (snr_db / 10.0) / self.rho_ap)
+
+
+def _check_counts(fields):
+    for name in ("n_antennas", "n_ues", "tau_c", "tau_p", "tau_u", "tau_d", "frame_len"):
+        if fields[name] < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {fields[name]}")
+    if fields["tau_g"] < 0:
+        raise ConfigError(f"tau_g must be nonnegative, got {fields['tau_g']}")
 
 
 def _as_table(value, n_ues: int, name: str) -> np.ndarray:
@@ -247,6 +251,7 @@ def load_config(text: str) -> SystemParams:
 
     merged = dict(DEFAULTS)
     merged.update(values)
+    _check_counts(merged)   # before the derived defaults divide by or size with them
     # derived defaults when only parts of the geometry/power set are given
     if "rho_ue" in values and "rho_ap" not in values:
         merged["rho_ap"] = 2.0 * merged["rho_ue"]

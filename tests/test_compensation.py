@@ -137,6 +137,36 @@ def test_worker_invariance(params):
     assert np.array_equal(a.mean_delta, b.mean_delta)
 
 
+def test_pool_is_capped_at_the_chunk_count(params, monkeypatch):
+    # a pool forks all of its workers on the first submit: ask for no more
+    # than there are chunks; the stand-in maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.fork", no_fork)
+    pooled = monte_carlo_delta(params, "kalman", 2 * CHUNK_SIZE, 23, n_workers=5000)
+    assert sizes == [2]
+    serial = monte_carlo_delta(params, "kalman", 2 * CHUNK_SIZE, 23)
+    assert np.array_equal(pooled.mean_delta, serial.mean_delta)
+    assert np.array_equal(pooled.group_means, serial.group_means)
+
+
 def test_monte_carlo_convergence_with_more_runs(params):
     a = monte_carlo_delta(params, "direct", 1000, 13)
     b = monte_carlo_delta(params, "direct", 2000, 13)
@@ -151,24 +181,6 @@ def test_ap1_only_high_mean(params):
     assert mask.sum() == 41
     assert np.all(np.abs(stats.mean_delta[0, mask]) >= 0.99)
     assert not np.any(np.abs(stats.mean_delta[1]) > 0)
-
-
-def test_per_ue_symmetry(params):
-    stats = monte_carlo_delta(params, "kalman", 1500, 15, per_ue=True)
-    assert stats.mean_delta.shape == (10, 2, 100)
-    mask = np.abs(stats.mean_delta).max(axis=(0, 1)) > 0
-    per_k = stats.mean_delta[:, :, mask]
-    dev = np.abs(per_k - per_k.mean(axis=0, keepdims=True)).max()
-    assert dev < 2.0 / np.sqrt(stats.n_realizations)
-
-
-@pytest.mark.parametrize("scheme, frame_len", [("kalman", 1), ("direct", 3), ("ap1_only", 2)])
-def test_shared_matches_per_ue_representative(scheme, frame_len, params):
-    p = dataclasses.replace(params, frame_len=frame_len, beta_ue=HETERO_BETA)
-    shared = monte_carlo_delta(p, scheme, 600, 16)
-    per_ue = monte_carlo_delta(p, scheme, 600, 16, per_ue=True)
-    assert np.allclose(shared.mean_delta, per_ue.mean_delta[4], atol=1e-12)
-    assert np.allclose(shared.group_means, per_ue.group_means[:, 4], atol=1e-12)
 
 
 def test_mean_modulus_decays_with_hold_age(params):
@@ -216,19 +228,14 @@ def test_engine_matches_reference_chain(scheme, params):
     assert se_e == pytest.approx(se_r, abs=0.03)
 
 
-def _ap1_payload(p):
-    """AP 1's payload positions and the demod pilot of each one's slot."""
-    plan = build_plan(p, "ap1_only")
-    pos = np.flatnonzero(plan.data_mask()[0]) + 1
-    return pos, plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
-
-
 def test_ap1_only_shared_mean_is_the_anchor_weight(params):
     # without UE-pilot noise, psi cancels AP 1's phase at the demod pilot, the
     # anchor of every payload sample of its slot: each run contributes exactly
     # exp(-(p - d) sigma^2 / 2), so no run-to-run spread is left
     p = dataclasses.replace(params, frame_len=3, c_nu=5e-15)
-    pos, demod = _ap1_payload(p)
+    plan = build_plan(p, "ap1_only")
+    pos = np.flatnonzero(plan.data_mask()[0]) + 1
+    demod = plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
     expect = np.exp(-(pos - demod) * derive_sigma_nu(p) / 2)
     assert expect.min() < 0.5
     stats = monte_carlo_delta(p, "ap1_only", 300, 21)
@@ -236,38 +243,30 @@ def test_ap1_only_shared_mean_is_the_anchor_weight(params):
     assert run_cell(p, "ap1_only", 300, 21)[1] == 0.0
 
 
-def test_ap1_only_per_ue_mean_matches_closed_form(params):
-    # UE k's residual adds AP 1's drift from k_rep's pilot to its own,
-    # N(0, |k - k_rep| sigma^2), to the anchor increment integrated out
-    p = dataclasses.replace(params, frame_len=2, c_nu=5e-15)
-    pos, demod = _ap1_payload(p)
-    lag = np.abs(np.arange(1, p.n_ues + 1) - representative_ue(p.n_ues))
-    expect = np.exp(-(pos - demod + lag[:, None]) * derive_sigma_nu(p) / 2)
-    stats = monte_carlo_delta(p, "ap1_only", 2000, 22, per_ue=True)
-    got, groups = stats.mean_delta[:, 0, pos - 1], stats.group_means[:, :, 0, pos - 1]
-    stderr = np.sqrt((np.abs(groups - got) ** 2).sum(axis=0) / (len(groups) - 1) / len(groups))
-    assert np.all(np.abs(got - expect) <= 4 * stderr + 1e-12 * expect)
-
-
 @settings(max_examples=60, deadline=None)
 @given(geometries(), st.sampled_from(["kalman", "ap1_only"]))
 def test_anchor_follows_every_instant_the_compensation_reads(p, scheme):
     # the conditional mean rests on this: the increment from a position's
-    # anchor to the position is independent of everything its Delta reads
+    # anchor to the position is independent of everything its Delta reads,
+    # which the engine takes from the position's row of the segment table
     geom = _cell_geometry(p, scheme)
     grid = geom.measured
-    at = grid.offsets[geom.anchor]
+    ap, anchor, krep_col, tracker, psi_slot = geom.segments[geom.segment].T
+    assert np.array_equal(ap, geom.ap)
+    at = grid.offsets[anchor]
     assert np.all(at < geom.pos) and not np.isin(geom.pos, grid.offsets).any()
-    assert np.all(grid.offsets[geom.ue_col] <= at)          # every UE's pilot in the slot
-    this = geom.psi_slot > 0                                 # psi set in this frame
+    pilot = grid.offsets[krep_col]            # the representative UE's, in the position's slot
+    assert np.array_equal(pilot, (geom.pos - 1) // p.tau_c * p.tau_c + representative_ue(p.n_ues))
+    assert np.all(pilot <= at)
+    this = psi_slot > 0                                       # psi set in this frame
     for cols in (grid.pilot_cols, grid.krep_cols):
-        assert np.all(grid.offsets[cols[geom.psi_slot[this] - 1]] <= at[this])
-    fresh = geom.tracker == 2                                # this frame's tracker output
+        assert np.all(grid.offsets[cols[psi_slot[this] - 1]] <= at[this])
+    fresh = tracker == 2                                      # this frame's tracker output
     assert np.all(grid.offsets[list(grid.sync_cols)].max(initial=0) <= at[fresh])
-    # a segment's positions share what the accumulation reads at its first one
-    for seg in geom.segments:
-        for table in (geom.ap, geom.anchor, geom.tracker, geom.psi_slot, geom.ue_col):
-            assert np.all(table[..., seg] == table[..., seg.start, None])
+    assert np.array_equal(tracker == 0, ap == 0)
+    # each row of the table is one maximal run of consecutive positions
+    assert np.array_equal(np.unique(geom.segment), np.arange(len(geom.segments)))
+    assert np.all(np.diff(geom.segment) >= 0) and np.diff(geom.segments, axis=0).any(axis=1).all()
 
 
 @pytest.mark.parametrize("scheme", ["ap1_only", "kalman"])
@@ -286,9 +285,8 @@ def test_ue_pilot_noise_flag_degrades_mean(scheme, params):
 def test_cell_with_few_payload_positions(scheme, n_positions, tiny_params):
     # tau_c = 4 leaves the synced schedules no payload sample and ap1_only one
     assert build_plan(tiny_params, scheme).data_mask().sum() == n_positions
-    for per_ue in (False, True):
-        stats = monte_carlo_delta(tiny_params, scheme, 50, 3, per_ue=per_ue)
-        assert np.count_nonzero(stats.mean_delta) == n_positions
+    stats = monte_carlo_delta(tiny_params, scheme, 50, 3)
+    assert np.count_nonzero(stats.mean_delta) == n_positions
     se, _ = run_cell(tiny_params, scheme, 50, 3)
     assert (se > 0) == (n_positions > 0)
 

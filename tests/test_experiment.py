@@ -186,11 +186,19 @@ def test_cli_usage_error():
     assert cli_main(["--fig2", "--fig3"]) == 1
 
 
-def test_cli_bad_config(tmp_path):
+def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for line in ("tau_p = 7", "beta_ue = nan", "eta = nan", "ue_pilot_noise_var = inf"):
+    for line in ("tau_p = 7", "beta_ue = nan", "eta = nan", "ue_pilot_noise_var = inf",
+                 "n_ues = 0", "n_ues = -2"):
         cfg.write_text(line + "\n")
         assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
+    cfg.write_bytes(b"n_ues = 4\xff\n")
+    assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 7 and all(e.startswith("otasync: invalid config: ") for e in errors)
+    assert errors[4:6] == [f"otasync: invalid config: n_ues must be a positive integer, got {k}"
+                           for k in (0, -2)]
+    assert "'utf-8' codec can't decode byte 0xff" in errors[6]
     assert cli_main(["--config", str(tmp_path / "missing.cfg")]) == 2
 
 
