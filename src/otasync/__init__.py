@@ -3,8 +3,8 @@ distributed antenna arrays with independent oscillators, and the resulting
 achievable downlink spectral efficiency."""
 
 from .compensation import DeltaStats, monte_carlo_delta, run_phase_trace
-from .config import ConfigError, SlotLayout, SystemParams, default_params, \
-    derive_sigma_nu, derive_slot_layout, dump_config, load_config
+from .config import ConfigError, SystemParams, default_params, derive_sigma_nu, \
+    dump_config, load_config
 from .experiment import ResultRow, SweepSpec, emit_csv, fig2_sweep, fig3_sweep, run_sweep
 from .rate import RateBreakdown, rate_at_position, spectral_efficiency
 from .timeline import Activity, SamplePlan, build_broken_slot, build_conventional_slot, \

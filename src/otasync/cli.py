@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .compensation import SCHEMES, build_plan, dump_trace_csv, run_phase_trace
 from .config import ConfigError, default_params, load_config_file
@@ -64,8 +65,11 @@ def _resolve_sweep(args) -> SweepSpec:
     elif args.fig3:
         spec = fig3_sweep()
     elif args.sweep:
-        with open(args.sweep, "r", encoding="utf-8") as fh:
-            spec = parse_sweep(fh.read())
+        try:
+            with open(args.sweep, "r", encoding="utf-8") as fh:
+                spec = parse_sweep(fh.read())
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"invalid sweep file {args.sweep}: {exc}") from exc
     else:
         spec = DEFAULT_SWEEP
     updates = {}
@@ -77,10 +81,7 @@ def _resolve_sweep(args) -> SweepSpec:
         updates["n_realizations"] = args.realizations
     if args.scheme:
         updates["schemes"] = tuple(s.strip() for s in args.scheme.split(","))
-    if updates:
-        from dataclasses import replace
-        spec = replace(spec, **updates)
-    return spec
+    return replace(spec, **updates)
 
 
 def cli_main(argv=None) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import batched_op_norms
-from .config import ConfigError, SystemParams, derive_sigma_nu, derive_slot_layout
+from .config import ConfigError, SystemParams, derive_sigma_nu
 from .phase_noise import run_seed, wiener_values_at
 from .timeline import SamplePlan, build_ap1_only_schedule, build_frame_schedule
 from .tracking import derive_noise_model, kalman_gain, kalman_init, kalman_update, \
@@ -94,10 +94,9 @@ class _CellGeometry:
 def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    layout = derive_slot_layout(params)
     if scheme == "ap1_only":
-        return build_ap1_only_schedule(params, layout)
-    return build_frame_schedule(params, layout)
+        return build_ap1_only_schedule(params)
+    return build_frame_schedule(params)
 
 
 def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
@@ -273,15 +272,15 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
         raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {traceable}")
     if n_frames < 1:
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
-    layout = derive_slot_layout(params)
+    (i1, _, _), (i2, _, _) = build_plan(params, scheme).sync_events
     rng = np.random.default_rng(run_seed(master_seed, 0))
     op_norm = float(batched_op_norms(rng, params, 1)[0])
     model = derive_noise_model(params, op_norm)
     sig2 = derive_sigma_nu(params)
     k_rep = representative_ue(params.n_ues)
     L = params.frame_len * params.tau_c
-    offsets = np.array(sorted({k_rep, layout.i1, layout.i2}))
-    c1, c2, c_rep = np.searchsorted(offsets, [layout.i1, layout.i2, k_rep])
+    offsets = np.array(sorted({k_rep, i1, i2}))
+    c1, c2, c_rep = np.searchsorted(offsets, [i1, i2, k_rep])
 
     nu = rng.uniform(-np.pi, np.pi, (2, 1))
     last_global = 1

@@ -1,4 +1,4 @@
-"""System parameters, slot geometry and the oscillator-quality constant.
+"""System parameters, config I/O and the oscillator-quality constant.
 
 All powers are linear (dB only at the config-file boundary). Sample indices
 are 1-based within a slot and keep incrementing across slots.
@@ -160,44 +160,6 @@ def derive_sigma_nu(params: SystemParams) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"sigma_nu^2 is not finite for f_c={params.f_c}, c_nu={params.c_nu}")
     return out
-
-
-@dataclass(frozen=True)
-class SlotLayout:
-    """1-based, inclusive sample ranges of one conventional slot.
-
-    i1/i2 are the two synchronization-signal instants; the demodulation pilot
-    occupies the first downlink sample.
-    """
-
-    tau_c: int
-    ul_pilot: tuple     # (start, stop)
-    ul_data: tuple
-    guard1: tuple
-    downlink: tuple
-    guard2: tuple
-    i1: int
-    i2: int
-    demod_pilot_index: int
-
-
-def derive_slot_layout(params: SystemParams) -> SlotLayout:
-    """Ranges of the slot; they partition 1..tau_c because SystemParams
-    enforces tau_p + tau_u + tau_d + 2*tau_g = tau_c."""
-    p, u, g, d, c = params.tau_p, params.tau_u, params.tau_g, params.tau_d, params.tau_c
-    i1 = p + u
-    i2 = p + u + g + d
-    return SlotLayout(
-        tau_c=c,
-        ul_pilot=(1, p),
-        ul_data=(p + 1, i1),
-        guard1=(i1 + 1, i1 + g),
-        downlink=(i1 + g + 1, i2),
-        guard2=(i2 + 1, c),
-        i1=i1,
-        i2=i2,
-        demod_pilot_index=i1 + g + 1,
-    )
 
 
 def read_key_values(text: str, keys, parse) -> dict:

@@ -1,4 +1,4 @@
-"""Per-sample activity plans for both arrays over a frame.
+"""Slot geometry and the per-sample activity plans of both arrays over a frame.
 
 A frame groups F slots. In the synchronized flows the first slot is "broken":
 array 2 moves the last tau_g + TAU_S samples of its uplink to the end of the
@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .config import ConfigError, SlotLayout, SystemParams
+from .config import ConfigError, SystemParams
 
 # Samples used per sync transmission inside the overlap. The relocation of
 # tau_g + 1 uplink samples fixes this at one.
@@ -34,28 +34,32 @@ class Activity(IntEnum):
 
 # labels during which an AP radiates downlink energy
 _TRANSMITTING = (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX)
-_UPLINK_SIDE = (Activity.UL_PILOT, Activity.UL_DATA, Activity.SYNC_RX)
 
 
-def _fill(labels: np.ndarray, span: tuple, activity: Activity):
-    start, stop = span
-    if stop >= start:
-        labels[start - 1:stop] = activity
+def sync_instants(params: SystemParams):
+    """Slot-local 1-based samples (i1, i2) of the two sync signals: AP 1's last
+    uplink sample i1 = tau_p + tau_u and its last downlink sample
+    i2 = i1 + tau_g + tau_d."""
+    i1 = params.tau_p + params.tau_u
+    return i1, i1 + params.tau_g + params.tau_d
 
 
-def build_conventional_slot(layout: SlotLayout) -> np.ndarray:
-    """Labels of one conventional slot (identical for both APs), shape (tau_c,)."""
-    labels = np.empty(layout.tau_c, dtype=np.int8)
-    _fill(labels, layout.ul_pilot, Activity.UL_PILOT)
-    _fill(labels, layout.ul_data, Activity.UL_DATA)
-    _fill(labels, layout.guard1, Activity.GUARD)
-    _fill(labels, layout.downlink, Activity.DL_DATA)
-    _fill(labels, layout.guard2, Activity.GUARD)
-    labels[layout.demod_pilot_index - 1] = Activity.DL_DEMOD_PILOT
+def _runs(activities, lengths) -> np.ndarray:
+    return np.repeat(np.array(activities, dtype=np.int8), lengths)
+
+
+def build_conventional_slot(params: SystemParams) -> np.ndarray:
+    """Labels of one conventional slot (identical for both APs), shape (tau_c,):
+    uplink pilots and data, guard, downlink, guard; the demodulation pilot is
+    the first downlink sample."""
+    p, u, g, d = params.tau_p, params.tau_u, params.tau_g, params.tau_d
+    labels = _runs((Activity.UL_PILOT, Activity.UL_DATA, Activity.GUARD,
+                    Activity.DL_DATA, Activity.GUARD), (p, u, g, d, g))
+    labels[p + u + g] = Activity.DL_DEMOD_PILOT
     return labels
 
 
-def build_broken_slot(layout: SlotLayout):
+def build_broken_slot(params: SystemParams):
     """Labels of the broken slot, shape (2, tau_c), plus the two sync events
     [(sample, tx_ap, rx_ap), ...] with slot-local 1-based sample indices.
 
@@ -65,33 +69,24 @@ def build_broken_slot(layout: SlotLayout):
     its downlink earlier; its demodulation pilot moves to the first sample
     where both APs are in downlink, and no data is sent at i1 or i2.
     """
-    tau_g = layout.guard1[1] - layout.guard1[0] + 1
-    shift = tau_g + TAU_S
-    i1, i2, c = layout.i1, layout.i2, layout.tau_c
-    tau_p = layout.ul_pilot[1]
-    tau_d = layout.downlink[1] - layout.downlink[0] + 1
-
-    if i1 - shift < tau_p:
+    p, u, g, d = params.tau_p, params.tau_u, params.tau_g, params.tau_d
+    shift = g + TAU_S
+    if u < shift:
         raise ConfigError(
-            f"cannot relocate {shift} uplink samples: only {i1 - tau_p} uplink data samples"
-        )
-    if layout.demod_pilot_index > i1 + tau_d - 1:
+            f"cannot relocate {shift} uplink samples: only {u} uplink data samples")
+    if d < g + 2:
         raise ConfigError("shifted downlink ends before the joint demodulation pilot sample")
+    i1, i2 = sync_instants(params)
 
-    ap1 = build_conventional_slot(layout)
+    ap1 = build_conventional_slot(params)
     ap1[i1 - 1] = Activity.SYNC_RX
     ap1[i2 - 1] = Activity.SYNC_TX
 
-    ap2 = np.empty(c, dtype=np.int8)
-    _fill(ap2, (1, tau_p), Activity.UL_PILOT)
-    _fill(ap2, (tau_p + 1, i1 - shift), Activity.UL_DATA)
-    _fill(ap2, (i1 - shift + 1, i1 - 1), Activity.GUARD)
-    _fill(ap2, (i1, i1 + tau_d - 1), Activity.DL_DATA)
-    _fill(ap2, (i1 + tau_d, i2 - 1), Activity.GUARD)
-    _fill(ap2, (i2, c), Activity.UL_DATA)
+    ap2 = _runs((Activity.UL_PILOT, Activity.UL_DATA, Activity.GUARD, Activity.DL_DATA,
+                 Activity.GUARD, Activity.UL_DATA), (p, u - shift, g, d, g, shift))
     ap2[i1 - 1] = Activity.SYNC_TX
     ap2[i2 - 1] = Activity.SYNC_RX
-    ap2[layout.demod_pilot_index - 1] = Activity.DL_DEMOD_PILOT
+    ap2[i1 + g] = Activity.DL_DEMOD_PILOT
 
     events = ((i1, 2, 1), (i2, 1, 2))
     return np.stack([ap1, ap2]), events
@@ -132,8 +127,8 @@ class SamplePlan:
         return "\n".join(lines) + "\n"
 
 
-def _assemble(params: SystemParams, layout: SlotLayout, slot_labels, sync_events) -> SamplePlan:
-    F, c, K = params.frame_len, layout.tau_c, params.n_ues
+def _assemble(params: SystemParams, slot_labels, sync_events) -> SamplePlan:
+    F, c, K = params.frame_len, params.tau_c, params.n_ues
     labels = np.concatenate(slot_labels, axis=1)
     a = np.isin(labels, _TRANSMITTING)
     pilots = np.arange(F)[:, None] * c + np.arange(1, K + 1)[None, :]
@@ -144,18 +139,18 @@ def _assemble(params: SystemParams, layout: SlotLayout, slot_labels, sync_events
                       demod_pilot_samples=demod)
 
 
-def build_frame_schedule(params: SystemParams, layout: SlotLayout) -> SamplePlan:
+def build_frame_schedule(params: SystemParams) -> SamplePlan:
     """Synchronized flow: slot 1 broken, slots 2..F conventional."""
-    broken, events = build_broken_slot(layout)
-    conv = build_conventional_slot(layout)
+    broken, events = build_broken_slot(params)
+    conv = build_conventional_slot(params)
     slot_labels = [broken] + [np.stack([conv, conv])] * (params.frame_len - 1)
-    return _assemble(params, layout, slot_labels, events)
+    return _assemble(params, slot_labels, events)
 
 
-def build_ap1_only_schedule(params: SystemParams, layout: SlotLayout) -> SamplePlan:
+def build_ap1_only_schedule(params: SystemParams) -> SamplePlan:
     """Baseline with AP 2 switched off: conventional slots for AP 1, AP 2 idle,
     no synchronization exchange."""
-    conv = build_conventional_slot(layout)
-    idle = np.full(layout.tau_c, Activity.IDLE, dtype=np.int8)
+    conv = build_conventional_slot(params)
+    idle = np.full(params.tau_c, Activity.IDLE, dtype=np.int8)
     slot_labels = [np.stack([conv, idle])] * params.frame_len
-    return _assemble(params, layout, slot_labels, ())
+    return _assemble(params, slot_labels, ())

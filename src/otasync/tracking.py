@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemParams, derive_sigma_nu, derive_slot_layout
+from .config import SystemParams, derive_sigma_nu
+from .timeline import sync_instants
 
 
 def wrap(angle):
@@ -30,10 +31,10 @@ def noise_coefficients(params: SystemParams):
     """Integer multiples of sigma_nu^2 for the process/observation drifts:
     (8 F tau_c - 4 (i2 - floor(K/2)), 2 (i1 - floor(K/2))).
     """
-    layout = derive_slot_layout(params)
+    i1, i2 = sync_instants(params)
     k_rep = representative_ue(params.n_ues)
-    c_zeta = 8 * params.frame_len * params.tau_c - 4 * (layout.i2 - k_rep)
-    c_xi = 2 * (layout.i1 - k_rep)
+    c_zeta = 8 * params.frame_len * params.tau_c - 4 * (i2 - k_rep)
+    c_xi = 2 * (i1 - k_rep)
     return c_zeta, c_xi
 
 

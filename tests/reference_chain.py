@@ -10,8 +10,9 @@ independent oracle for the vectorized Monte Carlo engine.
 import numpy as np
 
 from otasync.compensation import WARMUP_FRAMES, build_plan
-from otasync.config import derive_sigma_nu, derive_slot_layout
+from otasync.config import derive_sigma_nu
 from otasync.phase_noise import run_seed
+from otasync.timeline import sync_instants
 from otasync.tracking import derive_noise_model, kalman_init, kalman_update, \
     representative_ue
 from tests.oracles import CompensationState, combine_bidirectional, generate_trajectory, \
@@ -21,7 +22,7 @@ from tests.oracles import CompensationState, combine_bidirectional, generate_tra
 def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
     """E[Delta] per (AP, frame position) via the literal chain; same estimand
     as monte_carlo_delta but through an entirely different code path."""
-    layout = derive_slot_layout(params)
+    i1, i2 = sync_instants(params)
     plan = build_plan(params, scheme)
     synced = scheme != "ap1_only"
     sig2 = derive_sigma_nu(params)
@@ -47,8 +48,8 @@ def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
             fstart = f * L
             measured = f == warmup
             if synced:
-                a21 = measure_direction(2, fstart + layout.i1, chan, nu, params.rho_ap, rng)
-                a12 = measure_direction(1, fstart + layout.i2, chan, nu, params.rho_ap, rng)
+                a21 = measure_direction(2, fstart + i1, chan, nu, params.rho_ap, rng)
+                a12 = measure_direction(1, fstart + i2, chan, nu, params.rho_ap, rng)
                 obs = combine_bidirectional(a21, a12)
                 state = kalman_init(obs, model) if state is None else \
                     kalman_update(state, obs, model)
@@ -63,7 +64,7 @@ def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
                 if pilot > 0:
                     events.append((fstart + int(pilot), "pilot"))
             if synced:
-                events.append((fstart + layout.i2, "theta"))
+                events.append((fstart + i2, "theta"))
             if measured:
                 for ap in range(2):
                     for pos in np.nonzero(data[ap])[0] + 1:

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from otasync.config import default_params, derive_slot_layout
+from otasync.config import default_params
 from otasync.experiment import emit_csv, fig2_sweep, fig3_sweep, run_cell, run_sweep, \
     SweepSpec
-from otasync.timeline import Activity, build_frame_schedule
+from otasync.timeline import Activity, build_frame_schedule, sync_instants
 from otasync.tracking import NoiseModel, kalman_gain, kalman_update, KalmanState, \
     noise_coefficients, wrap
 from tests.conftest import small_instance
@@ -156,8 +156,8 @@ def test_criterion_05_noise_model_integer_coefficients():
 
 def test_criterion_06_schedule_audit():
     p = default_params()
-    lay = derive_slot_layout(p)
-    plan = build_frame_schedule(p, lay)
+    i1, i2 = sync_instants(p)
+    plan = build_frame_schedule(p)
     ul = (Activity.UL_PILOT, Activity.UL_DATA, Activity.SYNC_RX)
     dl = (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX)
     ap1_ul, ap1_dl = np.isin(plan.labels[0], ul), np.isin(plan.labels[0], dl)
@@ -171,9 +171,9 @@ def test_criterion_06_schedule_audit():
             if (a in [int(x) for x in ul] and b in [int(x) for x in dl]) or \
                     (a in [int(x) for x in dl] and b in [int(x) for x in ul]):
                 guard_ok = False
-    ok = overlap_ok and guard_ok and lay.i1 == 52 and lay.i2 == 97
+    ok = overlap_ok and guard_ok and i1 == 52 and i2 == 97
     _report("C6", "schedule audit", ok,
-            f"i1={lay.i1}, i2={lay.i2}, single overlap each way: {overlap_ok}")
+            f"i1={i1}, i2={i2}, single overlap each way: {overlap_ok}")
 
 
 # -- criterion 7 -------------------------------------------------------------

@@ -327,6 +327,15 @@ def test_trace_output_fields(params):
         run_phase_trace(params, 0, 2)
 
 
+def test_trace_rejects_what_the_broken_slot_rejects():
+    # the sync instants come from the plan, so a slot too short to relocate
+    # tau_g + 1 uplink samples is rejected as it is by the sweep
+    p = default_params(n_ues=1, tau_p=1, tau_u=2, tau_g=2, tau_d=5, tau_c=12,
+                       beta_ue=0.01, eta=1.0)
+    with pytest.raises(ConfigError, match="cannot relocate 3 uplink samples"):
+        run_phase_trace(p, 3, 2)
+
+
 if __name__ == "__main__":
     # Regenerate the stored stream values (only for a change that is meant to
     # alter the random stream): python -m tests.test_compensation

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otasync.config import ConfigError, default_params, derive_sigma_nu, \
-    derive_slot_layout, dump_config, load_config
+from otasync.config import ConfigError, default_params, derive_sigma_nu, dump_config, \
+    load_config
 from tests.conftest import geometries
 
 
@@ -40,38 +40,6 @@ def test_sigma_nu_scaling_laws():
 def test_sigma_nu_nonfinite_rejected():
     with pytest.raises(ConfigError):
         derive_sigma_nu(default_params(c_nu=math.inf))
-
-
-def test_layout_reference_geometry():
-    lay = derive_slot_layout(default_params())
-    assert lay.ul_pilot == (1, 10)
-    assert lay.ul_data == (11, 52)
-    assert lay.guard1 == (53, 55)
-    assert lay.downlink == (56, 97)
-    assert lay.guard2 == (98, 100)
-    assert (lay.i1, lay.i2, lay.demod_pilot_index) == (52, 97, 56)
-
-
-def test_layout_minimal_slot():
-    p = default_params(n_ues=1, tau_p=1, tau_u=1, tau_g=0, tau_d=2, tau_c=4,
-                       beta_ue=0.01, eta=1.0)
-    lay = derive_slot_layout(p)
-    assert (lay.i1, lay.i2) == (2, 4)
-    assert lay.guard1 == (3, 2)  # empty range
-    assert lay.downlink == (3, 4)
-
-
-@settings(max_examples=100, deadline=None)
-@given(geometries())
-def test_layout_ranges_partition(geometry):
-    # SystemParams' fill invariant is the only check: the ranges follow from it
-    lay = derive_slot_layout(geometry)
-    seen = []
-    for start, stop in (lay.ul_pilot, lay.ul_data, lay.guard1, lay.downlink, lay.guard2):
-        seen.extend(range(start, stop + 1))
-    assert seen == list(range(1, geometry.tau_c + 1))
-    assert (lay.i1, lay.i2) == (lay.ul_data[1], lay.downlink[1])
-    assert lay.demod_pilot_index == lay.downlink[0]
 
 
 def test_slot_fill_invariant_enforced():

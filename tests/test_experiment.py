@@ -146,6 +146,17 @@ def test_stderr_groups_are_consecutive_runs(n, params):
         assert math.isfinite(stderr) and 0 <= stderr < 0.1
 
 
+@pytest.mark.parametrize("scheme, snr_db, frame_len", [("kalman", -15.0, 2),
+                                                       ("direct", -20.0, 1)])
+def test_stderr_is_calibrated(scheme, snr_db, frame_len):
+    # the batch-means stderr against the spread of se_mean over 40 seeds; the
+    # sd of 40 draws is itself uncertain by about 11%, hence the wide band
+    p = default_params(frame_len=frame_len).with_snr_ap_db(snr_db)
+    cells = np.array([run_cell(p, scheme, 1100, seed) for seed in range(9000, 9040)])
+    ratio = cells[:, 1].mean() / cells[:, 0].std(ddof=1)
+    assert 2 / 3 <= ratio <= 3 / 2, ratio
+
+
 def test_cli_default_run(tmp_path):
     out = tmp_path / "res.csv"
     code = cli_main(["--out", str(out), "--realizations", "100", "--seed", "3",
@@ -233,12 +244,20 @@ def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_bad_sweep(tmp_path):
+def test_cli_bad_sweep(tmp_path, capsys):
     sw = tmp_path / "bad.sweep"
     for text in ("schemes = zf\nf_values = 1\n",
                  "f_values = 1\nn_realizations = 10\nn_realizations = 20\n"):
         sw.write_text(text)
         assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
+    sw.write_bytes(b"f_values = 1\xff\n")
+    assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
+    # one line naming the file for each, as a config file gets
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 3 and all(e.startswith(f"otasync: invalid sweep file {sw}: ")
+                                    for e in errors)
+    assert errors[1].endswith("line 3: duplicate key 'n_realizations'")
+    assert "'utf-8' codec can't decode byte 0xff" in errors[2]
 
 
 def test_cli_dump_plan(tmp_path):

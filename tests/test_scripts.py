@@ -1,22 +1,30 @@
-"""scripts/bench_chunk.py calls engine internals; run it small so that a
-change to their contract cannot break it silently."""
+"""scripts/bench_chunk.py and scripts/bench_opnorm.py call engine internals
+and test oracles; run them small so that a change to their contract cannot
+break them silently."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from otasync.compensation import SCHEMES, _cell_geometry
+from otasync.config import default_params
 
-BENCH_CHUNK = Path(__file__).resolve().parent.parent / "scripts" / "bench_chunk.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench_chunk(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_chunk", BENCH_CHUNK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load("bench_chunk")
     monkeypatch.setattr(module, "REPEATS", 2)
     monkeypatch.setattr(module, "FRAME_LENGTHS", (1,))
     return module
@@ -36,3 +44,19 @@ def test_bench_chunk_report(bench_chunk, tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert [r["scheme"] for r in rows] == list(SCHEMES)
     assert all(0 < r["mean_abs_delta"] <= 1 and r["segments"] > 0 for r in rows)
+
+
+def test_bench_opnorm_report(monkeypatch, tmp_path):
+    module = _load("bench_opnorm")
+    monkeypatch.setattr(module, "SIZES", (8,))
+    monkeypatch.setattr(module, "N_RUNS", 16)
+    monkeypatch.setattr(module, "REPEATS", 1)
+    out = tmp_path / "bench.json"
+    module.main(["--out", str(out)])
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["N"] == 8 and row["runs"] == 16 and row["speedup"] > 0
+    # both paths draw ||G|| of an 8x8 G: a little below sqrt(beta_g) 2 sqrt(8)
+    scale = math.sqrt(default_params().beta_g) * 2 * math.sqrt(8)
+    for path in ("bidiagonal", "dense"):
+        assert len(row[path]["s_all"]) == 1 and row[path]["peak_mib"] > 0
+        assert 0.6 < row[path]["mean_op_norm"] / scale < 1.1

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from otasync.config import ConfigError, default_params, derive_slot_layout
+from otasync.config import ConfigError, default_params
 from otasync.timeline import Activity, build_ap1_only_schedule, build_broken_slot, \
-    build_conventional_slot, build_frame_schedule
+    build_conventional_slot, build_frame_schedule, sync_instants
 from tests.conftest import geometries
 from tests.oracles import estimation_time
 
@@ -17,8 +17,7 @@ def spans(labels, activities):
 
 
 def test_conventional_slot_reference(params):
-    lay = derive_slot_layout(params)
-    lab = build_conventional_slot(lay)
+    lab = build_conventional_slot(params)
     assert np.all(lab[:10] == Activity.UL_PILOT)
     assert np.all(lab[10:52] == Activity.UL_DATA)
     assert np.all(lab[52:55] == Activity.GUARD)
@@ -27,9 +26,56 @@ def test_conventional_slot_reference(params):
     assert np.all(lab[97:100] == Activity.GUARD)
 
 
+def test_sync_instants_reference_geometry(params):
+    assert sync_instants(params) == (52, 97)
+
+
+def test_sync_instants_minimal_slot(tiny_params):
+    # i1 = 2, i2 = 4; no guard samples, so the sync signals sit next to the
+    # demod pilot and AP 2 relocates only its last uplink sample
+    assert sync_instants(tiny_params) == (2, 4)
+    A = Activity
+    assert list(build_conventional_slot(tiny_params)) == \
+        [A.UL_PILOT, A.UL_DATA, A.DL_DEMOD_PILOT, A.DL_DATA]
+    lab, events = build_broken_slot(tiny_params)
+    assert lab.tolist() == [[A.UL_PILOT, A.SYNC_RX, A.DL_DEMOD_PILOT, A.SYNC_TX],
+                            [A.UL_PILOT, A.SYNC_TX, A.DL_DEMOD_PILOT, A.SYNC_RX]]
+    assert events == ((2, 2, 1), (4, 1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometries())
+def test_conventional_slot_over_valid_geometries(geometry):
+    # the four lengths partition the slot in order; i1 closes the uplink, i2
+    # the downlink, and the demod pilot opens the downlink
+    p, u, g, d = geometry.tau_p, geometry.tau_u, geometry.tau_g, geometry.tau_d
+    A = Activity
+    expect = [A.UL_PILOT] * p + [A.UL_DATA] * u + [A.GUARD] * g + [A.DL_DEMOD_PILOT] \
+        + [A.DL_DATA] * (d - 1) + [A.GUARD] * g
+    assert list(build_conventional_slot(geometry)) == expect
+    downlink = spans(expect, DOWNLINK_SIDE)
+    assert sync_instants(geometry) == (spans(expect, UPLINK_SIDE)[-1], downlink[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometries())
+def test_sync_geometry_over_valid_geometries(geometry):
+    # C6 at every geometry: the sync events sit at i1 = tau_p + tau_u and
+    # i2 = i1 + tau_g + tau_d, and the broken slot overlaps one AP's downlink
+    # with the other's uplink at exactly one sample each way, at those events
+    i1 = geometry.tau_p + geometry.tau_u
+    i2 = i1 + geometry.tau_g + geometry.tau_d
+    plan = build_frame_schedule(geometry)
+    assert plan.sync_events == ((i1, 2, 1), (i2, 1, 2))
+    broken = plan.labels[:, :geometry.tau_c]
+    ap1_ul, ap1_dl = np.isin(broken[0], UPLINK_SIDE), np.isin(broken[0], DOWNLINK_SIDE)
+    ap2_ul, ap2_dl = np.isin(broken[1], UPLINK_SIDE), np.isin(broken[1], DOWNLINK_SIDE)
+    assert np.array_equal(np.flatnonzero(ap2_dl & ap1_ul) + 1, [i1])
+    assert np.array_equal(np.flatnonzero(ap1_dl & ap2_ul) + 1, [i2])
+
+
 def test_conventional_zero_guard(tiny_params):
-    lay = derive_slot_layout(tiny_params)
-    lab = build_conventional_slot(lay)
+    lab = build_conventional_slot(tiny_params)
     ul = spans(lab, UPLINK_SIDE)
     dl = spans(lab, DOWNLINK_SIDE)
     assert not set(ul) & set(dl)
@@ -37,12 +83,11 @@ def test_conventional_zero_guard(tiny_params):
 
 
 def test_broken_slot_reference(params):
-    lay = derive_slot_layout(params)
-    lab, events = build_broken_slot(lay)
+    lab, events = build_broken_slot(params)
     ap1, ap2 = lab
     # AP1: conventional except sync samples
     assert ap1[51] == Activity.SYNC_RX and ap1[96] == Activity.SYNC_TX
-    conv = build_conventional_slot(lay)
+    conv = build_conventional_slot(params)
     keep = np.ones(100, bool)
     keep[[51, 96]] = False
     assert np.array_equal(ap1[keep], conv[keep])
@@ -61,8 +106,7 @@ def test_broken_slot_reference(params):
 
 
 def test_broken_slot_single_overlap_each_direction(params):
-    lay = derive_slot_layout(params)
-    lab, _ = build_broken_slot(lay)
+    lab, _ = build_broken_slot(params)
     ap1_ul = np.isin(lab[0], UPLINK_SIDE)
     ap1_dl = np.isin(lab[0], DOWNLINK_SIDE)
     ap2_ul = np.isin(lab[1], UPLINK_SIDE)
@@ -75,7 +119,7 @@ def test_broken_slot_too_small():
     p = default_params(n_ues=1, tau_p=1, tau_u=2, tau_g=2, tau_d=5, tau_c=12,
                        beta_ue=0.01, eta=1.0)
     with pytest.raises(ConfigError, match="relocate"):
-        build_broken_slot(derive_slot_layout(p))
+        build_broken_slot(p)
 
 
 def test_estimation_time_examples():
@@ -101,8 +145,7 @@ def test_estimation_time_is_latest_kth_sample_before_i():
 def test_frame_schedule_structure(params):
     import dataclasses
     p = dataclasses.replace(params, frame_len=3)
-    lay = derive_slot_layout(p)
-    plan = build_frame_schedule(p, lay)
+    plan = build_frame_schedule(p)
     assert plan.n_samples == 300
     assert plan.labels.shape == (2, 300)
     # slot 1 broken, slots 2..F conventional (identical labels across APs)
@@ -116,15 +159,13 @@ def test_frame_schedule_structure(params):
 
 
 def test_frame_schedule_f1_is_broken_every_slot(params):
-    lay = derive_slot_layout(params)
-    plan = build_frame_schedule(params, lay)
+    plan = build_frame_schedule(params)
     assert plan.frame_len == 1
     assert (52, 2, 1) in plan.sync_events
 
 
 def test_indicator_matches_transmitting_labels(params):
-    lay = derive_slot_layout(params)
-    plan = build_frame_schedule(params, lay)
+    plan = build_frame_schedule(params)
     expect = np.isin(plan.labels, DOWNLINK_SIDE)
     assert np.array_equal(plan.a, expect)
 
@@ -132,12 +173,12 @@ def test_indicator_matches_transmitting_labels(params):
 def test_conventional_indicators_symmetric(params):
     import dataclasses
     p = dataclasses.replace(params, frame_len=2)
-    plan = build_frame_schedule(p, derive_slot_layout(p))
+    plan = build_frame_schedule(p)
     assert np.array_equal(plan.a[0, 100:], plan.a[1, 100:])
 
 
 def test_every_sample_exactly_one_label(params):
-    plan = build_frame_schedule(params, derive_slot_layout(params))
+    plan = build_frame_schedule(params)
     assert plan.labels.min() >= 0
     valid = set(int(a) for a in Activity)
     assert set(np.unique(plan.labels)).issubset(valid)
@@ -146,7 +187,7 @@ def test_every_sample_exactly_one_label(params):
 def test_downlink_sample_budget(params):
     # each AP's downlink window in the broken slot keeps its 42 samples:
     # 40 payload + 1 demod pilot + 1 sync transmission
-    plan = build_frame_schedule(params, derive_slot_layout(params))
+    plan = build_frame_schedule(params)
     for ap in range(2):
         lab = plan.labels[ap]
         data = np.count_nonzero(lab == Activity.DL_DATA)
@@ -159,7 +200,7 @@ def test_guard_separation(params):
     import dataclasses
     for F in (1, 3):
         p = dataclasses.replace(params, frame_len=F)
-        plan = build_frame_schedule(p, derive_slot_layout(p))
+        plan = build_frame_schedule(p)
         for ap in range(2):
             lab = plan.labels[ap]
             for n in range(plan.n_samples - 1):
@@ -182,7 +223,7 @@ def test_guard_separation(params):
 
 
 def test_ap1_only_schedule(params):
-    plan = build_ap1_only_schedule(params, derive_slot_layout(params))
+    plan = build_ap1_only_schedule(params)
     assert np.all(plan.labels[1] == Activity.IDLE)
     assert not plan.a[1].any()
     assert plan.sync_events == ()
@@ -195,16 +236,16 @@ def test_ap1_only_schedule(params):
 def test_demod_pilot_samples_over_valid_geometries(geometry):
     # both APs send their demod pilot at the same slot offset in every slot of
     # the synced schedule; with AP 2 switched off it sends none
-    lay = derive_slot_layout(geometry)
-    expect = np.arange(geometry.frame_len) * geometry.tau_c + lay.demod_pilot_index
-    synced = build_frame_schedule(geometry, lay).demod_pilot_samples
-    ap1_only = build_ap1_only_schedule(geometry, lay).demod_pilot_samples
+    g = geometry
+    expect = np.arange(g.frame_len) * g.tau_c + g.tau_p + g.tau_u + g.tau_g + 1
+    synced = build_frame_schedule(g).demod_pilot_samples
+    ap1_only = build_ap1_only_schedule(g).demod_pilot_samples
     assert np.array_equal(synced, [expect, expect])
     assert np.array_equal(ap1_only, [expect, np.full_like(expect, -1)])
 
 
 def test_plan_dump_csv(params):
-    plan = build_frame_schedule(params, derive_slot_layout(params))
+    plan = build_frame_schedule(params)
     text = plan.dump_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "n,ap1_label,ap2_label,a1,a2"
