@@ -2,8 +2,9 @@
 """Time one 1024-run Monte Carlo chunk (otasync.compensation._simulate_chunk,
 N_GROUPS batch-mean groups, one sum per segment) per scheme at F in {1, 10}, with
 BLAS on one thread. Each timing is the median of REPEATS calls on fresh
-seeds; a separate call records the tracemalloc peak. The cell geometry is
-built outside the timed call, as monte_carlo_delta builds it once per cell.
+seeds; a separate call records the tracemalloc peak. The cell geometry and
+the chunk's op norms are made outside the timed call, as monte_carlo_delta
+makes them in the calling process and passes them with the chunk task.
 
     python scripts/bench_chunk.py --out BENCH.json
 
@@ -30,7 +31,7 @@ sys.path[:0] = [str(ROOT / "src")]
 import numpy as np  # noqa: E402
 
 from otasync.compensation import CHUNK_SIZE, N_GROUPS, SCHEMES  # noqa: E402
-from otasync.compensation import _cell_geometry, _simulate_chunk  # noqa: E402
+from otasync.compensation import _cell_geometry, _simulate_chunk, chunk_op_norms  # noqa: E402
 from otasync.config import default_params  # noqa: E402
 
 FRAME_LENGTHS = (1, 10)
@@ -41,14 +42,22 @@ SEED = 1
 def _measure(geom):
     group_starts = np.flatnonzero(np.diff(np.arange(CHUNK_SIZE) * N_GROUPS // CHUNK_SIZE,
                                           prepend=-1))
+    synced = bool(geom.measured.sync_cols)
+
+    def task(r):
+        op_norm = chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE) if synced else None
+        return geom, r, CHUNK_SIZE, SEED, group_starts, op_norm
+
     times = []
     for r in range(REPEATS):
+        args = task(r)
         t0 = perf_counter()
-        sums = _simulate_chunk(geom, r, CHUNK_SIZE, SEED, group_starts)
+        sums = _simulate_chunk(*args)
         times.append(perf_counter() - t0)
+    args = task(0)
     tracemalloc.start()
     try:
-        _simulate_chunk(geom, 0, CHUNK_SIZE, SEED, group_starts)
+        _simulate_chunk(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

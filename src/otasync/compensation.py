@@ -7,7 +7,9 @@ The engine simulates the oscillator paths only at the sample instants the
 compensation reads (exact sparse Wiener increments), draws the inter-array
 channel's operator norm from its bidiagonal model (otasync.channel) and each
 sync measurement as its exact one-dimensional matched-filter projection; all
-three are distributional identities with the dense/vector formulation. At a
+three are distributional identities with the dense/vector formulation. A
+chunk's op norms depend only on the channel law, the seed and the chunk, so
+cells that share a seed share them, and each is drawn once per process. At a
 payload position it takes the conditional mean of Delta given those instants,
 integrating out the independent Wiener increment from the position's anchor
 (the last instant before it), which keeps E[Delta]. The test suite
@@ -17,6 +19,7 @@ cross-checks the engine against a slow full-chain reference.
 from __future__ import annotations
 
 import concurrent.futures
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,11 @@ SCHEMES = ("kalman", "direct", "ap1_only")
 WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation
 CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: output is worker-count invariant)
 N_GROUPS = 10            # batch-mean groups for standard errors
+OP_NORM_MEMO_SIZE = 256  # memoized chunks of at most CHUNK_SIZE floats: 2 MiB at most
+
+# chunk_op_norms' key -> its read-only draw; a hit equals a fresh draw, so no
+# result depends on what earlier calls in the process left here
+_op_norm_memo: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,31 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
 # ---------------------------------------------------------------------------
 # vectorized chunk simulation
 
+def chunk_op_norms(params: SystemParams, seed: int, chunk_index: int,
+                   n_runs: int) -> np.ndarray:
+    """The op norms of one chunk's runs, shape (n_runs,), read-only.
+
+    They come from the chunk's own child stream, SeedSequence(seed,
+    spawn_key=(chunk_index, 0)) (the first child of run_seed(seed,
+    chunk_index), which feeds the rest of the chunk), so they are a pure
+    function of (N, beta_g, seed, chunk_index, n_runs). Each distinct draw
+    is made once per process and kept in a least-recently-used memo of
+    OP_NORM_MEMO_SIZE entries.
+    """
+    key = (params.n_antennas, params.beta_g, seed, chunk_index, n_runs)
+    norms = _op_norm_memo.get(key)
+    if norms is not None:
+        _op_norm_memo.move_to_end(key)
+        return norms
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index, 0)))
+    norms = batched_op_norms(rng, params, n_runs)
+    norms.flags.writeable = False
+    _op_norm_memo[key] = norms
+    if len(_op_norm_memo) > OP_NORM_MEMO_SIZE:
+        _op_norm_memo.popitem(last=False)
+    return norms
+
+
 def _advance(rng, nu, last_global, frame_start, offsets, sigma_nu_sq):
     """Advance both oscillators from `last_global` to every offset of the
     frame grid. nu: (2, R) phases at last_global; returns (2, R, m) values."""
@@ -167,13 +200,14 @@ def _track(state, obs, model, scheme):
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
-                    master_seed: int, group_starts):
+                    master_seed: int, group_starts, op_norm):
     """One vectorized chunk of independent runs: WARMUP_FRAMES frames on the
     sparse warm-up grid (synced schemes only: nothing reads them otherwise),
-    then the measured frame on the pilot and sync grid. Returns (G, S): per
-    group (the runs from each of group_starts) and segment, the sum of each
-    run's Delta at the segment's anchor; a position's Delta given the grid is
-    that value times its weight."""
+    then the measured frame on the pilot and sync grid. op_norm holds the
+    runs' chunk_op_norms (None for ap1_only). Returns (G, S): per group (the
+    runs from each of group_starts) and segment, the sum of each run's Delta
+    at the segment's anchor; a position's Delta given the grid is that value
+    times its weight."""
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
     synced = bool(geom.measured.sync_cols)
@@ -181,7 +215,6 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     noise_sd = np.sqrt(p.ue_pilot_noise_var)
 
     if synced:
-        op_norm = batched_op_norms(rng, p, n_runs)
         model = derive_noise_model(p, op_norm)
 
     nu = rng.uniform(-np.pi, np.pi, (2, n_runs))
@@ -221,24 +254,26 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
 
     Each run draws its own inter-array op norm and oscillator paths, runs
     WARMUP_FRAMES frames to bring the tracker to steady state (synced
-    schemes), then
-    accumulates Delta over one measured frame. Runs are split into fixed-size
-    chunks with seeds spawned from (master_seed, chunk index), and chunk
-    results are reduced in index order, so the output is bit-identical for
-    any worker count. The batch-mean groups are consecutive runs, independent
-    of the chunking.
+    schemes), then accumulates Delta over one measured frame. Runs are split
+    into fixed-size chunks with seeds spawned from (master_seed, chunk
+    index), and chunk results are reduced in index order, so the output is
+    bit-identical for any worker count. Each chunk's op norms come from
+    chunk_op_norms in this process and travel with the chunk task. The
+    batch-mean groups are consecutive runs, independent of the chunking.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     geom = _cell_geometry(params, scheme)
+    synced = bool(geom.measured.sync_cols)
     n_groups = min(N_GROUPS, n_realizations)
     group = np.arange(n_realizations) * n_groups // n_realizations
 
     tasks = []
     for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
         chunk_group = group[start:start + CHUNK_SIZE]
+        op_norm = chunk_op_norms(params, master_seed, j, chunk_group.size) if synced else None
         tasks.append((geom, j, chunk_group.size, master_seed,
-                      np.flatnonzero(np.diff(chunk_group, prepend=-1))))
+                      np.flatnonzero(np.diff(chunk_group, prepend=-1)), op_norm))
 
     if n_workers > 1 and len(tasks) > 1:
         n_procs = min(n_workers, len(tasks))   # the pool forks them all on the first submit
@@ -272,9 +307,11 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
         raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {traceable}")
     if n_frames < 1:
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
     (i1, _, _), (i2, _, _) = build_plan(params, scheme).sync_events
+    op_norm = float(chunk_op_norms(params, master_seed, 0, 1)[0])
     rng = np.random.default_rng(run_seed(master_seed, 0))
-    op_norm = float(batched_op_norms(rng, params, 1)[0])
     model = derive_noise_model(params, op_norm)
     sig2 = derive_sigma_nu(params)
     k_rep = representative_ue(params.n_ues)

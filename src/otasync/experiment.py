@@ -28,6 +28,14 @@ class SweepSpec:
     def __post_init__(self):
         if not self.f_values:
             raise ConfigError("f_values must be nonempty")
+        for key in ("f_values", "schemes", "snr_ap_db", "c_nu_values"):
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} repeats {', '.join(map(str, repeated))}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be a non-negative integer, "
+                              f"got {self.master_seed}")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be >= 1")
         if self.n_workers < 1:
@@ -88,10 +96,13 @@ class ResultRow:
     wall_time_s: float
 
 
-def cell_seed(master_seed: int, i_cnu: int, i_snr: int, frame_len: int) -> int:
-    """Per-cell RNG seed; deliberately excludes the scheme so that scheme
-    comparisons within a cell share their random draws."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(i_cnu, i_snr, frame_len))
+def cell_seed(master_seed: int, i_cnu: int, i_snr: int) -> int:
+    """Per-cell RNG seed; deliberately excludes the scheme and the frame
+    length, so that the cells of one (c_nu, SNR) share their random draws.
+    Each chunk's op norms come from a child stream of the seed that no other
+    draw reads (compensation.chunk_op_norms), so they are the same draws in
+    every such cell and are made once."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(i_cnu, i_snr))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -127,13 +138,13 @@ def run_sweep(spec: SweepSpec, params: SystemParams):
     rows = []
     for i_cnu, c_nu in enumerate(spec.c_nu_values):
         for i_snr, snr_db in enumerate(spec.snr_ap_db):
+            seed = cell_seed(spec.master_seed, i_cnu, i_snr)
             for scheme in spec.schemes:
                 if scheme == "ap1_only" and i_snr > 0:
                     continue
                 for F in spec.f_values:
                     cell = replace(params, frame_len=int(F), c_nu=float(c_nu))
                     cell = cell.with_snr_ap_db(float(snr_db))
-                    seed = cell_seed(spec.master_seed, i_cnu, i_snr, int(F))
                     t0 = time.perf_counter()
                     se, stderr = run_cell(cell, scheme, spec.n_realizations, seed,
                                           n_workers=spec.n_workers)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otasync.compensation import CHUNK_SIZE, _cell_geometry, build_plan, monte_carlo_delta, \
-    run_phase_trace
+from otasync import compensation
+from otasync.channel import batched_op_norms
+from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, _cell_geometry, build_plan, \
+    chunk_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import ConfigError, default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
@@ -165,6 +167,50 @@ def test_pool_is_capped_at_the_chunk_count(params, monkeypatch):
     serial = monte_carlo_delta(params, "kalman", 2 * CHUNK_SIZE, 23)
     assert np.array_equal(pooled.mean_delta, serial.mean_delta)
     assert np.array_equal(pooled.group_means, serial.group_means)
+
+
+def test_op_norm_memo_hit_is_a_fresh_draw(params):
+    p = dataclasses.replace(params, n_antennas=8)
+    first = chunk_op_norms(p, 31, 2, 40)
+    hit = chunk_op_norms(p, 31, 2, 40)
+    rng = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(2, 0)))
+    assert np.array_equal(hit, batched_op_norms(rng, p, 40))
+    assert hit is first and not hit.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hit[0] = 1.0
+    # the key is the channel law, the seed, the chunk and the run count
+    for other in (chunk_op_norms(dataclasses.replace(p, beta_g=2 * p.beta_g), 31, 2, 40),
+                  chunk_op_norms(p, 32, 2, 40), chunk_op_norms(p, 31, 3, 40),
+                  chunk_op_norms(p, 31, 2, 41)[:40]):
+        assert not np.array_equal(other, hit)
+
+
+def test_op_norm_memo_never_holds_more_than_its_cap(params):
+    p = dataclasses.replace(params, n_antennas=2)
+    for seed in range(OP_NORM_MEMO_SIZE + 20):
+        chunk_op_norms(p, seed, 0, 1)
+        assert len(compensation._op_norm_memo) <= OP_NORM_MEMO_SIZE
+    # least recently used goes first: a hit keeps an entry
+    chunk_op_norms(p, 20, 0, 1)
+    chunk_op_norms(p, 10_000, 0, 1)
+    keys = {key[2] for key in compensation._op_norm_memo if key[:2] == (2, p.beta_g)}
+    assert 20 in keys and 21 not in keys and 10_000 in keys
+
+
+def test_chunks_get_the_memoized_op_norms(params, monkeypatch):
+    # pool workers get each chunk's op norms with the task, drawn in the caller
+    seen = []
+    simulate = compensation._simulate_chunk
+
+    def spy(geom, chunk_index, n_runs, master_seed, group_starts, op_norm):
+        seen.append(op_norm)
+        return simulate(geom, chunk_index, n_runs, master_seed, group_starts, op_norm)
+
+    monkeypatch.setattr(compensation, "_simulate_chunk", spy)
+    monte_carlo_delta(params, "kalman", CHUNK_SIZE + 10, 33)
+    assert [op.size for op in seen] == [CHUNK_SIZE, 10]
+    for j, op_norm in enumerate(seen):
+        assert op_norm is chunk_op_norms(params, 33, j, op_norm.size)
 
 
 def test_monte_carlo_convergence_with_more_runs(params):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from otasync import compensation, experiment
 from otasync.cli import cli_main
 from otasync.compensation import N_GROUPS, monte_carlo_delta
 from otasync.config import ConfigError, default_params, dump_config
@@ -63,10 +64,57 @@ def test_parse_sweep_errors():
         parse_sweep("f_values = 1\nmaster_seed = 1.5\n")
 
 
-def test_cell_seed_scheme_independent():
-    assert cell_seed(1, 0, 0, 5) == cell_seed(1, 0, 0, 5)
-    assert cell_seed(1, 0, 0, 5) != cell_seed(1, 0, 1, 5)
-    assert cell_seed(1, 0, 0, 5) != cell_seed(2, 0, 0, 5)
+@pytest.mark.parametrize("key", ["f_values", "schemes", "snr_ap_db", "c_nu_values"])
+def test_sweep_spec_rejects_a_repeated_value(key):
+    text = {"f_values": "f_values = 1, 3, 1\n",
+            "schemes": "f_values = 1\nschemes = ap1_only, kalman, ap1_only\n",
+            "snr_ap_db": "f_values = 1\nsnr_ap_db = -15, -20, -15.0\n",
+            "c_nu_values": "f_values = 1\nc_nu_values = 5e-18, 5.0e-18\n"}[key]
+    with pytest.raises(ConfigError, match=f"^{key} repeats "):
+        parse_sweep(text)
+
+
+def test_cell_seed_ignores_frame_length_and_scheme(params, monkeypatch):
+    seeds = {}
+
+    def record(cell, scheme, n_realizations, seed, n_workers=1):
+        seeds[(cell.c_nu, cell.beta_g, scheme, cell.frame_len)] = seed
+        return 1.0, 0.0
+
+    monkeypatch.setattr(experiment, "run_cell", record)
+    spec = SweepSpec(f_values=(1, 10), schemes=("kalman", "direct"), snr_ap_db=(-15.0, -20.0),
+                     c_nu_values=(5e-18, 1.58e-17), n_realizations=10, master_seed=3)
+    run_sweep(spec, params)
+    assert len(seeds) == 16
+    by_scenario = {}
+    for (c_nu, beta_g, _, _), seed in seeds.items():
+        by_scenario.setdefault((c_nu, beta_g), set()).add(seed)
+    # one seed per (c_nu, SNR), a different one for each of them
+    assert all(len(s) == 1 for s in by_scenario.values())
+    assert len(set.union(*by_scenario.values())) == 4
+    assert cell_seed(3, 0, 0) in seeds.values() and cell_seed(4, 0, 0) not in seeds.values()
+
+
+def test_op_norms_are_shared_across_frame_length_and_scheme(params, monkeypatch):
+    # common random numbers: every synced cell of one (c_nu, SNR) runs on the
+    # same op norms, drawn once; the memo is emptied so each cell draws afresh
+    seen = []
+    simulate = compensation._simulate_chunk
+
+    def spy(geom, chunk_index, n_runs, master_seed, group_starts, op_norm):
+        seen.append((geom.scheme, geom.params.frame_len, op_norm))
+        compensation._op_norm_memo.clear()
+        return simulate(geom, chunk_index, n_runs, master_seed, group_starts, op_norm)
+
+    monkeypatch.setattr(compensation, "_simulate_chunk", spy)
+    spec = SweepSpec(f_values=(1, 10), schemes=("kalman", "direct", "ap1_only"),
+                     snr_ap_db=(-15.0,), n_realizations=60, master_seed=11)
+    run_sweep(spec, params)
+    synced = [(scheme, F) for scheme, F, op in seen if op is not None]
+    assert synced == [("kalman", 1), ("kalman", 10), ("direct", 1), ("direct", 10)]
+    first = seen[0][2]
+    assert all(op.tobytes() == first.tobytes() for _, _, op in seen[:4])
+    assert [op for _, _, op in seen[4:]] == [None, None]
 
 
 def test_run_sweep_row_grid(params):
@@ -242,6 +290,18 @@ def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
     assert cli_main(["--realizations", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"otasync: {type(exc).__name__}: {exc}\n"
     assert not out.exists()
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    sw = tmp_path / "neg.sweep"
+    sw.write_text("f_values = 1\nmaster_seed = -3\n")
+    for argv in (["--seed", "-1", "--realizations", "10"], ["--sweep", str(sw)],
+                 ["--dump-trace", "--seed", "-1"]):
+        assert cli_main(argv + ["--out", os.devnull]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "otasync: master_seed must be a non-negative integer, got -1",
+        f"otasync: invalid sweep file {sw}: master_seed must be a non-negative integer, got -3",
+        "otasync: master_seed must be a non-negative integer, got -1"]
 
 
 def test_cli_bad_sweep(tmp_path, capsys):
