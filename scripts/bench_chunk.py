@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time one 1024-run Monte Carlo chunk (otasync.compensation._simulate_chunk,
-N_GROUPS batch-mean groups, one sum per segment) per scheme at F in {1, 10}, with
-BLAS on one thread. Each timing is the median of REPEATS calls on fresh
-seeds; a separate call records the tracemalloc peak. The cell geometry and
-the chunk's op norms are made outside the timed call, as monte_carlo_delta
-makes them in the calling process and passes them with the chunk task.
+N_GROUPS batch-mean groups, one sum per AP-2 segment) per synced scheme at F in
+{1, 10}, with BLAS on one thread; ap1_only has no chunk, as its table is exact.
+Each timing is the median of REPEATS calls on fresh seeds; a separate call
+records the tracemalloc peak. The cell geometry and the chunk's op norms are
+made outside the timed call, as monte_carlo_delta makes them in the calling
+process and passes them with the chunk task.
 
     python scripts/bench_chunk.py --out BENCH.json
 
@@ -30,10 +31,11 @@ sys.path[:0] = [str(ROOT / "src")]
 
 import numpy as np  # noqa: E402
 
-from otasync.compensation import CHUNK_SIZE, N_GROUPS, SCHEMES  # noqa: E402
+from otasync.compensation import CHUNK_SIZE, N_GROUPS  # noqa: E402
 from otasync.compensation import _cell_geometry, _simulate_chunk, chunk_op_norms  # noqa: E402
 from otasync.config import default_params  # noqa: E402
 
+SCHEMES = ("kalman", "direct")
 FRAME_LENGTHS = (1, 10)
 REPEATS = 5
 SEED = 1
@@ -42,10 +44,9 @@ SEED = 1
 def _measure(geom):
     group_starts = np.flatnonzero(np.diff(np.arange(CHUNK_SIZE) * N_GROUPS // CHUNK_SIZE,
                                           prepend=-1))
-    synced = bool(geom.measured.sync_cols)
 
     def task(r):
-        op_norm = chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE) if synced else None
+        op_norm = chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE)
         return geom, r, CHUNK_SIZE, SEED, group_starts, op_norm
 
     times = []
@@ -61,7 +62,7 @@ def _measure(geom):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # (G, S) segment sums -> E[Delta] per payload position
+    # (G, S) segment sums -> AP 2's E[Delta] per payload position
     mean_delta = sums.sum(axis=0)[geom.segment] * geom.weight / CHUNK_SIZE
     return dict(s=statistics.median(times), s_all=times, peak_mib=peak / 2**20,
                 mean_abs_delta=float(np.abs(mean_delta).mean()))

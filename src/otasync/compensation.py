@@ -12,8 +12,8 @@ chunk's op norms depend only on the channel law, the seed and the chunk, so
 cells that share a seed share them, and each is drawn once per process. At a
 payload position it takes the conditional mean of Delta given those instants,
 integrating out the independent Wiener increment from the position's anchor
-(the last instant before it), which keeps E[Delta]. The test suite
-cross-checks the engine against a slow full-chain reference.
+(the last instant before it), which keeps E[Delta]. AP 1's half is exact, so
+only AP 2's is drawn. Tests check it against a slow full-chain reference.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class DeltaStats:
     payload data; group_means: (G, 2, F*tau_c) batch means for standard-error
     estimates, G = min(N_GROUPS, n_realizations), over groups of consecutive
     runs (run r in group r * G // n_realizations) of group_counts runs each.
-    A one-run group's |mean| is the position's weight whatever the run.
+    AP 1's row is exact; a one-run group's |mean| is the position's weight.
     """
 
     mean_delta: np.ndarray
@@ -79,23 +79,23 @@ class _Grid:
 
 @dataclass(frozen=True)
 class _CellGeometry:
-    """Warm-up and measured frame grids, one entry per payload position
-    (AP, 1-based frame offset) in frame order, and the segments: runs of
-    positions that share everything their Delta reads on the grid."""
+    """Warm-up and measured frame grids, AP 1's exact table, one entry per AP-2
+    payload position (1-based frame offset) in frame order, and the segments:
+    runs of positions that share everything their Delta reads on the grid."""
 
     params: SystemParams
     scheme: str
     sigma_nu_sq: float
     warmup: _Grid
     measured: _Grid
-    ap: np.ndarray           # (P,) 0-based AP
+    exact: np.ndarray        # (2, F*tau_c) E[Delta]: AP 1's row, zero in AP 2's
     pos: np.ndarray          # (P,) frame offset
     segment: np.ndarray      # (P,) row of the position's segment
     weight: np.ndarray       # (P,) exp(-(pos - anchor offset) sigma_nu^2 / 2)
-    # (S, 5) per segment: AP, anchor (measured-grid column of the last instant
+    # (S, 4) per segment: anchor (measured-grid column of the last instant
     # before it), column of the representative UE's pilot in its slot, tracker
-    # output (0: none, AP 1; 1: previous frame's; 2: this frame's) and the
-    # slot whose pilot set psi (0 = carried over)
+    # output (0: previous frame's; 1: this frame's) and the slot whose pilot
+    # set psi (0 = carried over)
     segments: np.ndarray
 
 
@@ -111,7 +111,8 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
     plan = build_plan(params, scheme)
     k_rep = representative_ue(params.n_ues)
     sync = np.array([sample for sample, _, _ in plan.sync_events], dtype=int)
-    # AP 1 sends a demod pilot in every slot of both schedules; it sets psi
+    # AP 1 sends a demod pilot in every slot of both schedules (AP 2's, if any,
+    # at the same instant); it sets psi
     demod, krep = plan.demod_pilot_samples[0], plan.pilot_samples[:, k_rep - 1]
 
     ap, idx = np.nonzero(plan.data_mask())
@@ -124,22 +125,25 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
                      np.searchsorted(offsets, pilots), np.searchsorted(offsets, reps))
 
     warmup = grid(np.array([params.frame_len]))
-    measured = grid(np.arange(1, params.frame_len + 1), plan.pilot_samples.ravel(),
-                    plan.demod_pilot_samples[plan.demod_pilot_samples > 0])
+    measured = grid(np.arange(1, params.frame_len + 1), plan.pilot_samples.ravel())
     anchor = np.searchsorted(measured.offsets, pos) - 1   # payload is never on the grid
     sigma_nu_sq = derive_sigma_nu(params)
+    weight = np.exp(-(pos - measured.offsets[anchor]) * sigma_nu_sq / 2)
+    # AP 1 applies no tracker output, and its anchor is its slot's demod pilot,
+    # where psi was set: its Delta given the grid is the UE-pilot noise
+    exact = np.zeros((2, plan.n_samples), dtype=complex)
+    exact[0, pos[ap == 0] - 1] = weight[ap == 0] * np.exp(-params.ue_pilot_noise_var / 2)
+    pos, slot, anchor, weight = (x[ap == 1] for x in (pos, slot, anchor, weight))
 
     keys = np.stack((
-        ap, anchor, np.searchsorted(measured.offsets, krep[slot]),
+        anchor, np.searchsorted(measured.offsets, krep[slot]),
         # AP 2 applies this frame's tracker output after the last sync instant
-        np.where(ap == 0, 0, 1 + (pos > sync.max(initial=0))),
-        slot + (pos > plan.demod_pilot_samples[ap, slot])))
+        pos > sync.max(initial=0), slot + (pos > plan.demod_pilot_samples[1, slot])))
     starts = np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0)
     return _CellGeometry(
-        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq,
-        warmup=warmup, measured=measured, ap=ap, pos=pos, segment=np.cumsum(starts) - 1,
-        weight=np.exp(-(pos - measured.offsets[anchor]) * sigma_nu_sq / 2),
-        segments=keys[:, starts].T)
+        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, warmup=warmup,
+        measured=measured, exact=exact, pos=pos, segment=np.cumsum(starts) - 1,
+        weight=weight, segments=keys[:, starts].T)
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +205,28 @@ def _track(state, obs, model, scheme):
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                     master_seed: int, group_starts, op_norm):
-    """One vectorized chunk of independent runs: WARMUP_FRAMES frames on the
-    sparse warm-up grid (synced schemes only: nothing reads them otherwise),
-    then the measured frame on the pilot and sync grid. op_norm holds the
-    runs' chunk_op_norms (None for ap1_only). Returns (G, S): per group (the
-    runs from each of group_starts) and segment, the sum of each run's Delta
-    at the segment's anchor; a position's Delta given the grid is that value
-    times its weight."""
+    """One vectorized chunk of runs of a synced scheme: WARMUP_FRAMES frames
+    on the sparse warm-up grid, then the measured frame on the pilot and sync
+    grid, with the runs' chunk_op_norms. Returns (G, S): per group (the runs
+    from each of group_starts) and AP-2 segment, the sum of each run's Delta
+    at the segment's anchor; times a position's weight, that is its Delta."""
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
-    synced = bool(geom.measured.sync_cols)
     F, L = p.frame_len, p.frame_len * p.tau_c
     noise_sd = np.sqrt(p.ue_pilot_noise_var)
-
-    if synced:
-        model = derive_noise_model(p, op_norm)
+    model = derive_noise_model(p, op_norm)
 
     nu = rng.uniform(-np.pi, np.pi, (2, n_runs))
-    last_global = 1
-    state = None
-    theta = [np.zeros(n_runs)] * 3      # [none, previous frame's, this frame's]
+    last_global, state = 1, None
+    theta = [np.zeros(n_runs)] * 2      # [previous frame's, this frame's]
     psi = [np.zeros(n_runs)] * (F + 1)  # by slot; psi[0] is carried over
-    for f in range(0 if synced else WARMUP_FRAMES, WARMUP_FRAMES + 1):
+    for f in range(WARMUP_FRAMES + 1):
         grid = geom.measured if f == WARMUP_FRAMES else geom.warmup
         vals, nu, last_global = _advance(rng, nu, last_global, f * L,
                                          grid.offsets, geom.sigma_nu_sq)
-        if synced:
-            state = _track(state, _measure_pair(rng, vals, grid.sync_cols, op_norm, p.rho_ap),
-                           model, geom.scheme)
-            theta = [theta[0], theta[2], state.alpha_hat]
+        state = _track(state, _measure_pair(rng, vals, grid.sync_cols, op_norm, p.rho_ap),
+                       model, geom.scheme)
+        theta = [theta[1], state.alpha_hat]
         psi[0] = psi[F]
         n_set = grid.psi_slots.size
         noise = rng.standard_normal((n_set, n_runs)) * noise_sd if noise_sd else np.zeros(n_set)
@@ -238,8 +235,8 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
             psi[s] = vals[0, :, pilot_col] + vals[0, :, krep_col] + eps
 
     sums = np.empty((len(group_starts), len(geom.segments)), dtype=complex)
-    for j, (ap, anchor, krep_col, tracker, psi_slot) in enumerate(geom.segments):
-        ph = theta[tracker] + psi[psi_slot] - (vals[ap, :, anchor] + vals[ap, :, krep_col])
+    for j, (anchor, krep_col, tracker, psi_slot) in enumerate(geom.segments):
+        ph = theta[tracker] + psi[psi_slot] - (vals[1, :, anchor] + vals[1, :, krep_col])
         sums[:, j] = np.add.reduceat(np.exp(1j * ph), group_starts)
     return sums
 
@@ -252,28 +249,25 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
                       master_seed: int, n_workers: int = 1):
     """Estimate E[Delta] at every frame position over independent runs.
 
-    Each run draws its own inter-array op norm and oscillator paths, runs
-    WARMUP_FRAMES frames to bring the tracker to steady state (synced
-    schemes), then accumulates Delta over one measured frame. Runs are split
-    into fixed-size chunks with seeds spawned from (master_seed, chunk
-    index), and chunk results are reduced in index order, so the output is
-    bit-identical for any worker count. Each chunk's op norms come from
-    chunk_op_norms in this process and travel with the chunk task. The
-    batch-mean groups are consecutive runs, independent of the chunking.
+    AP 1's row is exact in the mean and in every group. If AP 2 sends
+    payload, each run draws its op norm and oscillator paths, runs
+    WARMUP_FRAMES frames to bring the tracker to steady state, then sums
+    AP 2's Delta over one measured frame; ap1_only draws nothing. Runs are
+    split into fixed-size chunks seeded from (master_seed, chunk index) and
+    reduced in index order, so the output is bit-identical for any worker
+    count. Each chunk's op norms come from chunk_op_norms in this process
+    and travel with the task. The batch-mean groups are consecutive runs.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     geom = _cell_geometry(params, scheme)
-    synced = bool(geom.measured.sync_cols)
     n_groups = min(N_GROUPS, n_realizations)
     group = np.arange(n_realizations) * n_groups // n_realizations
 
-    tasks = []
-    for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
-        chunk_group = group[start:start + CHUNK_SIZE]
-        op_norm = chunk_op_norms(params, master_seed, j, chunk_group.size) if synced else None
-        tasks.append((geom, j, chunk_group.size, master_seed,
-                      np.flatnonzero(np.diff(chunk_group, prepend=-1)), op_norm))
+    # the group of each run of each chunk; only AP 2's half is drawn
+    chunks = np.split(group, range(CHUNK_SIZE, n_realizations, CHUNK_SIZE)) if geom.pos.size else []
+    tasks = [(geom, j, g.size, master_seed, np.flatnonzero(np.diff(g, prepend=-1)),
+              chunk_op_norms(params, master_seed, j, g.size)) for j, g in enumerate(chunks)]
 
     if n_workers > 1 and len(tasks) > 1:
         n_procs = min(n_workers, len(tasks))   # the pool forks them all on the first submit
@@ -282,15 +276,15 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     else:
         partials = [_simulate_chunk(*task) for task in tasks]
 
-    group_sums = np.zeros((n_groups, 2, params.frame_len * params.tau_c), dtype=complex)
+    group_sums = np.zeros((n_groups,) + geom.exact.shape, dtype=complex)
     for j, part in enumerate(partials):
         first = group[j * CHUNK_SIZE]
-        group_sums[first:first + len(part), geom.ap, geom.pos - 1] += \
+        group_sums[first:first + len(part), 1, geom.pos - 1] += \
             part[:, geom.segment] * geom.weight
     group_counts = np.bincount(group, minlength=n_groups)
-    return DeltaStats(mean_delta=group_sums.sum(axis=0) / n_realizations,
+    return DeltaStats(mean_delta=geom.exact + group_sums.sum(axis=0) / n_realizations,
                       n_realizations=n_realizations,
-                      group_means=group_sums / group_counts[:, None, None],
+                      group_means=geom.exact + group_sums / group_counts[:, None, None],
                       group_counts=group_counts)
 
 

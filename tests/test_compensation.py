@@ -294,11 +294,11 @@ def test_ap1_only_shared_mean_is_the_anchor_weight(params):
 def test_anchor_follows_every_instant_the_compensation_reads(p, scheme):
     # the conditional mean rests on this: the increment from a position's
     # anchor to the position is independent of everything its Delta reads,
-    # which the engine takes from the position's row of the segment table
+    # which the engine takes from the position's row of AP 2's segment table
     geom = _cell_geometry(p, scheme)
     grid = geom.measured
-    ap, anchor, krep_col, tracker, psi_slot = geom.segments[geom.segment].T
-    assert np.array_equal(ap, geom.ap)
+    anchor, krep_col, tracker, psi_slot = geom.segments[geom.segment].T
+    assert np.array_equal(geom.pos, np.flatnonzero(build_plan(p, scheme).data_mask()[1]) + 1)
     at = grid.offsets[anchor]
     assert np.all(at < geom.pos) and not np.isin(geom.pos, grid.offsets).any()
     pilot = grid.offsets[krep_col]            # the representative UE's, in the position's slot
@@ -307,12 +307,57 @@ def test_anchor_follows_every_instant_the_compensation_reads(p, scheme):
     this = psi_slot > 0                                       # psi set in this frame
     for cols in (grid.pilot_cols, grid.krep_cols):
         assert np.all(grid.offsets[cols[psi_slot[this] - 1]] <= at[this])
-    fresh = tracker == 2                                      # this frame's tracker output
+    fresh = tracker == 1                                      # this frame's tracker output
     assert np.all(grid.offsets[list(grid.sync_cols)].max(initial=0) <= at[fresh])
-    assert np.array_equal(tracker == 0, ap == 0)
     # each row of the table is one maximal run of consecutive positions
     assert np.array_equal(np.unique(geom.segment), np.arange(len(geom.segments)))
     assert np.all(np.diff(geom.segment) >= 0) and np.diff(geom.segments, axis=0).any(axis=1).all()
+    # AP 1's exact row rests on its payload following its slot's demod pilot
+    # with no grid instant in between: its E[Delta] is the drift since that pilot
+    plan = build_plan(p, scheme)
+    pos = np.flatnonzero(plan.data_mask()[0]) + 1
+    demod = plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
+    assert np.array_equal(np.searchsorted(grid.offsets, pos) - 1,
+                          np.searchsorted(grid.offsets, demod))
+    expect = np.zeros(plan.n_samples)
+    expect[pos - 1] = np.exp(-(pos - demod) * derive_sigma_nu(p) / 2)
+    assert np.array_equal(geom.exact, expect.astype(complex) * [[1], [0]])
+
+
+@pytest.mark.parametrize("scheme, noise", [("ap1_only", 0.04), ("kalman", 0.0)])
+def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_params,
+                                                   monkeypatch):
+    # ap1_only, and a synced cell whose AP 2 sends no payload: no chunk, no
+    # op norm, no path, no pool
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cell drew")
+
+    for name in ("_simulate_chunk", "wiener_values_at", "chunk_op_norms"):
+        monkeypatch.setattr(compensation, name, forbidden)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", forbidden)
+    p = dataclasses.replace(params if scheme == "ap1_only" else tiny_params,
+                            ue_pilot_noise_var=noise)
+    stats = monte_carlo_delta(p, scheme, 3 * CHUNK_SIZE, 41, n_workers=2)
+    exact = _cell_geometry(p, scheme).exact
+    assert np.array_equal(stats.mean_delta, exact)
+    assert all(np.array_equal(group, exact) for group in stats.group_means)
+
+
+@pytest.mark.parametrize("scheme", ["kalman", "ap1_only"])
+def test_exact_ap1_row_matches_reference_chain_with_ue_pilot_noise(scheme, params):
+    # the literal chain's per-run Delta, one run per seed; AP 1's exact row
+    # must sit within 4 of the reference's own standard errors everywhere, in
+    # each component (the real part resolves the noise factor exp(-0.02))
+    p = dataclasses.replace(params, frame_len=2, n_antennas=8, ue_pilot_noise_var=0.04)
+    runs = np.array([reference_delta(p, scheme, 1, seed)[0] for seed in range(500, 900)])
+    eng = monte_carlo_delta(p, scheme, 100, 901).mean_delta[0]
+    mask = eng != 0
+    assert np.array_equal(mask, runs.mean(axis=0) != 0) and mask.sum() > 80
+    for part in (np.real, np.imag):
+        x = part(runs[:, mask])
+        se = x.std(axis=0, ddof=1) / np.sqrt(len(x))
+        assert np.all(np.abs(part(eng[mask]) - x.mean(axis=0)) <= 4 * se)
+    assert se.max() < 0.015
 
 
 @pytest.mark.parametrize("scheme", ["ap1_only", "kalman"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -32,6 +33,19 @@ def test_sweep_spec_validation():
         SweepSpec(f_values=(1,), n_workers=0)
 
 
+@pytest.mark.parametrize("values, message", [
+    (dict(f_values=(1, 2, 3, 0)), "f_values must be positive, got 0"),
+    (dict(f_values=(-1, 2)), "f_values must be positive, got -1"),
+    (dict(snr_ap_db=(-15.0, math.nan)), "snr_ap_db must be finite, got nan"),
+    (dict(snr_ap_db=(-math.inf,)), "snr_ap_db must be finite, got -inf"),
+    (dict(c_nu_values=(5e-18, -1.0)), "c_nu_values must be nonnegative and finite, got -1.0"),
+    (dict(c_nu_values=(math.nan,)), "c_nu_values must be nonnegative and finite, got nan"),
+])
+def test_sweep_spec_rejects_a_bad_value(values, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        SweepSpec(**{"f_values": (1,), **values})
+
+
 def test_fig_presets():
     f2 = fig2_sweep(n_realizations=100)
     assert f2.f_values == tuple(range(1, 11))
@@ -62,6 +76,11 @@ def test_parse_sweep_errors():
         parse_sweep("f_values = 1\nn_realizations = 10\nn_realizations = 20\n")
     with pytest.raises(ConfigError, match="line 2: malformed value for 'master_seed'"):
         parse_sweep("f_values = 1\nmaster_seed = 1.5\n")
+    for text, key in (("f_values = 1, 2, 3, 0\n", "f_values"),
+                      ("f_values = 1\nsnr_ap_db = -15, nan\n", "snr_ap_db"),
+                      ("f_values = 1\nc_nu_values = 5e-18, -1\n", "c_nu_values")):
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            parse_sweep(text)
 
 
 @pytest.mark.parametrize("key", ["f_values", "schemes", "snr_ap_db", "c_nu_values"])
@@ -110,11 +129,11 @@ def test_op_norms_are_shared_across_frame_length_and_scheme(params, monkeypatch)
     spec = SweepSpec(f_values=(1, 10), schemes=("kalman", "direct", "ap1_only"),
                      snr_ap_db=(-15.0,), n_realizations=60, master_seed=11)
     run_sweep(spec, params)
-    synced = [(scheme, F) for scheme, F, op in seen if op is not None]
-    assert synced == [("kalman", 1), ("kalman", 10), ("direct", 1), ("direct", 10)]
+    # ap1_only cells start no chunk: AP 1's half of the table is exact
+    assert [(scheme, F) for scheme, F, _ in seen] == \
+        [("kalman", 1), ("kalman", 10), ("direct", 1), ("direct", 10)]
     first = seen[0][2]
-    assert all(op.tobytes() == first.tobytes() for _, _, op in seen[:4])
-    assert [op for _, _, op in seen[4:]] == [None, None]
+    assert all(op.tobytes() == first.tobytes() for _, _, op in seen)
 
 
 def test_run_sweep_row_grid(params):
@@ -192,6 +211,19 @@ def test_stderr_groups_are_consecutive_runs(n, params):
         assert math.isnan(stderr)
     else:
         assert math.isfinite(stderr) and 0 <= stderr < 0.1
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.04])
+def test_ap1_only_stderr_is_exactly_zero(noise, params):
+    # AP 1's table is exact, so every batch-mean group agrees bit for bit;
+    # below 20 runs a group holds one run and the stderr stays NaN
+    p = dataclasses.replace(params, ue_pilot_noise_var=noise)
+    for n in (20, 1100):
+        rows = run_sweep(SweepSpec(f_values=tuple(range(1, 11)), schemes=("ap1_only",),
+                                   n_realizations=n, master_seed=5), p)
+        assert [r.se_stderr for r in rows] == [0.0] * 10
+    assert all(math.isnan(r.se_stderr) for r in run_sweep(
+        SweepSpec(f_values=(1, 10), schemes=("ap1_only",), n_realizations=19), p))
 
 
 @pytest.mark.parametrize("scheme, snr_db, frame_len", [("kalman", -15.0, 2),
@@ -318,6 +350,22 @@ def test_cli_bad_sweep(tmp_path, capsys):
                                     for e in errors)
     assert errors[1].endswith("line 3: duplicate key 'n_realizations'")
     assert "'utf-8' codec can't decode byte 0xff" in errors[2]
+
+
+def test_cli_rejects_a_bad_sweep_value_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_cell)
+    sw = tmp_path / "bad.sweep"
+    for text in ("f_values = 1, 2, 3, 0\n", "f_values = 1\nsnr_ap_db = -15, nan\n",
+                 "f_values = 1\nc_nu_values = 5e-18, -1\n"):
+        sw.write_text(text)
+        assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"otasync: invalid sweep file {sw}: f_values must be positive, got 0",
+        f"otasync: invalid sweep file {sw}: snr_ap_db must be finite, got nan",
+        f"otasync: invalid sweep file {sw}: c_nu_values must be nonnegative and finite, got -1.0"]
 
 
 def test_cli_dump_plan(tmp_path):

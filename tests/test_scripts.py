@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from otasync.compensation import SCHEMES, _cell_geometry
+from otasync.compensation import _cell_geometry
 from otasync.config import default_params
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -30,19 +30,19 @@ def bench_chunk(monkeypatch):
     return module
 
 
-def test_bench_chunk_measure(bench_chunk, tiny_params):
-    # ap1_only without UE-pilot noise: the chunk's E[Delta] is the weight
-    geom = _cell_geometry(tiny_params, "ap1_only")
+def test_bench_chunk_measure(bench_chunk):
+    # a kalman chunk: AP 2's E[Delta] per payload position
+    geom = _cell_geometry(default_params(n_antennas=8), "kalman")
     row = bench_chunk._measure(geom)
     assert len(row["s_all"]) == 2 and row["peak_mib"] > 0
-    assert row["mean_abs_delta"] == pytest.approx(geom.weight.mean(), rel=1e-12)
+    assert 0 < row["mean_abs_delta"] <= 1
 
 
 def test_bench_chunk_report(bench_chunk, tmp_path):
     out = tmp_path / "bench.json"
     bench_chunk.main(["--out", str(out)])
     rows = json.loads(out.read_text())["rows"]
-    assert [r["scheme"] for r in rows] == list(SCHEMES)
+    assert [r["scheme"] for r in rows] == ["kalman", "direct"]
     assert all(0 < r["mean_abs_delta"] <= 1 and r["segments"] > 0 for r in rows)
 
 
