@@ -4,10 +4,12 @@ tracker output) and at the UEs (psi, reset at each demodulation pilot), and a
 single-run tracker trace.
 
 The engine simulates the oscillator paths only at the sample instants the
-compensation reads (exact sparse Wiener increments), draws the inter-array
-channel's operator norm from its bidiagonal model (otasync.channel) and each
-sync measurement as its exact one-dimensional matched-filter projection; all
-three are distributional identities with the dense/vector formulation. A
+compensation reads (exact sparse Wiener increments; for all but the last
+warm-up frame only their difference, at the sync instants), draws the
+inter-array channel's operator norm from its bidiagonal model
+(otasync.channel) and each sync measurement's error from its exact
+one-dimensional matched-filter projection, without the phase it measures;
+all are distributional identities with the dense/vector formulation. A
 chunk's op norms depend only on the channel law, the seed and the chunk, so
 cells that share a seed share them, and each is drawn once per process. At a
 payload position it takes the conditional mean of Delta given those instants,
@@ -34,7 +36,7 @@ from .tracking import wrap  # noqa: F401  unused here; perfbench/tracer.py rebin
 
 SCHEMES = ("kalman", "direct", "ap1_only")
 
-WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation
+WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation (>= 2)
 CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: output is worker-count invariant)
 N_GROUPS = 10            # batch-mean groups for standard errors
 OP_NORM_MEMO_SIZE = 256  # memoized chunks of at most CHUNK_SIZE floats: 2 MiB at most
@@ -67,13 +69,13 @@ class DeltaStats:
 
 @dataclass(frozen=True)
 class _Grid:
-    """Sample instants one frame simulates, as 1-based frame offsets, with the
-    grid columns the sync measurement and the UE psi updates read."""
+    """Sample instants of one frame, as 1-based frame offsets, with the grid
+    columns the sync measurement and the UE psi updates read: the warm-up grid
+    sets slot F's psi, the measured grid every slot's."""
 
     offsets: np.ndarray      # increasing frame offsets
-    sync_cols: tuple         # columns of i1 and i2 (synced schemes)
-    psi_slots: np.ndarray    # slots (1-based) whose psi this frame sets
-    pilot_cols: np.ndarray   # column of AP 1's demod pilot in each of those slots
+    sync_cols: np.ndarray    # columns of i1 and i2 (synced schemes)
+    pilot_cols: np.ndarray   # column of AP 1's demod pilot in each slot whose psi it sets
     krep_cols: np.ndarray    # column of the representative UE's pilot there
 
 
@@ -118,14 +120,15 @@ def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
     ap, idx = np.nonzero(plan.data_mask())
     pos, slot = idx + 1, idx // params.tau_c   # 1-based offset, 0-based slot
 
-    def grid(psi_slots, *extra):
+    def grid(psi_slots):
         pilots, reps = demod[psi_slots - 1], krep[psi_slots - 1]
-        offsets = np.flatnonzero(np.bincount(np.concatenate((pilots, reps, sync) + extra)))
-        return _Grid(offsets, tuple(np.searchsorted(offsets, sync)), psi_slots,
+        offsets = np.flatnonzero(np.bincount(np.concatenate((pilots, reps, sync))))
+        return _Grid(offsets, np.searchsorted(offsets, sync),
                      np.searchsorted(offsets, pilots), np.searchsorted(offsets, reps))
 
+    # of the UE pilots, the chain reads the representative UE's alone
     warmup = grid(np.array([params.frame_len]))
-    measured = grid(np.arange(1, params.frame_len + 1), plan.pilot_samples.ravel())
+    measured = grid(np.arange(1, params.frame_len + 1))
     anchor = np.searchsorted(measured.offsets, pos) - 1   # payload is never on the grid
     sigma_nu_sq = derive_sigma_nu(params)
     weight = np.exp(-(pos - measured.offsets[anchor]) * sigma_nu_sq / 2)
@@ -174,71 +177,73 @@ def chunk_op_norms(params: SystemParams, seed: int, chunk_index: int,
     return norms
 
 
-def _advance(rng, nu, last_global, frame_start, offsets, sigma_nu_sq):
-    """Advance both oscillators from `last_global` to every offset of the
-    frame grid. nu: (2, R) phases at last_global; returns (2, R, m) values."""
-    gaps = np.diff(np.concatenate(([last_global], frame_start + offsets)))
-    vals = wiener_values_at(rng, nu, gaps, sigma_nu_sq)
-    return vals, vals[:, :, -1].copy(), frame_start + int(offsets[-1])
-
-
-def _measure_pair(rng, vals, idx, op_norm, rho_ap):
-    """Bidirectional measurement from grid values; exact 1-D projection of the
-    matched filter: angle(sqrt(rho)||G||^2 e^{j alpha} + ||G|| CN(0,1))."""
-    alpha_21 = vals[0, :, idx[0]] - vals[1, :, idx[0]]
-    alpha_12 = vals[1, :, idx[1]] - vals[0, :, idx[1]]
-    gain = np.sqrt(rho_ap) * op_norm**2
-    out = []
-    for alpha in (alpha_21, alpha_12):
-        z = (rng.standard_normal(alpha.shape) + 1j * rng.standard_normal(alpha.shape)) \
-            * (op_norm / np.sqrt(2.0))
-        out.append(np.angle(gain * np.exp(1j * alpha) + z))
-    return out[1] - out[0]
-
-
-def _track(state, obs, model, scheme):
-    """Tracker step: `direct` passes every measurement through (a fresh
-    filter start each frame), `kalman` runs the filter from the first one."""
-    return kalman_init(obs, model) if state is None or scheme == "direct" \
-        else kalman_update(state, obs, model)
+def _sync_errors(rng, op_norm, rho_ap, n_frames):
+    """e_12 - e_21 per frame, shape (n_frames,) + op_norm's shape: the errors
+    of the two directions of the sync measurement. Each direction measures
+    angle(sqrt(rho) ||G||^2 e^{j alpha} + ||G|| CN(0, 1)), the exact 1-D
+    projection of the matched filter; CN(0, 1) is invariant under rotation,
+    so that is alpha + arctan2(b, sqrt(2 rho) ||G|| + a) modulo 2 pi, with
+    a, b i.i.d. N(0, 1) and independent of alpha."""
+    a, b = rng.standard_normal((2, 2, n_frames) + np.shape(op_norm))
+    a += np.sqrt(2 * rho_ap) * op_norm
+    err = np.arctan2(b, a, out=a)
+    return err[1] - err[0]
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                     master_seed: int, group_starts, op_norm):
     """One vectorized chunk of runs of a synced scheme: WARMUP_FRAMES frames
-    on the sparse warm-up grid, then the measured frame on the pilot and sync
-    grid, with the runs' chunk_op_norms. Returns (G, S): per group (the runs
-    from each of group_starts) and AP-2 segment, the sum of each run's Delta
-    at the segment's anchor; times a position's weight, that is its Delta."""
+    to bring the tracker to steady state, then the measured frame, with the
+    runs' chunk_op_norms. Returns (G, S): per group (the runs from each of
+    group_starts) and AP-2 segment, the sum of each run's Delta at the
+    segment's anchor; times a position's weight, that is its Delta.
+
+    Every output is invariant to a common shift of both oscillator phases and
+    to a 2 pi shift of either, and reads the frame's measurement modulo 2 pi
+    only. So frames 0..W-2 (W = WARMUP_FRAMES) need only D = nu_2 - nu_1 at
+    the sync instants: a Wiener path with 2 sigma_nu^2 per sample, started
+    uniform on the circle. Frames W-1 and W start both paths from (0, D) at
+    frame W-2's i2: frame W-1 sets the carried-over psi and the previous
+    tracker output, frame W everything else on the measured grid.
+    """
     p = geom.params
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
-    F, L = p.frame_len, p.frame_len * p.tau_c
-    noise_sd = np.sqrt(p.ue_pilot_noise_var)
-    model = derive_noise_model(p, op_norm)
+    L, W = p.frame_len * p.tau_c, WARMUP_FRAMES
+    warm, meas = geom.warmup, geom.measured
+    m = warm.offsets.size
 
-    nu = rng.uniform(-np.pi, np.pi, (2, n_runs))
-    last_global, state = 1, None
-    theta = [np.zeros(n_runs)] * 2      # [previous frame's, this frame's]
-    psi = [np.zeros(n_runs)] * (F + 1)  # by slot; psi[0] is carried over
-    for f in range(WARMUP_FRAMES + 1):
-        grid = geom.measured if f == WARMUP_FRAMES else geom.warmup
-        vals, nu, last_global = _advance(rng, nu, last_global, f * L,
-                                         grid.offsets, geom.sigma_nu_sq)
-        state = _track(state, _measure_pair(rng, vals, grid.sync_cols, op_norm, p.rho_ap),
-                       model, geom.scheme)
-        theta = [theta[1], state.alpha_hat]
-        psi[0] = psi[F]
-        n_set = grid.psi_slots.size
-        noise = rng.standard_normal((n_set, n_runs)) * noise_sd if noise_sd else np.zeros(n_set)
-        for s, pilot_col, krep_col, eps in zip(grid.psi_slots, grid.pilot_cols,
-                                               grid.krep_cols, noise):
-            psi[s] = vals[0, :, pilot_col] + vals[0, :, krep_col] + eps
+    # D at i1 and i2 of frames 0..W-2, then both paths on frame W-1's warm-up
+    # grid and frame W's measured grid; obs[f] = D(i1) + D(i2) + e_12 - e_21
+    sync_at = (np.arange(W - 1)[:, None] * L + warm.offsets[warm.sync_cols]).ravel()
+    d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, n_runs),
+                         np.diff(sync_at, prepend=1), 2 * geom.sigma_nu_sq)
+    at = np.concatenate(((W - 1) * L + warm.offsets, W * L + meas.offsets))
+    nu = wiener_values_at(rng, np.stack((np.zeros(n_runs), d[:, -1])),
+                          np.diff(at, prepend=sync_at[-1]), geom.sigma_nu_sq)
+    sync_cols = np.concatenate((warm.sync_cols, m + meas.sync_cols))
+    d = np.concatenate((d, (nu[1] - nu[0])[:, sync_cols]), axis=1)
+    obs = d.reshape(n_runs, W + 1, 2).sum(axis=2).T \
+        + _sync_errors(rng, op_norm, p.rho_ap, W + 1)
 
-    sums = np.empty((len(group_starts), len(geom.segments)), dtype=complex)
-    for j, (anchor, krep_col, tracker, psi_slot) in enumerate(geom.segments):
-        ph = theta[tracker] + psi[psi_slot] - (vals[1, :, anchor] + vals[1, :, krep_col])
-        sums[:, j] = np.add.reduceat(np.exp(1j * ph), group_starts)
-    return sums
+    if geom.scheme == "kalman":
+        model = derive_noise_model(p, op_norm)
+        state = kalman_init(obs[0], model)
+        for f in range(1, W + 1):
+            prev, state = state, kalman_update(state, obs[f], model)
+        theta = np.stack((prev.alpha_hat, state.alpha_hat))
+    else:    # direct: a fresh filter start each frame passes obs through
+        theta = obs[W - 1:]
+    # psi by slot: row 0 carried over from frame W-1's slot F, rows 1..F set in frame W
+    nu1 = nu[0].T
+    psi = nu1[np.concatenate((warm.pilot_cols, m + meas.pilot_cols))] \
+        + nu1[np.concatenate((warm.krep_cols, m + meas.krep_cols))]
+    if p.ue_pilot_noise_var:
+        psi += rng.standard_normal(psi.shape) * np.sqrt(p.ue_pilot_noise_var)
+
+    anchor, krep_col, tracker, psi_slot = geom.segments.T
+    nu2 = nu[1].T[m:]
+    ph = theta[tracker] + psi[psi_slot] - (nu2[anchor] + nu2[krep_col])
+    return np.add.reduceat(np.exp(1j * ph), group_starts, axis=1).T
 
 
 def _chunk_task(args):
@@ -307,25 +312,23 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     op_norm = float(chunk_op_norms(params, master_seed, 0, 1)[0])
     rng = np.random.default_rng(run_seed(master_seed, 0))
     model = derive_noise_model(params, op_norm)
-    sig2 = derive_sigma_nu(params)
-    k_rep = representative_ue(params.n_ues)
     L = params.frame_len * params.tau_c
-    offsets = np.array(sorted({k_rep, i1, i2}))
-    c1, c2, c_rep = np.searchsorted(offsets, [i1, i2, k_rep])
+    # every value read is D = nu_2 - nu_1, at the representative UE's pilot,
+    # i1 and i2, modulo 2 pi (see _simulate_chunk)
+    at = (np.arange(n_frames)[:, None] * L + [representative_ue(params.n_ues), i1, i2]).ravel()
+    d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, 1), np.diff(at, prepend=1),
+                         2 * derive_sigma_nu(params)).reshape(n_frames, 3)
+    obs = d[:, 1] + d[:, 2] + _sync_errors(rng, op_norm, params.rho_ap, n_frames)
 
-    nu = rng.uniform(-np.pi, np.pi, (2, 1))
-    last_global = 1
     state = None
     rows = []
     for f in range(n_frames):
-        vals, nu, last_global = _advance(rng, nu, last_global, f * L, offsets, sig2)
-        obs = float(_measure_pair(rng, vals, (c1, c2), np.array([op_norm]), params.rho_ap)[0])
-        alpha_true = float((vals[1, 0, c2] + vals[1, 0, c_rep])
-                           - (vals[0, 0, c2] + vals[0, 0, c_rep]))
-        prev, state = state, _track(state, obs, model, scheme)
+        prev, state = state, kalman_init(obs[f], model) if state is None or scheme == "direct" \
+            else kalman_update(state, obs[f], model)
         kappa = kalman_gain(prev.p_var, model) if state.n > 1 else 1.0
-        rows.append(dict(n=f + 1, obs=obs, alpha_hat=float(state.alpha_hat),
-                         p_var=float(state.p_var), kappa=float(kappa), alpha_true=alpha_true))
+        rows.append(dict(n=f + 1, obs=float(obs[f]), alpha_hat=float(state.alpha_hat),
+                         p_var=float(state.p_var), kappa=float(kappa),
+                         alpha_true=float(d[f, 2] + d[f, 0])))
     return rows
 
 

@@ -33,7 +33,9 @@ class SweepSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{key} repeats {', '.join(map(str, repeated))}")
-        rules = (("f_values", "positive", lambda v: v > 0), ("snr_ap_db", "finite", math.isfinite),
+        rules = (("f_values", "positive", lambda v: v > 0),
+                 ("f_values", "integers", lambda v: float(v).is_integer()),
+                 ("snr_ap_db", "finite", math.isfinite),
                  ("c_nu_values", "nonnegative and finite", lambda v: 0 <= v < math.inf))
         for key, rule, ok in rules:
             bad = [v for v in getattr(self, key) if not ok(v)]

@@ -70,6 +70,16 @@ def complex_normal(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def ks_distance(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the
+    empirical CDFs of a and b. At the 0.1% level it rejects above
+    1.949 * sqrt((n + m) / (n m)) (asymptotic)."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate((a, b))
+    return np.max(np.abs(np.searchsorted(a, x, "right") / a.size
+                         - np.searchsorted(b, x, "right") / b.size))
+
+
 def dense_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> np.ndarray:
     """Largest singular value of n dense N x N draws of G with i.i.d.
     CN(0, beta_g) entries, by LAPACK SVD: the reference law for

@@ -6,7 +6,7 @@ import pytest
 from otasync.channel import batched_op_norms, gram_top_eigenvalue
 from otasync.config import default_params
 from tests.conftest import small_instance
-from tests.oracles import complex_normal, dense_op_norms, leading_singular_pair, \
+from tests.oracles import complex_normal, dense_op_norms, ks_distance, leading_singular_pair, \
     lmmse_coefficient, sample_inter_ap_channel
 
 
@@ -165,13 +165,6 @@ def test_gram_top_eigenvalue_batch_matches_column_calls(b_diag, b_super):
     assert np.array_equal(batch, alone)
 
 
-def _ks_distance(a, b):
-    a, b = np.sort(a), np.sort(b)
-    x = np.concatenate((a, b))
-    return np.max(np.abs(np.searchsorted(a, x, "right") / a.size
-                         - np.searchsorted(b, x, "right") / b.size))
-
-
 @pytest.mark.parametrize("N, n_dense", [(8, 20_000), (64, 4000)])
 def test_batched_op_norms_law_matches_dense_svd(N, n_dense):
     # two-sample KS at the 0.1% level (asymptotic c = 1.949), and E[1/||G||^2],
@@ -181,7 +174,7 @@ def test_batched_op_norms_law_matches_dense_svd(N, n_dense):
     dense = np.concatenate([dense_op_norms(rng, p, 500) for _ in range(n_dense // 500)])
     bidiag = batched_op_norms(np.random.default_rng(50 + N), p, 20_000)
     n, m = dense.size, bidiag.size
-    assert _ks_distance(dense, bidiag) < 1.949 * np.sqrt((n + m) / (n * m))
+    assert ks_distance(dense, bidiag) < 1.949 * np.sqrt((n + m) / (n * m))
     inv_d, inv_b = dense**-2.0, bidiag**-2.0
     se = np.sqrt(inv_d.var() / n + inv_b.var() / m)
     assert abs(inv_d.mean() - inv_b.mean()) < 3 * se

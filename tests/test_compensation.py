@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from otasync import compensation
 from otasync.channel import batched_op_norms
-from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, _cell_geometry, build_plan, \
-    chunk_op_norms, monte_carlo_delta, run_phase_trace
+from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, _cell_geometry, _sync_errors, \
+    build_plan, chunk_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import ConfigError, default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
-from otasync.tracking import representative_ue
+from otasync.tracking import representative_ue, wrap
 from tests.conftest import geometries
-from tests.oracles import CompensationState, PhaseTrajectory, generate_trajectory, \
-    residual_delta, ue_psi_update
+from tests.oracles import CompensationState, PhaseTrajectory, complex_normal, \
+    generate_trajectory, ks_distance, residual_delta, ue_psi_update
 from tests.reference_chain import reference_delta
 
 SIGMA_REF = 3.9478417604357436e-05
@@ -213,6 +213,45 @@ def test_chunks_get_the_memoized_op_norms(params, monkeypatch):
         assert op_norm is chunk_op_norms(params, 33, j, op_norm.size)
 
 
+@pytest.mark.parametrize("scheme", ["kalman", "direct"])
+def test_a_synced_chunk_draws_its_paths_in_two_calls(scheme, params, monkeypatch):
+    # the warm-up's difference path in one call, the last two frames' paths in
+    # another, whatever the frame length
+    calls = []
+    draw = compensation.wiener_values_at
+
+    def spy(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(compensation, "wiener_values_at", spy)
+    for F in (1, 2, 10):
+        calls.clear()
+        monte_carlo_delta(dataclasses.replace(params, frame_len=F), scheme, 100, 35)
+        assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("snr_ap_db", [-15.0, -20.0])
+def test_alpha_free_sync_error_has_the_projection_law(snr_ap_db):
+    # the engine draws each direction's error as arctan2(b, sqrt(2 rho)||G|| + a),
+    # without the phase alpha it measures; the matched-filter projection
+    # angle(sqrt(rho)||G||^2 e^{j alpha} + ||G|| CN(0, 1)) - alpha, alpha uniform,
+    # must have the same law. Compared as the e_12 - e_21 that obs reads: a
+    # two-sample KS test at the 0.1% level, and E[cos e] within 3 standard errors
+    p = default_params().with_snr_ap_db(snr_ap_db)
+    op_norm = np.sqrt(4 * p.n_antennas * p.beta_g)   # MP edge: ||G||^2 ~ 4 N beta_g
+    n = 20_000
+    rng = np.random.default_rng(61)
+    alpha = rng.uniform(-np.pi, np.pi, (2, n))
+    proj = np.angle(np.sqrt(p.rho_ap) * op_norm**2 * np.exp(1j * alpha)
+                    + complex_normal(rng, (2, n), op_norm**2)) - alpha
+    ref = wrap(proj[1] - proj[0])
+    eng = wrap(_sync_errors(np.random.default_rng(62), np.full(n, op_norm), p.rho_ap, 1)[0])
+    assert ks_distance(ref, eng) < 1.949 * np.sqrt(2 / n)
+    cos_ref, cos_eng = np.cos(ref), np.cos(eng)
+    assert abs(cos_ref.mean() - cos_eng.mean()) < 3 * np.sqrt((cos_ref.var() + cos_eng.var()) / n)
+
+
 def test_monte_carlo_convergence_with_more_runs(params):
     a = monte_carlo_delta(params, "direct", 1000, 13)
     b = monte_carlo_delta(params, "direct", 2000, 13)
@@ -269,6 +308,24 @@ def test_engine_matches_reference_chain(scheme, params):
     assert diff.max() < 0.05
     # and the spectral efficiencies agree
     plan = build_plan(p, scheme)
+    se_e = spectral_efficiency(plan, per_position_rates(p, plan, eng.mean_delta))[0]
+    se_r = spectral_efficiency(plan, per_position_rates(p, plan, ref))[0]
+    assert se_e == pytest.approx(se_r, abs=0.03)
+
+
+def test_direct_engine_matches_reference_chain_at_one_slot(params):
+    # at F = 1 the pilots of slot F, which set the carried-over psi, straddle
+    # the sync instants: the hand-over from the warm-up's difference path to
+    # both oscillator paths must keep the law of direct's single-frame output
+    p = dataclasses.replace(params, frame_len=1)
+    ref = reference_delta(p, "direct", 1200, 900)
+    eng = monte_carlo_delta(p, "direct", 4096, 901)
+    mask = np.abs(eng.mean_delta) > 0
+    assert np.array_equal(mask, np.abs(ref) > 0)
+    diff = np.abs(eng.mean_delta[mask] - ref[mask])
+    assert diff.mean() < 0.012
+    assert diff.max() < 0.05
+    plan = build_plan(p, "direct")
     se_e = spectral_efficiency(plan, per_position_rates(p, plan, eng.mean_delta))[0]
     se_r = spectral_efficiency(plan, per_position_rates(p, plan, ref))[0]
     assert se_e == pytest.approx(se_r, abs=0.03)

@@ -40,6 +40,7 @@ def test_sweep_spec_validation():
     (dict(snr_ap_db=(-math.inf,)), "snr_ap_db must be finite, got -inf"),
     (dict(c_nu_values=(5e-18, -1.0)), "c_nu_values must be nonnegative and finite, got -1.0"),
     (dict(c_nu_values=(math.nan,)), "c_nu_values must be nonnegative and finite, got nan"),
+    (dict(f_values=(1.5, 1)), "f_values must be integers, got 1.5"),
 ])
 def test_sweep_spec_rejects_a_bad_value(values, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
