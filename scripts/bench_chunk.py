@@ -4,8 +4,8 @@ N_GROUPS batch-mean groups, one sum per AP-2 segment) per synced scheme at F in
 {1, 10}, with BLAS on one thread; ap1_only has no chunk, as its table is exact.
 Each timing is the median of REPEATS calls on fresh seeds; a separate call
 records the tracemalloc peak. The cell geometry and the chunk's op norms are
-made outside the timed call, as monte_carlo_delta makes them in the calling
-process and passes them with the chunk task.
+made outside the timed call, as monte_carlo_delta makes them before it calls
+the chunk.
 
     python scripts/bench_chunk.py --out BENCH.json
 

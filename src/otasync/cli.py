@@ -30,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output CSV path (standard output if omitted)")
     parser.add_argument("--seed", type=int, metavar="INT",
                         help="master seed (overrides the sweep file)")
-    parser.add_argument("--workers", type=int, metavar="INT",
-                        help="worker processes for the Monte Carlo chunks")
     parser.add_argument("--scheme", metavar="LIST",
                         help="comma-separated subset of: " + ",".join(SCHEMES))
     parser.add_argument("--realizations", type=int, metavar="INT",
@@ -75,8 +73,6 @@ def _resolve_sweep(args) -> SweepSpec:
     updates = {}
     if args.seed is not None:
         updates["master_seed"] = args.seed
-    if args.workers is not None:
-        updates["n_workers"] = args.workers
     if args.realizations is not None:
         updates["n_realizations"] = args.realizations
     if args.scheme:

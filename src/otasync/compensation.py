@@ -20,7 +20,6 @@ only AP 2's is drawn. Tests check it against a slow full-chain reference.
 
 from __future__ import annotations
 
-import concurrent.futures
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .tracking import wrap  # noqa: F401  unused here; perfbench/tracer.py rebin
 SCHEMES = ("kalman", "direct", "ap1_only")
 
 WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation (>= 2)
-CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: output is worker-count invariant)
+CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: part of the RNG stream)
 N_GROUPS = 10            # batch-mean groups for standard errors
 OP_NORM_MEMO_SIZE = 256  # memoized chunks of at most CHUNK_SIZE floats: 2 MiB at most
 
@@ -246,22 +245,21 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     return np.add.reduceat(np.exp(1j * ph), group_starts, axis=1).T
 
 
-def _chunk_task(args):
+def _chunk_task(args):   # unused here; perfbench/tracer.py rebinds it by name
     return _simulate_chunk(*args)
 
 
 def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
-                      master_seed: int, n_workers: int = 1):
+                      master_seed: int):
     """Estimate E[Delta] at every frame position over independent runs.
 
     AP 1's row is exact in the mean and in every group. If AP 2 sends
     payload, each run draws its op norm and oscillator paths, runs
     WARMUP_FRAMES frames to bring the tracker to steady state, then sums
     AP 2's Delta over one measured frame; ap1_only draws nothing. Runs are
-    split into fixed-size chunks seeded from (master_seed, chunk index) and
-    reduced in index order, so the output is bit-identical for any worker
-    count. Each chunk's op norms come from chunk_op_norms in this process
-    and travel with the task. The batch-mean groups are consecutive runs.
+    split into fixed-size chunks seeded from (master_seed, chunk index), each
+    with its chunk_op_norms, and summed in index order. The batch-mean groups
+    are consecutive runs.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -269,22 +267,14 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     n_groups = min(N_GROUPS, n_realizations)
     group = np.arange(n_realizations) * n_groups // n_realizations
 
+    group_sums = np.zeros((n_groups,) + geom.exact.shape, dtype=complex)
     # the group of each run of each chunk; only AP 2's half is drawn
     chunks = np.split(group, range(CHUNK_SIZE, n_realizations, CHUNK_SIZE)) if geom.pos.size else []
-    tasks = [(geom, j, g.size, master_seed, np.flatnonzero(np.diff(g, prepend=-1)),
-              chunk_op_norms(params, master_seed, j, g.size)) for j, g in enumerate(chunks)]
-
-    if n_workers > 1 and len(tasks) > 1:
-        n_procs = min(n_workers, len(tasks))   # the pool forks them all on the first submit
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_procs) as pool:
-            partials = list(pool.map(_chunk_task, tasks))
-    else:
-        partials = [_simulate_chunk(*task) for task in tasks]
-
-    group_sums = np.zeros((n_groups,) + geom.exact.shape, dtype=complex)
-    for j, part in enumerate(partials):
-        first = group[j * CHUNK_SIZE]
-        group_sums[first:first + len(part), 1, geom.pos - 1] += \
+    for j, g in enumerate(chunks):
+        part = _simulate_chunk(geom, j, g.size, master_seed,
+                               np.flatnonzero(np.diff(g, prepend=-1)),
+                               chunk_op_norms(params, master_seed, j, g.size))
+        group_sums[g[0]:g[0] + len(part), 1, geom.pos - 1] += \
             part[:, geom.segment] * geom.weight
     group_counts = np.bincount(group, minlength=n_groups)
     return DeltaStats(mean_delta=geom.exact + group_sums.sum(axis=0) / n_realizations,

@@ -122,7 +122,7 @@ class SystemParams:
         return 10.0 * math.log10(self.rho_ap * self.beta_g)
 
     def with_snr_ap_db(self, snr_db: float) -> "SystemParams":
-        return replace(self, beta_g=10 ** (snr_db / 10.0) / self.rho_ap)
+        return replace(self, beta_g=_from_db(snr_db) / self.rho_ap)
 
 
 def _check_counts(fields):
@@ -186,6 +186,13 @@ def read_key_values(text: str, keys, parse) -> dict:
     return values
 
 
+def _from_db(value_db: float) -> float:
+    try:
+        return 10 ** (value_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{value_db:g} dB is out of range") from None
+
+
 def _parse_value(key: str, raw: str):
     is_db = raw.lower().endswith("db")
     if is_db:
@@ -196,10 +203,10 @@ def _parse_value(key: str, raw: str):
         return int(raw)
     if key in _MATRIX_KEYS:
         parts = [float(x) for x in raw.split(",")]
-        vals = [10 ** (v / 10.0) for v in parts] if is_db else parts
+        vals = [_from_db(v) for v in parts] if is_db else parts
         return vals[0] if len(vals) == 1 else np.array(vals)
     v = float(raw)
-    return 10 ** (v / 10.0) if is_db else v
+    return _from_db(v) if is_db else v
 
 
 def load_config(text: str) -> SystemParams:

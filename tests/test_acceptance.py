@@ -186,7 +186,7 @@ def test_criterion_07_determinism():
     a = strip(emit_csv(run_sweep(spec, p)))
     b = strip(emit_csv(run_sweep(spec, p)))
     ok = a == b
-    _report("C7", "bit-identical CSV for fixed (seed, workers)", ok,
+    _report("C7", "bit-identical CSV for a fixed seed", ok,
             "(wall_time_s column excluded: not reproducible by nature)")
 
 

@@ -101,6 +101,10 @@ def test_load_config_malformed_value():
         load_config("rho_ue = fast")
     with pytest.raises(ConfigError, match="^line 3: malformed value for 'eta'"):
         load_config("# header\nn_antennas = 32\neta = 0.1,x\n")
+    for key in ("rho_ue", "rho_ap", "beta_g", "beta_ue"):
+        with pytest.raises(ConfigError, match=f"^line 1: malformed value for '{key}' "
+                                              r"\(4000 dB is out of range\)$"):
+            load_config(f"{key} = 4000 dB\n")
 
 
 def test_load_config_db_on_non_power_key():

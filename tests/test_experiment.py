@@ -41,6 +41,9 @@ def test_sweep_spec_validation():
     (dict(c_nu_values=(5e-18, -1.0)), "c_nu_values must be nonnegative and finite, got -1.0"),
     (dict(c_nu_values=(math.nan,)), "c_nu_values must be nonnegative and finite, got nan"),
     (dict(f_values=(1.5, 1)), "f_values must be integers, got 1.5"),
+    (dict(n_realizations=1.5), "n_realizations must be an integer >= 1, got 1.5"),
+    (dict(master_seed=2.0), "master_seed must be a non-negative integer, got 2.0"),
+    (dict(n_workers=1.5), "n_workers must be an integer >= 1, got 1.5"),
 ])
 def test_sweep_spec_rejects_a_bad_value(values, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -97,7 +100,7 @@ def test_sweep_spec_rejects_a_repeated_value(key):
 def test_cell_seed_ignores_frame_length_and_scheme(params, monkeypatch):
     seeds = {}
 
-    def record(cell, scheme, n_realizations, seed, n_workers=1):
+    def record(cell, scheme, n_realizations, seed):
         seeds[(cell.c_nu, cell.beta_g, scheme, cell.frame_len)] = seed
         return 1.0, 0.0
 
@@ -186,15 +189,20 @@ def test_sweep_determinism(params):
     assert _strip_wall_time(a) == _strip_wall_time(b)
 
 
-def test_sweep_worker_invariance(params):
-    base = SweepSpec(f_values=(1,), schemes=("direct",), snr_ap_db=(-15.0,),
-                     n_realizations=2100, master_seed=6, n_workers=1)
-    import dataclasses
-    multi = dataclasses.replace(base, n_workers=2)
-    a = run_sweep(base, params)[0]
-    b = run_sweep(multi, params)[0]
-    assert a.se_mean == b.se_mean  # bit-identical reduction
-    assert a.se_stderr == b.se_stderr and math.isfinite(a.se_stderr)
+def test_sweep_worker_invariance(params, monkeypatch):
+    # n_workers is accepted and read by nothing: every chunk runs in this
+    # process, and a multi-chunk synced sweep gives the n_workers = 1 rows
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    for target in ("concurrent.futures.ProcessPoolExecutor", "multiprocessing.Process.start",
+                   "os.fork"):
+        monkeypatch.setattr(target, no_process)
+    text = "f_values = 1, 2\nschemes = kalman, direct\nn_realizations = 2100\nmaster_seed = 6\n"
+    rows = [[dataclasses.replace(row, wall_time_s=0.0) for row in
+             run_sweep(parse_sweep(text + f"n_workers = {n}\n"), params)] for n in (1, 2)]
+    assert rows[1] == rows[0] and len(rows[0]) == 4  # bit-identical
+    assert all(math.isfinite(row.se_stderr) for row in rows[0])
 
 
 @pytest.mark.parametrize("n", [2, 500, 1100])
@@ -249,7 +257,7 @@ def test_cli_default_run(tmp_path):
 
 def test_cli_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["--realizations", "150", "--seed", "7", "--workers", "1", "--scheme", "direct"]
+    args = ["--realizations", "150", "--seed", "7", "--scheme", "direct"]
     assert cli_main(args + ["--out", str(a)]) == 0
     assert cli_main(args + ["--out", str(b)]) == 0
     assert _strip_wall_time(a.read_text()) == _strip_wall_time(b.read_text())
@@ -276,21 +284,24 @@ def test_cli_stdout_when_no_out(capsys):
 def test_cli_usage_error():
     assert cli_main(["--no-such-flag"]) == 1
     assert cli_main(["--fig2", "--fig3"]) == 1
+    assert cli_main(["--workers", "2"]) == 1  # chunks run in one process
 
 
 def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for line in ("tau_p = 7", "beta_ue = nan", "eta = nan", "ue_pilot_noise_var = inf",
-                 "n_ues = 0", "n_ues = -2"):
+                 "n_ues = 0", "n_ues = -2", "rho_ue = 4000 dB"):
         cfg.write_text(line + "\n")
         assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
     cfg.write_bytes(b"n_ues = 4\xff\n")
     assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 7 and all(e.startswith("otasync: invalid config: ") for e in errors)
+    assert len(errors) == 8 and all(e.startswith("otasync: invalid config: ") for e in errors)
     assert errors[4:6] == [f"otasync: invalid config: n_ues must be a positive integer, got {k}"
                            for k in (0, -2)]
-    assert "'utf-8' codec can't decode byte 0xff" in errors[6]
+    assert errors[6] == "otasync: invalid config: line 1: malformed value for 'rho_ue' " \
+                        "(4000 dB is out of range)"
+    assert "'utf-8' codec can't decode byte 0xff" in errors[7]
     assert cli_main(["--config", str(tmp_path / "missing.cfg")]) == 2
 
 
@@ -299,7 +310,7 @@ def test_cli_bad_config(tmp_path, capsys):
     ["--dump-plan", "--scheme", "ap1_only,bogus"],
     ["--dump-plan", "--scheme", "kalman,direct"],
     ["--dump-trace", "--scheme", "ap1_only"],
-    ["--workers", "0", "--realizations", "10"],
+    ["--realizations", "0"],
     ["--dump-trace", "--trace-frames", "0"],
     ["--dump-trace", "--trace-frames", "-3"],
     ["--dump-trace", "--scheme", "bogus"],
@@ -359,14 +370,24 @@ def test_cli_rejects_a_bad_sweep_value_before_any_cell(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(experiment, "run_cell", no_cell)
     sw = tmp_path / "bad.sweep"
+    out = tmp_path / "out.csv"
     for text in ("f_values = 1, 2, 3, 0\n", "f_values = 1\nsnr_ap_db = -15, nan\n",
-                 "f_values = 1\nc_nu_values = 5e-18, -1\n"):
+                 "f_values = 1\nc_nu_values = 5e-18, -1\n",
+                 # valid in the file, out of range once a cell's params are built
+                 "f_values = 1\nsnr_ap_db = -15, 4000\n", "f_values = 1\nsnr_ap_db = -15, -4000\n",
+                 "f_values = 1\nc_nu_values = 5e-18, 1e300\n"):
         sw.write_text(text)
-        assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
+        assert cli_main(["--sweep", str(sw), "--out", str(out)]) == 2
+        assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [
         f"otasync: invalid sweep file {sw}: f_values must be positive, got 0",
         f"otasync: invalid sweep file {sw}: snr_ap_db must be finite, got nan",
-        f"otasync: invalid sweep file {sw}: c_nu_values must be nonnegative and finite, got -1.0"]
+        f"otasync: invalid sweep file {sw}: c_nu_values must be nonnegative and finite, got -1.0",
+        "otasync: cell c_nu = 5e-18, snr_ap_db = 4000, F = 1: 4000 dB is out of range",
+        "otasync: cell c_nu = 5e-18, snr_ap_db = -4000, F = 1: "
+        "beta_g must be positive and finite, got 0.0",
+        "otasync: cell c_nu = 1e+300, snr_ap_db = -15, F = 1: "
+        "sigma_nu^2 is not finite for f_c=2000000000.0, c_nu=1e+300"]
 
 
 def test_cli_dump_plan(tmp_path):
