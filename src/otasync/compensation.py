@@ -108,8 +108,11 @@ def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
     return build_frame_schedule(params)
 
 
-def _cell_geometry(params: SystemParams, scheme: str) -> _CellGeometry:
-    plan = build_plan(params, scheme)
+def _cell_geometry(params: SystemParams, scheme: str,
+                   plan: SamplePlan | None = None) -> _CellGeometry:
+    """The cell's geometry from its build_plan(params, scheme), built here
+    unless the caller passes it."""
+    plan = build_plan(params, scheme) if plan is None else plan
     k_rep = representative_ue(params.n_ues)
     sync = np.array([sample for sample, _, _ in plan.sync_events], dtype=int)
     # AP 1 sends a demod pilot in every slot of both schedules (AP 2's, if any,
@@ -250,7 +253,7 @@ def _chunk_task(args):   # unused here; perfbench/tracer.py rebinds it by name
 
 
 def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
-                      master_seed: int):
+                      master_seed: int, plan: SamplePlan | None = None):
     """Estimate E[Delta] at every frame position over independent runs.
 
     AP 1's row is exact in the mean and in every group. If AP 2 sends
@@ -259,11 +262,12 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     AP 2's Delta over one measured frame; ap1_only draws nothing. Runs are
     split into fixed-size chunks seeded from (master_seed, chunk index), each
     with its chunk_op_norms, and summed in index order. The batch-mean groups
-    are consecutive runs.
+    are consecutive runs. plan is the cell's build_plan(params, scheme), if
+    the caller has built it already.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    geom = _cell_geometry(params, scheme)
+    geom = _cell_geometry(params, scheme, plan)
     n_groups = min(N_GROUPS, n_realizations)
     group = np.arange(n_realizations) * n_groups // n_realizations
 

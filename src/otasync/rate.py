@@ -41,28 +41,36 @@ def rate_at_position(params: SystemParams, a, mean_delta) -> RateBreakdown:
     """
     a = np.asarray(a, dtype=bool)
     mean_delta = np.asarray(mean_delta)
-    N, rho = params.n_antennas, params.rho_ap
-    gamma = params.gamma()
-    ds_amp = 0.0 + 0.0j
-    bu = 0.0
-    ui = 0.0
-    for ap in range(2):
-        on = a[ap]
-        eta = params.eta[:, ap, None]
-        g = gamma[:, ap, None]
-        d = mean_delta[..., None, ap, :]
-        ds_amp = ds_amp + np.where(on, np.sqrt(eta * g) * d, 0.0)
-        bu = bu + np.where(on, N * rho * eta * g * np.maximum(0.0, 1.0 - np.abs(d) ** 2), 0.0)
-        ui = ui + np.where(on, rho * params.beta_ue[:, ap, None] * params.eta[:, ap].sum(), 0.0)
-    ds = N * rho * np.abs(ds_amp) ** 2
+    if a.ndim != 2 or a.shape[0] != 2 or mean_delta.shape[-2:] != a.shape:
+        raise ValueError(f"need (2, n) indicators and (..., 2, n) E[Delta], got "
+                         f"{a.shape} and {mean_delta.shape}")
+    # the indicators go into the (..., 2, n) tables, which have no UE axis
+    d = np.where(a, mean_delta, 0.0)
+    u = np.maximum(0.0, 1.0 - (d.real ** 2 + d.imag ** 2)) * a
+    # per-UE constants, (K, 2): N rho eta gamma, its root and rho beta sum_k' eta
+    unc = params.n_antennas * params.rho_ap * params.eta * params.gamma()
+    amp = np.sqrt(unc)
+    ui = (params.rho_ap * params.beta_ue * params.eta.sum(axis=0)) @ a
+    ds = (amp @ d.real) ** 2 + (amp @ d.imag) ** 2
+    bu = unc @ u
     return RateBreakdown(ds_power=ds, bu_power=bu, ui_power=np.broadcast_to(ui, ds.shape),
                          rate_bits=np.log2(1.0 + ds / (bu + ui + 1.0)))
 
 
 def per_position_rates(params: SystemParams, plan: SamplePlan, mean_delta) -> np.ndarray:
     """(..., K, F*tau_c) rate table for (..., 2, F*tau_c) E[Delta] tables;
-    zero wherever no AP sends payload data."""
-    return rate_at_position(params, plan.data_mask(), mean_delta).rate_bits
+    zero wherever no AP sends payload data, and computed only where some AP
+    does."""
+    mean_delta = np.asarray(mean_delta)
+    if mean_delta.shape[-2:] != (2, plan.n_samples):
+        raise ValueError(f"need (..., 2, {plan.n_samples}) E[Delta] tables, "
+                         f"got {mean_delta.shape}")
+    mask = plan.data_mask()
+    cols = np.flatnonzero(mask.any(axis=0))
+    payload = rate_at_position(params, mask[:, cols], mean_delta[..., cols]).rate_bits
+    rates = np.zeros(payload.shape[:-1] + (plan.n_samples,))
+    rates[..., cols] = payload
+    return rates
 
 
 def spectral_efficiency(plan: SamplePlan, rates) -> np.ndarray:

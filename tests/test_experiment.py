@@ -205,6 +205,19 @@ def test_sweep_worker_invariance(params, monkeypatch):
     assert all(math.isfinite(row.se_stderr) for row in rows[0])
 
 
+@pytest.mark.parametrize("scheme", ["kalman", "ap1_only"])
+def test_run_cell_builds_one_plan(scheme, params, monkeypatch):
+    # run_cell's plan is the one monte_carlo_delta reads
+    calls = []
+    for name in ("build_frame_schedule", "build_ap1_only_schedule"):
+        def counted(p, _build=getattr(compensation, name)):
+            calls.append(p)
+            return _build(p)
+        monkeypatch.setattr(compensation, name, counted)
+    run_cell(params, scheme, 30, 4)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [2, 500, 1100])
 def test_stderr_groups_are_consecutive_runs(n, params):
     # min(10, n) groups of consecutive runs, sizes differing by at most one,

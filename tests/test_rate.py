@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,59 @@ def test_per_position_rates_layout(params):
     assert np.all(rates[:, ~data_any] == 0)
     assert np.all(rates[:, data_any] > 0)
     assert np.allclose(rates[0], rates[5])  # symmetric scenario
+
+
+@pytest.mark.parametrize("make_params", [default_params, _hetero_params],
+                         ids=["default", "hetero"])
+@pytest.mark.parametrize("scheme", ["kalman", "ap1_only"])
+def test_per_position_rates_match_scalar_oracle(scheme, make_params):
+    # every (stack, k, position) of real F=2 plans and tables against the
+    # scalar closed form; the table is computed at payload columns only and
+    # is exactly 0 elsewhere
+    p = dataclasses.replace(make_params(), frame_len=2)
+    plan = build_plan(p, scheme)
+    stats = monte_carlo_delta(p, scheme, 40, 9)
+    tables = np.concatenate((stats.mean_delta[None], stats.group_means[:2]))
+    rates = per_position_rates(p, plan, tables)
+    mask = plan.data_mask()
+    expect = np.zeros_like(rates)
+    for s in range(len(tables)):
+        for k in range(1, p.n_ues + 1):
+            for pos in np.flatnonzero(mask.any(axis=0)):
+                ds, bu, ui = closed_form_powers(p, k, mask[:, pos], tables[s, :, pos])
+                expect[s, k - 1, pos] = math.log2(1.0 + ds / (bu + ui + 1.0))
+    np.testing.assert_allclose(rates, expect, rtol=1e-12, atol=0)
+    assert np.all(rates[..., ~mask.any(axis=0)] == 0.0)
+
+
+def test_rate_tables_reject_a_mis_shaped_input(params):
+    plan = build_plan(params, "kalman")
+    for width in (plan.n_samples + 1, plan.n_samples - 1):
+        with pytest.raises(ValueError, match="E\\[Delta\\]"):
+            per_position_rates(params, plan, np.ones((3, 2, width), dtype=complex))
+    with pytest.raises(ValueError):
+        per_position_rates(params, plan, np.ones(plan.n_samples, dtype=complex))
+    for a in (np.ones((2, 5), dtype=bool), np.ones((1, 4), dtype=bool),
+              np.ones((3, 4), dtype=bool), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError, match="indicators"):
+            rate_at_position(params, a, np.ones((2, 4), dtype=complex))
+
+
+def test_rate_stage_memory_is_bounded():
+    # an 11-table stack at F=10, K=10 peaks within 4x the full-width float64
+    # rate table (3.36 MiB)
+    p = default_params(frame_len=10)
+    plan = build_plan(p, "kalman")
+    stats = monte_carlo_delta(p, "kalman", 20, 4)
+    tables = np.concatenate((stats.mean_delta[None], stats.group_means))
+    assert tables.shape == (11, 2, 1000)
+    tracemalloc.start()
+    try:
+        spectral_efficiency(plan, per_position_rates(p, plan, tables))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 11 * p.n_ues * plan.n_samples * 8
 
 
 def test_synthetic_delta_moments():

@@ -1,4 +1,4 @@
-"""scripts/bench_chunk.py and scripts/bench_opnorm.py call engine internals
+"""scripts/bench_chunk.py, bench_opnorm.py and bench_rate.py call engine internals
 and test oracles; run them small so that a change to their contract cannot
 break them silently."""
 
@@ -60,3 +60,19 @@ def test_bench_opnorm_report(monkeypatch, tmp_path):
     for path in ("bidiagonal", "dense"):
         assert len(row[path]["s_all"]) == 1 and row[path]["peak_mib"] > 0
         assert 0.6 < row[path]["mean_op_norm"] / scale < 1.1
+
+
+def test_bench_rate_report(monkeypatch, tmp_path):
+    module = _load("bench_rate")
+    monkeypatch.setattr(module, "REPEATS", 2)
+    monkeypatch.setattr(module, "FRAME_LENGTHS", (1,))
+    monkeypatch.setattr(module, "N_REALIZATIONS", 20)
+    out = tmp_path / "bench.json"
+    module.main(["--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["params"], r["scheme"]) for r in rows] == \
+        [("default", "kalman"), ("default", "ap1_only"),
+         ("hetero", "kalman"), ("hetero", "ap1_only")]
+    for r in rows:
+        assert r["tables"] == 11 and r["payload_columns"] in (41, 43)
+        assert len(r["s_all"]) == 2 and r["peak_mib"] > 0 and 0 < r["se_mean"] < 10
