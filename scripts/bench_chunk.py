@@ -77,8 +77,9 @@ def main(argv=None):
     for scheme in SCHEMES:
         for F in FRAME_LENGTHS:
             geom = _cell_geometry(default_params(frame_len=F), scheme)
-            row = dict(scheme=scheme, F=F, runs=CHUNK_SIZE,
-                       grid_columns=int(geom.measured.offsets.size),
+            # the grid holds frames W-1 and W from frame W-1's start: count frame W's
+            frame_w = geom.instants > F * geom.params.tau_c
+            row = dict(scheme=scheme, F=F, runs=CHUNK_SIZE, grid_columns=int(frame_w.sum()),
                        segments=len(geom.segments), **_measure(geom))
             rows.append(row)
             print(json.dumps(row), flush=True)

@@ -67,36 +67,30 @@ class DeltaStats:
 # static per-cell description of what the engine must simulate
 
 @dataclass(frozen=True)
-class _Grid:
-    """Sample instants of one frame, as 1-based frame offsets, with the grid
-    columns the sync measurement and the UE psi updates read: the warm-up grid
-    sets slot F's psi, the measured grid every slot's."""
-
-    offsets: np.ndarray      # increasing frame offsets
-    sync_cols: np.ndarray    # columns of i1 and i2 (synced schemes)
-    pilot_cols: np.ndarray   # column of AP 1's demod pilot in each slot whose psi it sets
-    krep_cols: np.ndarray    # column of the representative UE's pilot there
-
-
-@dataclass(frozen=True)
 class _CellGeometry:
-    """Warm-up and measured frame grids, AP 1's exact table, one entry per AP-2
-    payload position (1-based frame offset) in frame order, and the segments:
-    runs of positions that share everything their Delta reads on the grid."""
+    """The cell's one grid (the instants of frames W-1 and W the compensation
+    reads), the gaps both Wiener draws step by, the columns the chunk reads,
+    AP 1's exact table, one entry per AP-2 payload position (1-based frame
+    offset) in frame order, and the segments: runs of positions that share
+    everything their Delta reads on the grid."""
 
     params: SystemParams
     scheme: str
     sigma_nu_sq: float
-    warmup: _Grid
-    measured: _Grid
+    instants: np.ndarray     # (n,) increasing offsets from frame W-1's start
+    d_gaps: np.ndarray       # gaps of D at i1 and i2 of frames 0..W-2, from sample 1
+    gaps: np.ndarray         # (n,) gaps of instants, the first from frame W-2's i2
+    sync_cols: np.ndarray    # columns of i1 and i2 of frames W-1 and W (synced schemes)
+    # (2, F+1) columns of AP 1's demod pilot and the representative UE's pilot
+    # that set psi: frame W-1's slot F (carried over), then frame W's slots
+    psi_cols: np.ndarray
     exact: np.ndarray        # (2, F*tau_c) E[Delta]: AP 1's row, zero in AP 2's
     pos: np.ndarray          # (P,) frame offset
     segment: np.ndarray      # (P,) row of the position's segment
     weight: np.ndarray       # (P,) exp(-(pos - anchor offset) sigma_nu^2 / 2)
-    # (S, 4) per segment: anchor (measured-grid column of the last instant
-    # before it), column of the representative UE's pilot in its slot, tracker
-    # output (0: previous frame's; 1: this frame's) and the slot whose pilot
-    # set psi (0 = carried over)
+    # (S, 4) per segment: anchor (column of the last instant before it), column
+    # of the representative UE's pilot in its slot, tracker output (0: previous
+    # frame's; 1: this frame's) and the slot whose pilot set psi (0 = carried over)
     segments: np.ndarray
 
 
@@ -113,42 +107,44 @@ def _cell_geometry(params: SystemParams, scheme: str,
     """The cell's geometry from its build_plan(params, scheme), built here
     unless the caller passes it."""
     plan = build_plan(params, scheme) if plan is None else plan
-    k_rep = representative_ue(params.n_ues)
+    L, W = plan.n_samples, WARMUP_FRAMES
     sync = np.array([sample for sample, _, _ in plan.sync_events], dtype=int)
     # AP 1 sends a demod pilot in every slot of both schedules (AP 2's, if any,
-    # at the same instant); it sets psi
-    demod, krep = plan.demod_pilot_samples[0], plan.pilot_samples[:, k_rep - 1]
+    # at the same instant); it sets psi. Of the UE pilots, the chain reads the
+    # representative UE's alone. Frame W-1 reads slot F's, which set the
+    # carried-over psi, and frame W every slot's
+    pilots = np.stack((plan.demod_pilot_samples[0],
+                       plan.pilot_samples[:, representative_ue(params.n_ues) - 1]))
+    psi_at = np.concatenate((pilots[:, -1:], L + pilots), axis=1)
+    sync_at = np.concatenate((sync, L + sync))
+    instants = np.flatnonzero(np.bincount(np.concatenate((psi_at.ravel(), sync_at))))
+    # as global samples: D at i1 and i2 of frames 0..W-2, then the grid
+    path = np.concatenate(((np.arange(W - 1)[:, None] * L + sync).ravel(),
+                           (W - 1) * L + instants))
+    gaps = np.diff(path, prepend=1)
 
     ap, idx = np.nonzero(plan.data_mask())
     pos, slot = idx + 1, idx // params.tau_c   # 1-based offset, 0-based slot
-
-    def grid(psi_slots):
-        pilots, reps = demod[psi_slots - 1], krep[psi_slots - 1]
-        offsets = np.flatnonzero(np.bincount(np.concatenate((pilots, reps, sync))))
-        return _Grid(offsets, np.searchsorted(offsets, sync),
-                     np.searchsorted(offsets, pilots), np.searchsorted(offsets, reps))
-
-    # of the UE pilots, the chain reads the representative UE's alone
-    warmup = grid(np.array([params.frame_len]))
-    measured = grid(np.arange(1, params.frame_len + 1))
-    anchor = np.searchsorted(measured.offsets, pos) - 1   # payload is never on the grid
+    anchor = np.searchsorted(instants, L + pos) - 1   # payload is never on the grid
     sigma_nu_sq = derive_sigma_nu(params)
-    weight = np.exp(-(pos - measured.offsets[anchor]) * sigma_nu_sq / 2)
+    weight = np.exp(-(L + pos - instants[anchor]) * sigma_nu_sq / 2)
     # AP 1 applies no tracker output, and its anchor is its slot's demod pilot,
     # where psi was set: its Delta given the grid is the UE-pilot noise
-    exact = np.zeros((2, plan.n_samples), dtype=complex)
+    exact = np.zeros((2, L), dtype=complex)
     exact[0, pos[ap == 0] - 1] = weight[ap == 0] * np.exp(-params.ue_pilot_noise_var / 2)
     pos, slot, anchor, weight = (x[ap == 1] for x in (pos, slot, anchor, weight))
 
+    psi_cols = np.searchsorted(instants, psi_at)
     keys = np.stack((
-        anchor, np.searchsorted(measured.offsets, krep[slot]),
+        anchor, psi_cols[1, slot + 1],
         # AP 2 applies this frame's tracker output after the last sync instant
         pos > sync.max(initial=0), slot + (pos > plan.demod_pilot_samples[1, slot])))
     starts = np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0)
     return _CellGeometry(
-        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, warmup=warmup,
-        measured=measured, exact=exact, pos=pos, segment=np.cumsum(starts) - 1,
-        weight=weight, segments=keys[:, starts].T)
+        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, instants=instants,
+        d_gaps=gaps[:-instants.size], gaps=gaps[-instants.size:],
+        sync_cols=np.searchsorted(instants, sync_at), psi_cols=psi_cols, exact=exact,
+        pos=pos, segment=np.cumsum(starts) - 1, weight=weight, segments=keys[:, starts].T)
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +201,20 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     only. So frames 0..W-2 (W = WARMUP_FRAMES) need only D = nu_2 - nu_1 at
     the sync instants: a Wiener path with 2 sigma_nu^2 per sample, started
     uniform on the circle. Frames W-1 and W start both paths from (0, D) at
-    frame W-2's i2: frame W-1 sets the carried-over psi and the previous
-    tracker output, frame W everything else on the measured grid.
+    frame W-2's i2 and read them on the cell's grid: frame W-1 sets the
+    carried-over psi and the previous tracker output, frame W everything
+    else.
     """
-    p = geom.params
+    p, W = geom.params, WARMUP_FRAMES
     rng = np.random.default_rng(run_seed(master_seed, chunk_index))
-    L, W = p.frame_len * p.tau_c, WARMUP_FRAMES
-    warm, meas = geom.warmup, geom.measured
-    m = warm.offsets.size
 
-    # D at i1 and i2 of frames 0..W-2, then both paths on frame W-1's warm-up
-    # grid and frame W's measured grid; obs[f] = D(i1) + D(i2) + e_12 - e_21
-    sync_at = (np.arange(W - 1)[:, None] * L + warm.offsets[warm.sync_cols]).ravel()
-    d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, n_runs),
-                         np.diff(sync_at, prepend=1), 2 * geom.sigma_nu_sq)
-    at = np.concatenate(((W - 1) * L + warm.offsets, W * L + meas.offsets))
-    nu = wiener_values_at(rng, np.stack((np.zeros(n_runs), d[:, -1])),
-                          np.diff(at, prepend=sync_at[-1]), geom.sigma_nu_sq)
-    sync_cols = np.concatenate((warm.sync_cols, m + meas.sync_cols))
-    d = np.concatenate((d, (nu[1] - nu[0])[:, sync_cols]), axis=1)
+    # D at i1 and i2 of frames 0..W-2, then both paths on the cell's grid;
+    # obs[f] = D(i1) + D(i2) + e_12 - e_21
+    d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, n_runs), geom.d_gaps,
+                         2 * geom.sigma_nu_sq)
+    nu = wiener_values_at(rng, np.stack((np.zeros(n_runs), d[:, -1])), geom.gaps,
+                          geom.sigma_nu_sq)
+    d = np.concatenate((d, (nu[1] - nu[0])[:, geom.sync_cols]), axis=1)
     obs = d.reshape(n_runs, W + 1, 2).sum(axis=2).T \
         + _sync_errors(rng, op_norm, p.rho_ap, W + 1)
 
@@ -236,14 +227,13 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     else:    # direct: a fresh filter start each frame passes obs through
         theta = obs[W - 1:]
     # psi by slot: row 0 carried over from frame W-1's slot F, rows 1..F set in frame W
-    nu1 = nu[0].T
-    psi = nu1[np.concatenate((warm.pilot_cols, m + meas.pilot_cols))] \
-        + nu1[np.concatenate((warm.krep_cols, m + meas.krep_cols))]
+    nu1, nu2 = nu[0].T, nu[1].T
+    pilot, krep = geom.psi_cols
+    psi = nu1[pilot] + nu1[krep]
     if p.ue_pilot_noise_var:
         psi += rng.standard_normal(psi.shape) * np.sqrt(p.ue_pilot_noise_var)
 
     anchor, krep_col, tracker, psi_slot = geom.segments.T
-    nu2 = nu[1].T[m:]
     ph = theta[tracker] + psi[psi_slot] - (nu2[anchor] + nu2[krep_col])
     return np.add.reduceat(np.exp(1j * ph), group_starts, axis=1).T
 
@@ -317,9 +307,10 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     state = None
     rows = []
     for f in range(n_frames):
-        prev, state = state, kalman_init(obs[f], model) if state is None or scheme == "direct" \
+        fresh = f == 0 or scheme == "direct"
+        prev, state = state, kalman_init(obs[f], model) if fresh \
             else kalman_update(state, obs[f], model)
-        kappa = kalman_gain(prev.p_var, model) if state.n > 1 else 1.0
+        kappa = 1.0 if fresh else kalman_gain(prev.p_var, model)
         rows.append(dict(n=f + 1, obs=float(obs[f]), alpha_hat=float(state.alpha_hat),
                          p_var=float(state.p_var), kappa=float(kappa),
                          alpha_true=float(d[f, 2] + d[f, 0])))

@@ -118,9 +118,6 @@ class SystemParams:
         snr = self.rho_ue * self.n_ues * self.beta_ue
         return self.beta_ue * snr / (snr + 1.0)
 
-    def snr_ap_db(self) -> float:
-        return 10.0 * math.log10(self.rho_ap * self.beta_g)
-
     def with_snr_ap_db(self, snr_db: float) -> "SystemParams":
         return replace(self, beta_g=_from_db(snr_db) / self.rho_ap)
 

@@ -73,15 +73,13 @@ class KalmanState:
 
     alpha_hat: float | np.ndarray
     p_var: float | np.ndarray
-    n: int = 1
 
 
 def kalman_init(first_obs, model: NoiseModel) -> KalmanState:
     """No prior: start at the first raw measurement with its own error
     variance (the initial offset is uniform on the circle, so any fixed prior
     would bias the wrap)."""
-    return KalmanState(alpha_hat=first_obs,
-                       p_var=model.sigma_xi_sq + model.meas_var, n=1)
+    return KalmanState(alpha_hat=first_obs, p_var=model.sigma_xi_sq + model.meas_var)
 
 
 def kalman_gain(p_var, model: NoiseModel):
@@ -95,4 +93,4 @@ def kalman_update(state: KalmanState, obs, model: NoiseModel) -> KalmanState:
     kappa = kalman_gain(state.p_var, model)
     alpha_hat = state.alpha_hat + kappa * wrap(obs - state.alpha_hat)
     p_var = state.p_var - kappa * (state.p_var + model.sigma_xi_sq) + model.sigma_zeta_sq
-    return KalmanState(alpha_hat=alpha_hat, p_var=p_var, n=state.n + 1)
+    return KalmanState(alpha_hat=alpha_hat, p_var=p_var)

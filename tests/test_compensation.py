@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from otasync import compensation
 from otasync.channel import batched_op_norms
-from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, _cell_geometry, _sync_errors, \
-    build_plan, chunk_op_norms, monte_carlo_delta, run_phase_trace
+from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, WARMUP_FRAMES, _cell_geometry, \
+    _sync_errors, build_plan, chunk_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import ConfigError, default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
@@ -338,29 +338,48 @@ def test_anchor_follows_every_instant_the_compensation_reads(p, scheme):
     # anchor to the position is independent of everything its Delta reads,
     # which the engine takes from the position's row of AP 2's segment table
     geom = _cell_geometry(p, scheme)
-    grid = geom.measured
+    plan = build_plan(p, scheme)
+    L, W = plan.n_samples, WARMUP_FRAMES
+    sync = np.array([sample for sample, _, _ in plan.sync_events], dtype=int)
+    pilots = np.stack((plan.demod_pilot_samples[0],
+                       plan.pilot_samples[:, representative_ue(p.n_ues) - 1]))
+    # one grid over frames W-1 and W, as offsets from frame W-1's start; the
+    # gaps step D from sample 1 through i1 and i2 of frames 0..W-2, then both
+    # paths through the grid
+    assert np.all(np.diff(geom.instants) > 0)
+    assert geom.instants[0] >= 1 and geom.instants[-1] <= 2 * L
+    assert np.all(geom.d_gaps >= 0) and np.all(geom.gaps >= 0)
+    assert np.array_equal(1 + np.cumsum(np.concatenate((geom.d_gaps, geom.gaps))),
+                          np.concatenate(((np.arange(W - 1)[:, None] * L + sync).ravel(),
+                                          (W - 1) * L + geom.instants)))
+    # sync columns: i1 and i2 of frame W-1, then of frame W
+    assert np.array_equal(geom.instants[geom.sync_cols], np.concatenate((sync, L + sync)))
+    # psi columns (AP 1's demod pilot, the representative UE's pilot): frame
+    # W-1's slot F for the carried-over psi, then frame W's slots
+    assert np.array_equal(geom.instants[geom.psi_cols[:, 0]], pilots[:, -1])
+    assert np.array_equal(geom.instants[geom.psi_cols[:, 1:]], L + pilots)
+
     anchor, krep_col, tracker, psi_slot = geom.segments[geom.segment].T
-    assert np.array_equal(geom.pos, np.flatnonzero(build_plan(p, scheme).data_mask()[1]) + 1)
-    at = grid.offsets[anchor]
-    assert np.all(at < geom.pos) and not np.isin(geom.pos, grid.offsets).any()
-    pilot = grid.offsets[krep_col]            # the representative UE's, in the position's slot
+    assert np.array_equal(geom.pos, np.flatnonzero(plan.data_mask()[1]) + 1)
+    at = geom.instants[anchor] - L            # frame W's offsets
+    assert np.all((0 < at) & (at < geom.pos)) and not np.isin(L + geom.pos, geom.instants).any()
+    pilot = geom.instants[krep_col] - L       # the representative UE's, in the position's slot
     assert np.array_equal(pilot, (geom.pos - 1) // p.tau_c * p.tau_c + representative_ue(p.n_ues))
     assert np.all(pilot <= at)
     this = psi_slot > 0                                       # psi set in this frame
-    for cols in (grid.pilot_cols, grid.krep_cols):
-        assert np.all(grid.offsets[cols[psi_slot[this] - 1]] <= at[this])
+    for cols in geom.psi_cols:
+        assert np.all(geom.instants[cols[psi_slot[this]]] - L <= at[this])
     fresh = tracker == 1                                      # this frame's tracker output
-    assert np.all(grid.offsets[list(grid.sync_cols)].max(initial=0) <= at[fresh])
+    assert np.all(geom.instants[geom.sync_cols].max(initial=0) - L <= at[fresh])
     # each row of the table is one maximal run of consecutive positions
     assert np.array_equal(np.unique(geom.segment), np.arange(len(geom.segments)))
     assert np.all(np.diff(geom.segment) >= 0) and np.diff(geom.segments, axis=0).any(axis=1).all()
     # AP 1's exact row rests on its payload following its slot's demod pilot
     # with no grid instant in between: its E[Delta] is the drift since that pilot
-    plan = build_plan(p, scheme)
     pos = np.flatnonzero(plan.data_mask()[0]) + 1
     demod = plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
-    assert np.array_equal(np.searchsorted(grid.offsets, pos) - 1,
-                          np.searchsorted(grid.offsets, demod))
+    assert np.array_equal(np.searchsorted(geom.instants, L + pos) - 1,
+                          np.searchsorted(geom.instants, L + demod))
     expect = np.zeros(plan.n_samples)
     expect[pos - 1] = np.exp(-(pos - demod) * derive_sigma_nu(p) / 2)
     assert np.array_equal(geom.exact, expect.astype(complex) * [[1], [0]])

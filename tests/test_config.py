@@ -160,4 +160,4 @@ def test_gamma_closed_form(params):
 
 def test_snr_ap_roundtrip(params):
     p = params.with_snr_ap_db(-20.0)
-    assert p.snr_ap_db() == pytest.approx(-20.0)
+    assert 10 * math.log10(p.rho_ap * p.beta_g) == pytest.approx(-20.0)

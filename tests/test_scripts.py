@@ -38,11 +38,15 @@ def test_bench_chunk_measure(bench_chunk):
     assert 0 < row["mean_abs_delta"] <= 1
 
 
-def test_bench_chunk_report(bench_chunk, tmp_path):
+def test_bench_chunk_report(bench_chunk, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_chunk, "FRAME_LENGTHS", (1, 10))
     out = tmp_path / "bench.json"
     bench_chunk.main(["--out", str(out)])
     rows = json.loads(out.read_text())["rows"]
-    assert [r["scheme"] for r in rows] == ["kalman", "direct"]
+    # grid_columns counts the measured frame's instants: AP 1's demod pilot
+    # and the representative UE's pilot in each slot, plus i1 and i2
+    assert [(r["scheme"], r["F"], r["grid_columns"]) for r in rows] == \
+        [("kalman", 1, 4), ("kalman", 10, 22), ("direct", 1, 4), ("direct", 10, 22)]
     assert all(0 < r["mean_abs_delta"] <= 1 and r["segments"] > 0 for r in rows)
 
 

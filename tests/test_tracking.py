@@ -97,7 +97,6 @@ def test_kalman_update_worked_example():
     new = kalman_update(state, 0.1, model)
     assert new.p_var == pytest.approx(0.0198613551448360, abs=1e-9)
     assert new.alpha_hat == pytest.approx(kappa * 0.1, abs=1e-12)
-    assert new.n == state.n + 1
 
 
 def test_kalman_per_run_arrays_match_scalar_steps():
@@ -117,7 +116,6 @@ def test_kalman_per_run_arrays_match_scalar_steps():
             ref = kalman_update(ref, float(row[r]), one)
         assert state.alpha_hat[r] == ref.alpha_hat
         assert state.p_var[r] == ref.p_var
-    assert state.n == 4
     with pytest.raises(ValueError):
         derive_noise_model(p, np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
