@@ -1,0 +1,182 @@
+#!/usr/bin/env python3
+"""Time the engine layer by layer, and the paper's presets end to end, with
+BLAS on one thread; write one JSON report with a section per measurement:
+
+- opnorm: the per-run op-norm draw for OPNORM_RUNS runs at N in SIZES, the
+  dense-G SVD oracle (tests/oracles.py) against the bidiagonal model
+  (otasync.channel.batched_op_norms); dense is skipped where its G alone
+  would take 1 GiB or more.
+- chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (N_GROUPS
+  batch-mean groups, one sum per AP-2 segment) per synced scheme and F; the
+  cell geometry and the chunk's op norms are made outside the timed call, as
+  monte_carlo_delta makes them. ap1_only has no chunk: its table is exact.
+- rate: one cell's rate stage, spectral_efficiency(per_position_rates(...))
+  on the mean and group-mean E[Delta] tables of RATE_RUNS runs (made outside
+  the timed call), for default and heterogeneous beta_ue/eta.
+- presets: `otasync --fig2` and `--fig3` at PRESET_RUNS runs per cell, each
+  in a fresh process and its own directory, alternating; per run the process
+  wall time and the CSV's wall_time_s summed, in all and per scheme.
+
+A layer's timing is the median of its section's repeats; one more call
+records the tracemalloc peak. The report names the host and the tree it
+measured as perfbench/env.py does: the git commit (null outside git) and the
+sha256 prefix of src/otasync/*.py.
+
+    python scripts/bench_engine.py --out BENCH.json
+
+Run from anywhere; the script puts the repository's src/ and root on the path.
+"""
+
+import argparse
+import csv
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.env import git_commit, pinned_env, process_record, source_digest  # noqa: E402
+
+os.environ.update(pinned_env(ROOT))   # before numpy loads BLAS; the presets' processes inherit it
+
+import numpy as np  # noqa: E402
+
+from otasync.channel import batched_op_norms  # noqa: E402
+from otasync.compensation import CHUNK_SIZE, N_GROUPS, _cell_geometry, _simulate_chunk, \
+    build_plan, chunk_op_norms, monte_carlo_delta  # noqa: E402
+from otasync.config import default_params  # noqa: E402
+from otasync.rate import per_position_rates, spectral_efficiency  # noqa: E402
+from tests.oracles import dense_op_norms  # noqa: E402
+
+SEED = 1
+SIZES, OPNORM_RUNS, OPNORM_REPEATS, DENSE_LIMIT_BYTES = (64, 128, 256, 512), 1024, 3, 2**30
+SCHEMES, FRAME_LENGTHS, CHUNK_REPEATS = ("kalman", "direct"), (1, 10), 5
+RATE_SCHEMES, RATE_RUNS, RATE_REPEATS = ("kalman", "ap1_only"), 1024, 15
+PRESETS, PRESET_RUNS, PRESET_REPEATS = ("--fig2", "--fig3"), 10_000, 3
+
+
+def measure(repeats, call, args_of):
+    """Time call(*args_of(r)) for r < repeats, then record the peak of one
+    more call(*args_of(0)); args_of runs outside both. Returns the timings
+    and the last timed call's result."""
+    times = []
+    for r in range(repeats):
+        args = args_of(r)
+        t0 = perf_counter()
+        result = call(*args)
+        times.append(perf_counter() - t0)
+    args = args_of(0)
+    tracemalloc.start()
+    try:
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return dict(s=statistics.median(times), s_all=times, peak_mib=peak / 2**20), result
+
+
+def _op_norms(draw, params):
+    timing, norms = measure(OPNORM_REPEATS, draw,
+                            lambda r: (np.random.default_rng(SEED + r), params, OPNORM_RUNS))
+    return dict(timing, mean_op_norm=float(norms.mean()))
+
+
+def opnorm():
+    for N in SIZES:
+        params = default_params(n_antennas=N)
+        g_bytes = OPNORM_RUNS * N * N * 16
+        row = dict(N=N, runs=OPNORM_RUNS, dense_g_bytes=g_bytes,
+                   bidiagonal=_op_norms(batched_op_norms, params), dense=None)
+        if g_bytes < DENSE_LIMIT_BYTES:
+            row["dense"] = _op_norms(dense_op_norms, params)
+            row["speedup"] = row["dense"]["s"] / row["bidiagonal"]["s"]
+        yield row
+
+
+def chunk():
+    group_starts = np.flatnonzero(np.diff(np.arange(CHUNK_SIZE) * N_GROUPS // CHUNK_SIZE,
+                                          prepend=-1))
+    for scheme in SCHEMES:
+        for F in FRAME_LENGTHS:
+            geom = _cell_geometry(default_params(frame_len=F), scheme)
+            timing, sums = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
+                geom, r, CHUNK_SIZE, SEED, group_starts,
+                chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE)))
+            # (G, S) segment sums -> AP 2's E[Delta] per payload position
+            mean_delta = sums.sum(axis=0)[geom.segment] * geom.weight / CHUNK_SIZE
+            # the grid holds frames W-1 and W from frame W-1's start: count frame W's
+            yield dict(scheme=scheme, F=F, runs=CHUNK_SIZE,
+                       grid_columns=int((geom.instants > F * geom.params.tau_c).sum()),
+                       segments=len(geom.segments), **timing,
+                       mean_abs_delta=float(np.abs(mean_delta).mean()))
+
+
+def hetero_params(**overrides):
+    """The default 10 UEs with unequal beta_ue (-26..-14 dB) and eta."""
+    rng = np.random.default_rng(31)
+    beta = 10 ** (rng.uniform(-26.0, -14.0, (10, 2)) / 10)
+    eta = rng.uniform(0.1, 1.0, (10, 2))
+    return default_params(beta_ue=beta, eta=eta / eta.sum(axis=0, keepdims=True), **overrides)
+
+
+def rate():
+    for name, make in (("default", default_params), ("hetero", hetero_params)):
+        for scheme in RATE_SCHEMES:
+            for F in FRAME_LENGTHS:
+                params = make(frame_len=F)
+                plan = build_plan(params, scheme)
+                stats = monte_carlo_delta(params, scheme, RATE_RUNS, SEED)
+                tables = np.concatenate((stats.mean_delta[None], stats.group_means))
+                timing, se = measure(RATE_REPEATS, lambda: spectral_efficiency(
+                    plan, per_position_rates(params, plan, tables)), lambda r: ())
+                yield dict(params=name, scheme=scheme, F=F, tables=len(tables),
+                           payload_columns=int(plan.data_mask().any(axis=0).sum()),
+                           **timing, se_mean=float(se[0].mean()))
+
+
+def presets():
+    for repeat in range(PRESET_REPEATS):
+        for preset in PRESETS:
+            with tempfile.TemporaryDirectory() as tmp:
+                t0 = perf_counter()
+                subprocess.run([sys.executable, "-m", "otasync.cli", preset, "--realizations",
+                                str(PRESET_RUNS), "--out", "cells.csv"],
+                               cwd=tmp, check=True)
+                wall = perf_counter() - t0
+                with open(Path(tmp) / "cells.csv", newline="") as fh:
+                    cells = list(csv.DictReader(fh))
+            by_scheme = {}
+            for cell in cells:
+                by_scheme[cell["scheme"]] = by_scheme.get(cell["scheme"], 0.0) \
+                    + float(cell["wall_time_s"])
+            yield dict(preset=preset.lstrip("-"), repeat=repeat, runs=PRESET_RUNS,
+                       cells=len(cells), wall_s=wall, cell_s=sum(by_scheme.values()),
+                       cell_s_by_scheme=by_scheme)
+
+
+SECTIONS = dict(opnorm=opnorm, chunk=chunk, rate=rate, presets=presets)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, metavar="PATH", help="JSON report path")
+    args = parser.parse_args(argv)
+
+    report = dict(host=process_record(), commit=git_commit(ROOT), src_sha256=source_digest(ROOT))
+    for name, section in SECTIONS.items():
+        report[name] = []
+        for row in section():
+            report[name].append(row)
+            print(json.dumps(dict(section=name, **row)), flush=True)
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,8 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectral-efficiency results as CSV.")
     parser.add_argument("--config", metavar="PATH",
                         help="key=value system-parameter file (defaults used if omitted)")
-    parser.add_argument("--sweep", metavar="PATH",
-                        help="key=value sweep-specification file")
     parser.add_argument("--out", metavar="PATH",
                         help="output CSV path (standard output if omitted)")
     parser.add_argument("--seed", type=int, metavar="INT",
@@ -35,6 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--realizations", type=int, metavar="INT",
                         help="Monte Carlo runs per cell (overrides the sweep file)")
     preset = parser.add_mutually_exclusive_group()
+    preset.add_argument("--sweep", metavar="PATH",
+                        help="key=value sweep-specification file")
     preset.add_argument("--fig2", action="store_true",
                         help="preset sweep: c_nu=5e-18, SNR_AP in {-15,-20} dB, F=1..10")
     preset.add_argument("--fig3", action="store_true",

@@ -20,7 +20,6 @@ only AP 2's is drawn. Tests check it against a slow full-chain reference.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,10 @@ CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: part of the RNG str
 N_GROUPS = 10            # batch-mean groups for standard errors
 OP_NORM_MEMO_SIZE = 256  # memoized chunks of at most CHUNK_SIZE floats: 2 MiB at most
 
-# chunk_op_norms' key -> its read-only draw; a hit equals a fresh draw, so no
-# result depends on what earlier calls in the process left here
-_op_norm_memo: OrderedDict = OrderedDict()
+# chunk index below OP_NORM_MEMO_SIZE -> (chunk_op_norms' key, its read-only
+# draw); a hit equals a fresh draw, so no result depends on what earlier calls
+# in the process left here
+_op_norm_memo: dict = {}
 
 
 @dataclass(frozen=True)
@@ -158,20 +158,18 @@ def chunk_op_norms(params: SystemParams, seed: int, chunk_index: int,
     spawn_key=(chunk_index, 0)) (the first child of run_seed(seed,
     chunk_index), which feeds the rest of the chunk), so they are a pure
     function of (N, beta_g, seed, chunk_index, n_runs). Each distinct draw
-    is made once per process and kept in a least-recently-used memo of
-    OP_NORM_MEMO_SIZE entries.
+    of the first OP_NORM_MEMO_SIZE chunks stays in its chunk's slot of the
+    memo until a draw for another key replaces it.
     """
-    key = (params.n_antennas, params.beta_g, seed, chunk_index, n_runs)
-    norms = _op_norm_memo.get(key)
-    if norms is not None:
-        _op_norm_memo.move_to_end(key)
-        return norms
+    key = (params.n_antennas, params.beta_g, seed, n_runs)
+    slot = _op_norm_memo.get(chunk_index)
+    if slot is not None and slot[0] == key:
+        return slot[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index, 0)))
     norms = batched_op_norms(rng, params, n_runs)
     norms.flags.writeable = False
-    _op_norm_memo[key] = norms
-    if len(_op_norm_memo) > OP_NORM_MEMO_SIZE:
-        _op_norm_memo.popitem(last=False)
+    if chunk_index < OP_NORM_MEMO_SIZE:
+        _op_norm_memo[chunk_index] = key, norms
     return norms
 
 

@@ -11,7 +11,7 @@ from otasync.channel import batched_op_norms
 from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, WARMUP_FRAMES, _cell_geometry, \
     _sync_errors, build_plan, chunk_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import ConfigError, default_params, derive_sigma_nu
-from otasync.experiment import run_cell
+from otasync.experiment import SweepSpec, run_cell, run_sweep
 from otasync.rate import per_position_rates, spectral_efficiency
 from otasync.tracking import representative_ue, wrap
 from tests.conftest import geometries
@@ -151,14 +151,38 @@ def test_op_norm_memo_hit_is_a_fresh_draw(params):
 
 def test_op_norm_memo_never_holds_more_than_its_cap(params):
     p = dataclasses.replace(params, n_antennas=2)
-    for seed in range(OP_NORM_MEMO_SIZE + 20):
-        chunk_op_norms(p, seed, 0, 1)
+    for chunk in range(OP_NORM_MEMO_SIZE + 20):
+        chunk_op_norms(p, 0, chunk, 1)
         assert len(compensation._op_norm_memo) <= OP_NORM_MEMO_SIZE
-    # least recently used goes first: a hit keeps an entry
-    chunk_op_norms(p, 20, 0, 1)
-    chunk_op_norms(p, 10_000, 0, 1)
-    keys = {key[2] for key in compensation._op_norm_memo if key[:2] == (2, p.beta_g)}
-    assert 20 in keys and 21 not in keys and 10_000 in keys
+    # one slot per chunk index below the cap: a hit keeps its entry, and a
+    # draw for another key (here another seed) replaces it
+    first = chunk_op_norms(p, 0, 20, 1)
+    assert chunk_op_norms(p, 0, 20, 1) is first
+    other = chunk_op_norms(p, 1, 20, 1)
+    key, norms = compensation._op_norm_memo[20]
+    assert key == (2, p.beta_g, 1, 1) and norms is other
+    assert chunk_op_norms(p, 0, 20, 1) is not first
+    assert chunk_op_norms(p, 0, 21, 1) is compensation._op_norm_memo[21][1]
+    assert max(compensation._op_norm_memo) < OP_NORM_MEMO_SIZE
+
+
+def test_op_norm_memo_keeps_its_chunks_when_a_cell_has_more_than_it_holds(params, monkeypatch):
+    # two cells of one seed, 4 chunks each, 3 memo slots: the second cell
+    # redraws only the chunk past the cap, not every chunk
+    draws = []
+    draw = compensation.batched_op_norms
+
+    def spy(rng, p, n_runs):
+        draws.append(n_runs)
+        return draw(rng, p, n_runs)
+
+    monkeypatch.setattr(compensation, "batched_op_norms", spy)
+    monkeypatch.setattr(compensation, "OP_NORM_MEMO_SIZE", 3)
+    compensation._op_norm_memo.clear()
+    spec = SweepSpec(f_values=(1, 2), schemes=("kalman",), snr_ap_db=(-15.0,),
+                     n_realizations=3 * CHUNK_SIZE + 10, master_seed=37)
+    run_sweep(spec, dataclasses.replace(params, n_antennas=4))
+    assert draws == [CHUNK_SIZE] * 3 + [10] * 2
 
 
 def test_chunks_get_the_memoized_op_norms(params, monkeypatch):

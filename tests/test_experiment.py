@@ -297,6 +297,8 @@ def test_cli_stdout_when_no_out(capsys):
 def test_cli_usage_error():
     assert cli_main(["--no-such-flag"]) == 1
     assert cli_main(["--fig2", "--fig3"]) == 1
+    for preset in ("--fig2", "--fig3"):   # one sweep: a preset or a sweep file
+        assert cli_main([preset, "--sweep", "s.cfg"]) == 1
     assert cli_main(["--workers", "2"]) == 1  # chunks run in one process
 
 

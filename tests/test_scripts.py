@@ -1,64 +1,72 @@
-"""scripts/bench_chunk.py, bench_opnorm.py and bench_rate.py call engine internals
-and test oracles; run them small so that a change to their contract cannot
+"""scripts/bench_engine.py calls engine internals, test oracles and the CLI;
+run each of its sections small so that a change to their contract cannot
 break them silently."""
 
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from otasync.compensation import _cell_geometry
+from otasync.compensation import CHUNK_SIZE, N_GROUPS, _cell_geometry, _simulate_chunk, \
+    chunk_op_norms
 from otasync.config import default_params
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_engine.py"
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# sizes small enough for a smoke run of every section
+SMALL = dict(SIZES=(8,), OPNORM_RUNS=16, OPNORM_REPEATS=1, CHUNK_REPEATS=2, RATE_REPEATS=2,
+             RATE_RUNS=20, PRESET_RUNS=20, PRESET_REPEATS=1)
 
 
 @pytest.fixture
-def bench_chunk(monkeypatch):
-    module = _load("bench_chunk")
-    monkeypatch.setattr(module, "REPEATS", 2)
-    monkeypatch.setattr(module, "FRAME_LENGTHS", (1,))
-    return module
+def bench(monkeypatch):
+    # loading the script pins BLAS and PYTHONPATH in os.environ for the
+    # preset processes; the rest of the session gets its own back
+    environ = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("bench_engine", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        for name, value in SMALL.items():
+            monkeypatch.setattr(module, name, value)
+        yield module
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
 
 
-def test_bench_chunk_measure(bench_chunk):
-    # a kalman chunk: AP 2's E[Delta] per payload position
+def test_bench_chunk_measure(bench):
+    # measure times a kalman chunk twice and returns its (G, S) segment sums
     geom = _cell_geometry(default_params(n_antennas=8), "kalman")
-    row = bench_chunk._measure(geom)
-    assert len(row["s_all"]) == 2 and row["peak_mib"] > 0
-    assert 0 < row["mean_abs_delta"] <= 1
+    starts = np.flatnonzero(np.diff(np.arange(CHUNK_SIZE) * N_GROUPS // CHUNK_SIZE, prepend=-1))
+    timing, sums = bench.measure(2, _simulate_chunk, lambda r: (
+        geom, r, CHUNK_SIZE, 1, starts, chunk_op_norms(geom.params, 1, r, CHUNK_SIZE)))
+    assert len(timing["s_all"]) == 2 and timing["peak_mib"] > 0
+    assert timing["s"] == pytest.approx(np.median(timing["s_all"]))
+    mean_delta = sums.sum(axis=0)[geom.segment] * geom.weight / CHUNK_SIZE
+    assert sums.shape == (N_GROUPS, len(geom.segments))
+    assert 0 < np.abs(mean_delta).mean() <= 1
 
 
-def test_bench_chunk_report(bench_chunk, monkeypatch, tmp_path):
-    monkeypatch.setattr(bench_chunk, "FRAME_LENGTHS", (1, 10))
-    out = tmp_path / "bench.json"
-    bench_chunk.main(["--out", str(out)])
-    rows = json.loads(out.read_text())["rows"]
+def test_bench_chunk_report(bench):
+    rows = list(bench.chunk())
     # grid_columns counts the measured frame's instants: AP 1's demod pilot
     # and the representative UE's pilot in each slot, plus i1 and i2
     assert [(r["scheme"], r["F"], r["grid_columns"]) for r in rows] == \
         [("kalman", 1, 4), ("kalman", 10, 22), ("direct", 1, 4), ("direct", 10, 22)]
-    assert all(0 < r["mean_abs_delta"] <= 1 and r["segments"] > 0 for r in rows)
+    for r in rows:
+        assert r["runs"] == CHUNK_SIZE and r["segments"] > 0 and 0 < r["mean_abs_delta"] <= 1
+        assert len(r["s_all"]) == 2 and r["peak_mib"] > 0
 
 
-def test_bench_opnorm_report(monkeypatch, tmp_path):
-    module = _load("bench_opnorm")
-    monkeypatch.setattr(module, "SIZES", (8,))
-    monkeypatch.setattr(module, "N_RUNS", 16)
-    monkeypatch.setattr(module, "REPEATS", 1)
-    out = tmp_path / "bench.json"
-    module.main(["--out", str(out)])
-    (row,) = json.loads(out.read_text())["rows"]
+def test_bench_opnorm_report(bench):
+    (row,) = bench.opnorm()
     assert row["N"] == 8 and row["runs"] == 16 and row["speedup"] > 0
+    assert row["dense_g_bytes"] == 16 * 8 * 8 * 16
     # both paths draw ||G|| of an 8x8 G: a little below sqrt(beta_g) 2 sqrt(8)
     scale = math.sqrt(default_params().beta_g) * 2 * math.sqrt(8)
     for path in ("bidiagonal", "dense"):
@@ -66,17 +74,41 @@ def test_bench_opnorm_report(monkeypatch, tmp_path):
         assert 0.6 < row[path]["mean_op_norm"] / scale < 1.1
 
 
-def test_bench_rate_report(monkeypatch, tmp_path):
-    module = _load("bench_rate")
-    monkeypatch.setattr(module, "REPEATS", 2)
-    monkeypatch.setattr(module, "FRAME_LENGTHS", (1,))
-    monkeypatch.setattr(module, "N_REALIZATIONS", 20)
-    out = tmp_path / "bench.json"
-    module.main(["--out", str(out)])
-    rows = json.loads(out.read_text())["rows"]
+def test_bench_opnorm_skips_dense_from_its_limit(bench, monkeypatch):
+    monkeypatch.setattr(bench, "DENSE_LIMIT_BYTES", 16 * 8 * 8 * 16)
+    (row,) = bench.opnorm()
+    assert row["dense"] is None and "speedup" not in row and row["bidiagonal"]["s"] > 0
+
+
+def test_bench_rate_report(bench, monkeypatch):
+    monkeypatch.setattr(bench, "FRAME_LENGTHS", (1,))
+    rows = list(bench.rate())
     assert [(r["params"], r["scheme"]) for r in rows] == \
         [("default", "kalman"), ("default", "ap1_only"),
          ("hetero", "kalman"), ("hetero", "ap1_only")]
     for r in rows:
         assert r["tables"] == 11 and r["payload_columns"] in (41, 43)
         assert len(r["s_all"]) == 2 and r["peak_mib"] > 0 and 0 < r["se_mean"] < 10
+
+
+def test_bench_presets_report(bench):
+    rows = list(bench.presets())
+    assert [(r["preset"], r["repeat"], r["runs"]) for r in rows] == \
+        [("fig2", 0, 20), ("fig3", 0, 20)]
+    for r in rows:
+        # 50 cells: kalman and direct at 2 SNRs x 10 F, ap1_only at 10 F
+        assert r["cells"] == 50 and set(r["cell_s_by_scheme"]) == {"kalman", "direct", "ap1_only"}
+        assert r["cell_s"] == pytest.approx(sum(r["cell_s_by_scheme"].values()))
+        assert 0 < r["cell_s"] < r["wall_s"]
+
+
+def test_bench_engine_report(bench, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "PRESETS", ("--fig2",))
+    out = tmp_path / "bench.json"
+    bench.main(["--out", str(out)])
+    report = json.loads(out.read_text())
+    assert list(report) == ["host", "commit", "src_sha256", "opnorm", "chunk", "rate", "presets"]
+    assert report["commit"] is None or len(report["commit"]) == 40
+    assert len(report["src_sha256"]) == 16 and report["host"]["blas_threads"] == \
+        dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    assert [len(report[name]) for name in ("opnorm", "chunk", "rate", "presets")] == [1, 4, 8, 1]
