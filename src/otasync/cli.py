@@ -32,18 +32,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated subset of: " + ",".join(SCHEMES))
     parser.add_argument("--realizations", type=int, metavar="INT",
                         help="Monte Carlo runs per cell (overrides the sweep file)")
-    preset = parser.add_mutually_exclusive_group()
-    preset.add_argument("--sweep", metavar="PATH",
-                        help="key=value sweep-specification file")
-    preset.add_argument("--fig2", action="store_true",
-                        help="preset sweep: c_nu=5e-18, SNR_AP in {-15,-20} dB, F=1..10")
-    preset.add_argument("--fig3", action="store_true",
-                        help="preset sweep: c_nu=1.58e-17, SNR_AP in {-15,-20} dB, F=1..10")
-    action = parser.add_mutually_exclusive_group()
-    action.add_argument("--dump-plan", action="store_true",
-                        help="write the per-sample activity plan instead of running a sweep")
-    action.add_argument("--dump-trace", action="store_true",
-                        help="write a single-run tracker trace instead of running a sweep")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--sweep", metavar="PATH",
+                      help="key=value sweep-specification file")
+    mode.add_argument("--fig2", action="store_true",
+                      help="preset sweep: c_nu=5e-18, SNR_AP in {-15,-20} dB, F=1..10")
+    mode.add_argument("--fig3", action="store_true",
+                      help="preset sweep: c_nu=1.58e-17, SNR_AP in {-15,-20} dB, F=1..10")
+    mode.add_argument("--dump-plan", action="store_true",
+                      help="write the per-sample activity plan instead of running a sweep")
+    mode.add_argument("--dump-trace", action="store_true",
+                      help="write a single-run tracker trace instead of running a sweep")
     parser.add_argument("--trace-frames", type=int, default=200, metavar="INT",
                         help="frames in the --dump-trace output (default 200)")
     return parser
@@ -84,6 +83,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.dump_plan or args.dump_trace) and args.realizations is not None:
+            parser.error("--realizations applies only to a sweep")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 

@@ -241,7 +241,7 @@ def _chunk_task(args):   # unused here; perfbench/tracer.py rebinds it by name
 
 
 def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
-                      master_seed: int, plan: SamplePlan | None = None):
+                      master_seed: int, *, plan: SamplePlan | None = None):
     """Estimate E[Delta] at every frame position over independent runs.
 
     AP 1's row is exact in the mean and in every group. If AP 2 sends

@@ -7,7 +7,7 @@ are 1-based within a slot and keep incrementing across slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -16,56 +16,34 @@ class ConfigError(ValueError):
     """Bad key, malformed value or violated parameter invariant."""
 
 
-# Default scenario: two 64-antenna arrays, ten single-antenna users,
-# 100-sample coherence block at 20 MHz / 2 GHz.
-DEFAULTS = dict(
-    n_antennas=64,
-    n_ues=10,
-    tau_c=100,
-    tau_p=10,
-    tau_u=42,
-    tau_g=3,
-    tau_d=42,
-    frame_len=1,
-    rho_ue=100.0,            # 20 dB
-    rho_ap=200.0,            # 2 * rho_ue, linear
-    beta_ue=0.01,            # -20 dB, every (UE, AP) pair
-    beta_g=10 ** (-1.5) / 200.0,   # SNR_AP = rho_ap * beta_g = -15 dB
-    eta=0.1,                 # 1/K, every (UE, AP) pair
-    f_c=2e9,                 # Hz
-    f_s=2e7,                 # Hz
-    c_nu=5e-18,
-    ue_pilot_noise_var=0.0,  # rad^2; 0 = noiseless UE demod-pilot estimate
-)
-
 _DB_KEYS = {"rho_ue", "rho_ap", "beta_ue", "beta_g"}
-_INT_KEYS = {"n_antennas", "n_ues", "tau_c", "tau_p", "tau_u", "tau_g", "tau_d", "frame_len"}
-_MATRIX_KEYS = {"beta_ue", "eta"}
-_SCALAR_KEYS = {"rho_ue", "rho_ap", "beta_g", "f_c", "f_s", "c_nu", "ue_pilot_noise_var"}
-_ALL_KEYS = _INT_KEYS | _MATRIX_KEYS | _SCALAR_KEYS
 
 
 @dataclass(frozen=True, eq=False)
 class SystemParams:
-    """All scalar system parameters plus the per-(UE, AP) fading/power tables."""
+    """All scalar system parameters plus the per-(UE, AP) fading/power tables.
 
-    n_antennas: int
-    n_ues: int
-    tau_c: int
-    tau_p: int
-    tau_u: int
-    tau_g: int
-    tau_d: int
-    frame_len: int
-    rho_ue: float
-    rho_ap: float
-    beta_ue: np.ndarray      # shape (K, 2), linear
-    beta_g: float
-    eta: np.ndarray          # shape (K, 2), power-control coefficients
-    f_c: float
-    f_s: float
-    c_nu: float
-    ue_pilot_noise_var: float = 0.0
+    The defaults are the reference scenario: two 64-antenna arrays, ten
+    single-antenna users, 100-sample coherence block at 20 MHz / 2 GHz.
+    """
+
+    n_antennas: int = 64
+    n_ues: int = 10
+    tau_c: int = 100
+    tau_p: int = 10                  # = n_ues
+    tau_u: int = 42
+    tau_g: int = 3
+    tau_d: int = 42
+    frame_len: int = 1
+    rho_ue: float = 100.0            # 20 dB
+    rho_ap: float = 200.0            # 2 * rho_ue, linear
+    beta_ue: np.ndarray = 0.01       # shape (K, 2), linear; -20 dB for every pair
+    beta_g: float = 10 ** (-1.5) / 200.0   # SNR_AP = rho_ap * beta_g = -15 dB
+    eta: np.ndarray = 0.1            # shape (K, 2), power-control coefficients; 1/K
+    f_c: float = 2e9                 # Hz
+    f_s: float = 2e7                 # Hz
+    c_nu: float = 5e-18
+    ue_pilot_noise_var: float = 0.0  # rad^2; 0 = noiseless UE demod-pilot estimate
 
     def __post_init__(self):
         _check_counts(vars(self))   # before _as_table sizes the tables with n_ues
@@ -145,9 +123,29 @@ def _as_table(value, n_ues: int, name: str) -> np.ndarray:
     return out
 
 
-def default_params(**overrides) -> SystemParams:
-    values = dict(DEFAULTS)
-    values.update(overrides)
+def default_params(**given) -> SystemParams:
+    """SystemParams from the given keys. An omitted key takes its field
+    default, except the keys that follow others: rho_ap = 2*rho_ue,
+    tau_p = n_ues, eta = 1/n_ues, and tau_u and tau_d take what the slot
+    leaves (split evenly if both are omitted)."""
+    values = {f.name: f.default for f in fields(SystemParams)}
+    values.update(given)
+    _check_counts(values)   # before the dependent keys divide by or size with them
+    if "rho_ap" not in given:
+        values["rho_ap"] = 2.0 * values["rho_ue"]
+    if "tau_p" not in given:
+        values["tau_p"] = values["n_ues"]
+    if "eta" not in given:
+        values["eta"] = 1.0 / values["n_ues"]
+    rest = values["tau_c"] - values["tau_p"] - 2 * values["tau_g"]
+    if "tau_u" not in given and "tau_d" not in given:
+        if rest < 2 or rest % 2:
+            raise ConfigError(f"cannot split tau_c - tau_p - 2*tau_g = {rest} into tau_u + tau_d")
+        values["tau_u"] = values["tau_d"] = rest // 2
+    elif "tau_d" not in given:
+        values["tau_d"] = rest - values["tau_u"]
+    elif "tau_u" not in given:
+        values["tau_u"] = rest - values["tau_d"]
     return SystemParams(**values)
 
 
@@ -190,15 +188,19 @@ def _from_db(value_db: float) -> float:
         raise ConfigError(f"{value_db:g} dB is out of range") from None
 
 
+# each config key's parse kind: its field's annotation, 'int', 'float' or 'np.ndarray'
+_KINDS = {f.name: f.type for f in fields(SystemParams)}
+
+
 def _parse_value(key: str, raw: str):
     is_db = raw.lower().endswith("db")
     if is_db:
         if key not in _DB_KEYS:
             raise ValueError(f"'{key}' does not accept a dB value")
         raw = raw[:-2].strip()
-    if key in _INT_KEYS:
+    if _KINDS[key] == "int":
         return int(raw)
-    if key in _MATRIX_KEYS:
+    if _KINDS[key] == "np.ndarray":
         parts = [float(x) for x in raw.split(",")]
         vals = [_from_db(v) for v in parts] if is_db else parts
         return vals[0] if len(vals) == 1 else np.array(vals)
@@ -207,36 +209,14 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(text: str) -> SystemParams:
-    """Parse a flat key=value document; omitted keys fall back to the defaults.
+    """Parse a flat key=value document; omitted keys are filled as by
+    default_params.
 
     Power-like keys (rho_ue, rho_ap, beta_ue, beta_g) accept a 'dB' suffix.
     beta_ue/eta accept one value (broadcast) or 2K comma-separated values
     (row-major over (UE, AP)).
     """
-    values = read_key_values(text, _ALL_KEYS, _parse_value)
-
-    merged = dict(DEFAULTS)
-    merged.update(values)
-    _check_counts(merged)   # before the derived defaults divide by or size with them
-    # derived defaults when only parts of the geometry/power set are given
-    if "rho_ue" in values and "rho_ap" not in values:
-        merged["rho_ap"] = 2.0 * merged["rho_ue"]
-    if "n_ues" in values and "tau_p" not in values:
-        merged["tau_p"] = merged["n_ues"]
-    if "eta" not in values and "n_ues" in values:
-        merged["eta"] = 1.0 / merged["n_ues"]
-    if "tau_d" not in values and "tau_u" not in values:
-        rest = merged["tau_c"] - merged["tau_p"] - 2 * merged["tau_g"]
-        if rest < 2 or rest % 2:
-            raise ConfigError(f"cannot split tau_c - tau_p - 2*tau_g = {rest} into tau_u + tau_d")
-        merged["tau_d"] = rest // 2
-        merged["tau_u"] = rest - merged["tau_d"]
-    elif "tau_d" in values and "tau_u" not in values:
-        merged["tau_u"] = merged["tau_c"] - merged["tau_p"] - merged["tau_d"] - 2 * merged["tau_g"]
-    elif "tau_u" in values and "tau_d" not in values:
-        merged["tau_d"] = merged["tau_c"] - merged["tau_p"] - merged["tau_u"] - 2 * merged["tau_g"]
-
-    return SystemParams(**merged)
+    return default_params(**read_key_values(text, _KINDS, _parse_value))
 
 
 def load_config_file(path: str) -> SystemParams:

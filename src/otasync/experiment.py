@@ -122,8 +122,6 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int):
     is fixed by the position). The overall mean and the group means go
     through the rate table as one stack."""
     plan = build_plan(params, scheme)
-    # plan by keyword: perfbench/tracer.py reads a fifth positional argument
-    # as the worker count
     stats = monte_carlo_delta(params, scheme, n_realizations, seed, plan=plan)
     tables = np.concatenate((stats.mean_delta[None], stats.group_means))
     se_all = spectral_efficiency(plan, per_position_rates(params, plan, tables)).mean(axis=-1)

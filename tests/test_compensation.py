@@ -281,39 +281,27 @@ def test_kalman_beats_direct_when_measurements_noisy(params):
     assert np.abs(k.mean_delta[1, mask]).mean() > np.abs(d.mean_delta[1, mask]).mean()
 
 
-@pytest.mark.parametrize("scheme", ["kalman", "ap1_only"])
-def test_engine_matches_reference_chain(scheme, params):
-    # independent oracle: dense trajectories + full vector measurements +
-    # operation-level tracker/compensation, event by event
-    p = dataclasses.replace(params, frame_len=2)
-    ref = reference_delta(p, scheme, 1200, 900)
-    eng = monte_carlo_delta(p, scheme, 4096, 901)
-    mask = np.abs(eng.mean_delta) > 0
-    ref_mask = np.abs(ref) > 0
-    assert np.array_equal(mask, ref_mask)
-    diff = np.abs(eng.mean_delta[mask] - ref[mask])
-    assert diff.mean() < 0.012
-    assert diff.max() < 0.05
-    # and the spectral efficiencies agree
-    plan = build_plan(p, scheme)
-    se_e = spectral_efficiency(plan, per_position_rates(p, plan, eng.mean_delta))[0]
-    se_r = spectral_efficiency(plan, per_position_rates(p, plan, ref))[0]
-    assert se_e == pytest.approx(se_r, abs=0.03)
-
-
-def test_direct_engine_matches_reference_chain_at_one_slot(params):
+@pytest.mark.parametrize("scheme, frame_len", [
+    ("kalman", 2),
+    ("ap1_only", 2),
     # at F = 1 the pilots of slot F, which set the carried-over psi, straddle
     # the sync instants: the hand-over from the warm-up's difference path to
     # both oscillator paths must keep the law of direct's single-frame output
-    p = dataclasses.replace(params, frame_len=1)
-    ref = reference_delta(p, "direct", 1200, 900)
-    eng = monte_carlo_delta(p, "direct", 4096, 901)
+    ("direct", 1),
+], ids=["kalman", "ap1_only", "direct"])
+def test_engine_matches_reference_chain(scheme, frame_len, params):
+    # independent oracle: dense trajectories + full vector measurements +
+    # operation-level tracker/compensation, event by event
+    p = dataclasses.replace(params, frame_len=frame_len)
+    ref = reference_delta(p, scheme, 1200, 900)
+    eng = monte_carlo_delta(p, scheme, 4096, 901)
     mask = np.abs(eng.mean_delta) > 0
     assert np.array_equal(mask, np.abs(ref) > 0)
     diff = np.abs(eng.mean_delta[mask] - ref[mask])
     assert diff.mean() < 0.012
     assert diff.max() < 0.05
-    plan = build_plan(p, "direct")
+    # and the spectral efficiencies agree
+    plan = build_plan(p, scheme)
     se_e = spectral_efficiency(plan, per_position_rates(p, plan, eng.mean_delta))[0]
     se_r = spectral_efficiency(plan, per_position_rates(p, plan, ref))[0]
     assert se_e == pytest.approx(se_r, abs=0.03)
@@ -487,6 +475,12 @@ def test_invalid_scheme(params):
         build_plan(params, "zero_forcing")
     with pytest.raises(ValueError):
         monte_carlo_delta(params, "kalman", 0, 0)
+
+
+def test_plan_is_keyword_only(params):
+    plan = build_plan(params, "kalman")
+    with pytest.raises(TypeError):
+        monte_carlo_delta(params, "kalman", 10, 0, plan)
 
 
 def test_trace_output_fields(params):

@@ -44,7 +44,7 @@ def test_sigma_nu_nonfinite_rejected():
 
 def test_slot_fill_invariant_enforced():
     with pytest.raises(ConfigError, match="slot does not fill"):
-        default_params(tau_d=41)
+        default_params(tau_u=42, tau_d=41)
 
 
 def test_tau_p_equals_n_ues_enforced():
@@ -121,6 +121,18 @@ def test_load_config_geometry_rederived():
     p = load_config("tau_c = 60\ntau_g = 2")
     assert p.tau_d == (60 - 10 - 4) // 2
     assert p.tau_p + p.tau_u + p.tau_d + 2 * p.tau_g == 60
+
+
+@pytest.mark.parametrize("given, text", [
+    (dict(n_ues=4), "n_ues = 4"),
+    (dict(rho_ue=50.0), "rho_ue = 50"),
+    (dict(tau_d=40), "tau_d = 40"),
+    (dict(tau_c=60, tau_g=2), "tau_c = 60\ntau_g = 2"),
+], ids=["n_ues", "rho_ue", "tau_d", "tau_c-tau_g"])
+def test_default_params_fills_omitted_keys_as_load_config(given, text):
+    # one rule for omitted keys: rho_ap, tau_p, eta, tau_u and tau_d follow
+    # the keys given, whichever constructor is called
+    assert default_params(**given) == load_config(text)
 
 
 def test_load_config_per_pair_tables():

@@ -300,6 +300,10 @@ def test_cli_usage_error():
     for preset in ("--fig2", "--fig3"):   # one sweep: a preset or a sweep file
         assert cli_main([preset, "--sweep", "s.cfg"]) == 1
     assert cli_main(["--workers", "2"]) == 1  # chunks run in one process
+    for dump in ("--dump-plan", "--dump-trace"):   # a dump mode runs no sweep
+        for sweep in (["--sweep", "missing.cfg"], ["--fig2"], ["--fig3"], ["--realizations", "5"]):
+            assert cli_main([dump] + sweep) == 1
+    assert cli_main(["--dump-plan", "--dump-trace"]) == 1
 
 
 def test_cli_bad_config(tmp_path, capsys):
