@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the per-sample activity plan instead of running a sweep")
     mode.add_argument("--dump-trace", action="store_true",
                       help="write a single-run tracker trace instead of running a sweep")
-    parser.add_argument("--trace-frames", type=int, default=200, metavar="INT",
+    parser.add_argument("--trace-frames", type=int, metavar="INT",
                         help="frames in the --dump-trace output (default 200)")
     return parser
 
@@ -74,7 +74,7 @@ def _resolve_sweep(args) -> SweepSpec:
         updates["master_seed"] = args.seed
     if args.realizations is not None:
         updates["n_realizations"] = args.realizations
-    if args.scheme:
+    if args.scheme is not None:
         updates["schemes"] = tuple(s.strip() for s in args.scheme.split(","))
     return replace(spec, **updates)
 
@@ -85,6 +85,10 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if (args.dump_plan or args.dump_trace) and args.realizations is not None:
             parser.error("--realizations applies only to a sweep")
+        if args.trace_frames is not None and not args.dump_trace:
+            parser.error("--trace-frames applies only to --dump-trace")
+        if args.dump_plan and args.seed is not None:
+            parser.error("--seed does not apply to --dump-plan")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
@@ -98,13 +102,15 @@ def cli_main(argv=None) -> int:
         return 2
 
     try:
-        scheme = args.scheme or "kalman"   # --dump-plan/--dump-trace take one scheme
+        # --dump-plan/--dump-trace take one scheme
+        scheme = "kalman" if args.scheme is None else args.scheme
         if args.dump_plan:
             _write(build_plan(params, scheme).dump_csv(), args.out)
             return 0
         if args.dump_trace:
             seed = args.seed if args.seed is not None else 1
-            rows = run_phase_trace(params, args.trace_frames, seed, scheme)
+            n_frames = args.trace_frames if args.trace_frames is not None else 200
+            rows = run_phase_trace(params, n_frames, seed, scheme)
             _write(dump_trace_csv(rows), args.out)
             return 0
         spec = _resolve_sweep(args)

@@ -33,10 +33,13 @@ class SweepSpec:
     n_workers: int = 1
 
     def __post_init__(self):
-        if not self.f_values:
-            raise ConfigError("f_values must be nonempty")
+        bad = [s for s in self.schemes if s not in SCHEMES]
+        if bad:
+            raise ConfigError(f"unknown scheme(s) {bad}; expected subset of {SCHEMES}")
         for key in ("f_values", "schemes", "snr_ap_db", "c_nu_values"):
             values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"{key} must be nonempty")
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{key} repeats {', '.join(map(str, repeated))}")
@@ -52,9 +55,6 @@ class SweepSpec:
             bad = [v for v in (values if isinstance(values, tuple) else (values,)) if not ok(v)]
             if bad:
                 raise ConfigError(f"{key} must be {rule}, got {', '.join(map(str, bad))}")
-        bad = [s for s in self.schemes if s not in SCHEMES]
-        if bad:
-            raise ConfigError(f"unknown scheme(s) {bad}; expected subset of {SCHEMES}")
 
 
 DEFAULT_SWEEP = SweepSpec(f_values=(1, 2, 3), n_realizations=500)

@@ -1,7 +1,7 @@
 """Operation-level reference code that only the test oracles use.
 
 Dense oscillator trajectories, the full N x N inter-array channel with its
-leading singular pair from power iteration and its SVD operator norm,
+leading singular pair and operator norm from LAPACK's SVD,
 N-dimensional sync signals, scalar compensation state, LMMSE estimation and
 a brute-force Monte Carlo re-derivation of the rate terms. The engine in
 `otasync` works on sparse, exact one-dimensional reductions of this chain;
@@ -88,14 +88,6 @@ def dense_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> np
     return np.linalg.svd(g, compute_uv=False)[:, 0]
 
 
-class NumericalError(RuntimeError):
-    """Iterative routine failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
-
-
 def lmmse_coefficient(params: SystemParams, k: int, ap: int):
     """(c, gamma) for UE k (1-based) and AP ap (1 or 2):
     c = sqrt(rho_ue K) beta / (rho_ue K beta + 1), gamma = sqrt(rho_ue K) beta c.
@@ -120,50 +112,25 @@ class InterApChannel:
     op_norm: float
 
 
-def leading_singular_pair(g: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000):
-    """(u1, u2, op_norm) by single-vector power iteration on G^H G, stopping
-    when the Rayleigh quotient changes by less than `tol` (or raising after
-    `max_iter`)."""
+def inter_ap_channel(g: np.ndarray) -> InterApChannel:
+    """G with its leading singular pair by LAPACK SVD: u2 = conj(Vh[0]), its
+    largest-magnitude entry rotated to be real nonnegative, u1 = G u2 / s0 and
+    op_norm = s0."""
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or not np.any(g):
         raise ValueError("g must be a nonzero matrix")
-    gram = g.conj().T @ g
-    # deterministic start with a.s. nonzero overlap with the leading direction
-    rng = np.random.default_rng(0x5EED)
-    v = complex_normal(rng, g.shape[1])
-    v /= np.linalg.norm(v)
-    rayleigh = np.real(np.vdot(v, gram @ v))
-    delta = np.inf
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise ValueError("g must be a nonzero matrix")
-        v = w / norm
-        new = np.real(np.vdot(v, gram @ v))
-        delta = abs(new - rayleigh)
-        rayleigh = new
-        if delta < tol:
-            break
-    else:
-        raise NumericalError("power iteration did not converge", delta)
-    # phase convention: largest entry of u2 real nonnegative
-    peak = v[np.argmax(np.abs(v))]
-    if np.abs(peak) > 0:
-        v = v * (np.conj(peak) / np.abs(peak))
-    u2 = v / np.linalg.norm(v)
-    gu2 = g @ u2
-    op_norm = float(np.linalg.norm(gu2))
-    u1 = gu2 / op_norm
-    return u1, u2, op_norm
+    _, s, vh = np.linalg.svd(g)
+    u2 = np.conj(vh[0])
+    peak = u2[np.argmax(np.abs(u2))]
+    u2 = u2 * (np.conj(peak) / np.abs(peak))
+    return InterApChannel(g_matrix=g, u1=g @ u2 / s[0], u2=u2, op_norm=float(s[0]))
 
 
 def sample_inter_ap_channel(seed, params: SystemParams) -> InterApChannel:
     """Draw G with i.i.d. CN(0, beta_g) entries and attach its singular data."""
     rng = np.random.default_rng(seed)
-    g = complex_normal(rng, (params.n_antennas, params.n_antennas), params.beta_g)
-    u1, u2, op_norm = leading_singular_pair(g)
-    return InterApChannel(g_matrix=g, u1=u1, u2=u2, op_norm=op_norm)
+    return inter_ap_channel(complex_normal(rng, (params.n_antennas, params.n_antennas),
+                                           params.beta_g))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from tests.oracles import CompensationState, combine_bidirectional, generate_tra
     measure_direction, residual_delta, sample_inter_ap_channel, ue_psi_update
 
 
-def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
+def reference_delta(params, scheme, n_runs, master_seed):
     """E[Delta] per (AP, frame position) via the literal chain; same estimand
     as monte_carlo_delta but through an entirely different code path."""
     i1, i2 = sync_instants(params)
@@ -27,8 +27,8 @@ def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
     synced = scheme != "ap1_only"
     sig2 = derive_sigma_nu(params)
     k_rep = representative_ue(params.n_ues)
-    L = plan.n_samples
-    total = (warmup + 1) * L
+    L, W = plan.n_samples, WARMUP_FRAMES
+    total = (W + 1) * L
     data = plan.data_mask()
 
     sums = np.zeros((2, L), dtype=complex)
@@ -44,9 +44,9 @@ def reference_delta(params, scheme, n_runs, master_seed, warmup=WARMUP_FRAMES):
 
         comp = CompensationState()
         state = None
-        for f in range(warmup + 1):
+        for f in range(W + 1):
             fstart = f * L
-            measured = f == warmup
+            measured = f == W
             if synced:
                 a21 = measure_direction(2, fstart + i1, chan, nu, params.rho_ap, rng)
                 a12 = measure_direction(1, fstart + i2, chan, nu, params.rho_ap, rng)

@@ -19,8 +19,8 @@ from otasync.timeline import Activity, build_frame_schedule, sync_instants
 from otasync.tracking import NoiseModel, kalman_gain, kalman_update, KalmanState, \
     noise_coefficients, wrap
 from tests.conftest import small_instance
-from tests.oracles import InterApChannel, closed_form_powers, complex_normal, \
-    leading_singular_pair, lmmse_coefficient, measure_direction, monte_carlo_rate_oracle
+from tests.oracles import closed_form_powers, complex_normal, inter_ap_channel, \
+    lmmse_coefficient, measure_direction, monte_carlo_rate_oracle
 
 ACCEPT_SEED = 20250810
 N_REAL = 10_000
@@ -122,9 +122,7 @@ def test_criterion_04_measurement_mse_scaling():
     ok = True
     for target in (20.0, 100.0, 1000.0):
         norm_sq = 0.05
-        gg = g * np.sqrt(norm_sq) / np.linalg.svd(g, compute_uv=False)[0]
-        u1, u2, s = leading_singular_pair(gg)
-        chan = InterApChannel(g_matrix=gg, u1=u1, u2=u2, op_norm=s)
+        chan = inter_ap_channel(g * np.sqrt(norm_sq) / np.linalg.norm(g, 2))
         rho = target / norm_sq
 
         class _Flat:

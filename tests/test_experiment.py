@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,15 +23,7 @@ def _strip_wall_time(csv_text):
     return [",".join(ln.split(",")[:-1]) for ln in lines]
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ConfigError):
-        SweepSpec(f_values=())
-    with pytest.raises(ConfigError):
-        SweepSpec(f_values=(1,), schemes=("zeroforcing",))
-    with pytest.raises(ConfigError):
-        SweepSpec(f_values=(1,), n_realizations=0)
-    with pytest.raises(ConfigError):
-        SweepSpec(f_values=(1,), n_workers=0)
+UNKNOWN = "; expected subset of ('kalman', 'direct', 'ap1_only')"
 
 
 @pytest.mark.parametrize("values, message", [
@@ -44,9 +37,17 @@ def test_sweep_spec_validation():
     (dict(n_realizations=1.5), "n_realizations must be an integer >= 1, got 1.5"),
     (dict(master_seed=2.0), "master_seed must be a non-negative integer, got 2.0"),
     (dict(n_workers=1.5), "n_workers must be an integer >= 1, got 1.5"),
+    (dict(f_values=()), "f_values must be nonempty"),
+    (dict(schemes=()), "schemes must be nonempty"),
+    (dict(snr_ap_db=()), "snr_ap_db must be nonempty"),
+    (dict(c_nu_values=()), "c_nu_values must be nonempty"),
+    (dict(schemes=("zeroforcing",)), "unknown scheme(s) ['zeroforcing']" + UNKNOWN),
+    (dict(schemes=("", "")), "unknown scheme(s) ['', '']" + UNKNOWN),  # before the repeat
+    (dict(n_realizations=0), "n_realizations must be an integer >= 1, got 0"),
+    (dict(n_workers=0), "n_workers must be an integer >= 1, got 0"),
 ])
 def test_sweep_spec_rejects_a_bad_value(values, message):
-    with pytest.raises(ConfigError, match=f"^{message}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SweepSpec(**{"f_values": (1,), **values})
 
 
@@ -304,6 +305,9 @@ def test_cli_usage_error():
         for sweep in (["--sweep", "missing.cfg"], ["--fig2"], ["--fig3"], ["--realizations", "5"]):
             assert cli_main([dump] + sweep) == 1
     assert cli_main(["--dump-plan", "--dump-trace"]) == 1
+    for argv in (["--dump-plan"], ["--realizations", "20"], ["--fig2"], []):
+        assert cli_main(argv + ["--trace-frames", "7"]) == 1   # only a trace reads it
+    assert cli_main(["--dump-plan", "--seed", "5"]) == 1       # a plan draws nothing
 
 
 def test_cli_bad_config(tmp_path, capsys):
@@ -333,6 +337,11 @@ def test_cli_bad_config(tmp_path, capsys):
     ["--dump-trace", "--trace-frames", "0"],
     ["--dump-trace", "--trace-frames", "-3"],
     ["--dump-trace", "--scheme", "bogus"],
+    ["--dump-trace", "--scheme", ""],
+    ["--dump-plan", "--scheme", ""],
+    ["--realizations", "10", "--scheme", ""],
+    ["--fig2", "--scheme", ""],
+    ["--realizations", "10", "--scheme", ","],
 ])
 def test_cli_bad_run_options(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -342,6 +351,8 @@ def test_cli_bad_run_options(tmp_path, capsys, argv):
     if argv[:2] == ["--dump-trace", "--scheme"]:
         assert err == f"otasync: cannot trace scheme {argv[2]!r}; " \
                       "expected one of ('kalman', 'direct')\n"
+    elif "--scheme" in argv and argv[0] != "--dump-plan":   # blank: unknown, not repeated
+        assert err.startswith("otasync: unknown scheme(s) ['")
 
 
 @pytest.mark.parametrize("exc", [MemoryError("cannot allocate G"), RuntimeError("boom")])

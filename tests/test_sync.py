@@ -3,16 +3,14 @@ import pytest
 
 from otasync.config import default_params
 from otasync.tracking import derive_noise_model
-from tests.oracles import InterApChannel, PhaseTrajectory, combine_bidirectional, \
-    complex_normal, generate_trajectory, leading_singular_pair, measure_direction
+from tests.oracles import PhaseTrajectory, combine_bidirectional, complex_normal, \
+    generate_trajectory, inter_ap_channel, measure_direction
 
 
 def _chan_with_norm(n, target_norm_sq, seed=0):
     rng = np.random.default_rng(seed)
     g = complex_normal(rng, (n, n), 1.0)
-    g *= np.sqrt(target_norm_sq) / np.linalg.svd(g, compute_uv=False)[0]
-    u1, u2, s = leading_singular_pair(g)
-    return InterApChannel(g_matrix=g, u1=u1, u2=u2, op_norm=s)
+    return inter_ap_channel(g * np.sqrt(target_norm_sq) / np.linalg.norm(g, 2))
 
 
 def _flat_traj(value, length=200):
