@@ -52,13 +52,12 @@ class DeltaStats:
 
     mean_delta: (2, F*tau_c) complex, zero at positions where the AP sends no
     payload data; group_means: (G, 2, F*tau_c) batch means for standard-error
-    estimates, G = min(N_GROUPS, n_realizations), over groups of consecutive
-    runs (run r in group r * G // n_realizations) of group_counts runs each.
-    AP 1's row is exact; a one-run group's |mean| is the position's weight.
+    estimates over groups of consecutive runs, of group_counts runs each: of
+    n runs, G = min(N_GROUPS, n) and run r is in group r * G // n. AP 1's row
+    is exact; a one-run group's |mean| is the position's weight.
     """
 
     mean_delta: np.ndarray
-    n_realizations: int
     group_means: np.ndarray
     group_counts: np.ndarray
 
@@ -257,20 +256,20 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
         raise ValueError("n_realizations must be >= 1")
     geom = _cell_geometry(params, scheme, plan)
     n_groups = min(N_GROUPS, n_realizations)
-    group = np.arange(n_realizations) * n_groups // n_realizations
+    # run r is in group r * G // n, so group g starts at run ceil(g n / G)
+    group_counts = np.diff(-(-np.arange(n_groups + 1) * n_realizations // n_groups))
 
     group_sums = np.zeros((n_groups,) + geom.exact.shape, dtype=complex)
-    # the group of each run of each chunk; only AP 2's half is drawn
-    chunks = np.split(group, range(CHUNK_SIZE, n_realizations, CHUNK_SIZE)) if geom.pos.size else []
-    for j, g in enumerate(chunks):
+    # only AP 2's half is drawn
+    starts = range(0, n_realizations, CHUNK_SIZE) if geom.pos.size else ()
+    for j, start in enumerate(starts):
+        g = np.arange(start, min(start + CHUNK_SIZE, n_realizations)) * n_groups // n_realizations
         part = _simulate_chunk(geom, j, g.size, master_seed,
                                np.flatnonzero(np.diff(g, prepend=-1)),
                                chunk_op_norms(params, master_seed, j, g.size))
         group_sums[g[0]:g[0] + len(part), 1, geom.pos - 1] += \
             part[:, geom.segment] * geom.weight
-    group_counts = np.bincount(group, minlength=n_groups)
     return DeltaStats(mean_delta=geom.exact + group_sums.sum(axis=0) / n_realizations,
-                      n_realizations=n_realizations,
                       group_means=geom.exact + group_sums / group_counts[:, None, None],
                       group_counts=group_counts)
 

@@ -1,9 +1,10 @@
 """Operation-level reference code that only the test oracles use.
 
 Dense oscillator trajectories, the full N x N inter-array channel with its
-leading singular pair and operator norm from LAPACK's SVD,
-N-dimensional sync signals, scalar compensation state, LMMSE estimation and
-a brute-force Monte Carlo re-derivation of the rate terms. The engine in
+leading singular pair and operator norm from LAPACK's SVD, N-dimensional
+sync signals, the compensation phases and the residual phase factor (each
+acting on every run at once along leading axes), LMMSE estimation and a
+brute-force Monte Carlo re-derivation of the rate terms. The engine in
 `otasync` works on sparse, exact one-dimensional reductions of this chain;
 the tests compare the two.
 """
@@ -22,30 +23,11 @@ from otasync.tracking import representative_ue
 # ---------------------------------------------------------------------------
 # oscillator phase trajectories
 
-@dataclass(frozen=True)
-class PhaseTrajectory:
-    """Unwrapped oscillator phase at consecutive global sample indices."""
-
-    ap_id: int
-    start_index: int
-    values: np.ndarray
-
-    def value_at(self, i: int) -> float:
-        """Phase at global sample index i (1-based, incrementing across slots)."""
-        off = i - self.start_index
-        if off < 0 or off >= self.values.size:
-            raise IndexError(f"sample {i} outside trajectory [{self.start_index}, "
-                             f"{self.start_index + self.values.size - 1}]")
-        return float(self.values[off])
-
-    def __len__(self):
-        return self.values.size
-
-
 def generate_trajectory(seed, length: int, sigma_nu_sq: float,
-                        initial_phase: float = 0.0, ap_id: int = 1,
-                        start_index: int = 1) -> PhaseTrajectory:
-    """Random-walk phase path: values[0] = initial_phase, then cumulative
+                        initial_phase=0.0) -> np.ndarray:
+    """Random-walk phase paths, shape np.shape(initial_phase) + (length,):
+    entry i - 1 of the last axis is the phase at global sample i (1-based,
+    incrementing across slots), initial_phase at sample 1, then cumulative
     N(0, sigma_nu_sq) steps. Deterministic for a given seed.
     """
     if length < 1:
@@ -53,12 +35,13 @@ def generate_trajectory(seed, length: int, sigma_nu_sq: float,
     if sigma_nu_sq < 0:
         raise ValueError("sigma_nu_sq must be nonnegative")
     rng = np.random.default_rng(seed)
-    steps = rng.standard_normal(length - 1) * np.sqrt(sigma_nu_sq)
-    values = np.empty(length)
-    values[0] = initial_phase
-    if length > 1:
-        values[1:] = initial_phase + np.cumsum(steps)
-    return PhaseTrajectory(ap_id=ap_id, start_index=start_index, values=values)
+    start = np.asarray(initial_phase, dtype=float)
+    walk = np.zeros(start.shape + (length,))
+    walk[..., 1:] = rng.standard_normal(start.shape + (length - 1,))
+    walk *= np.sqrt(sigma_nu_sq)
+    np.cumsum(walk, axis=-1, out=walk)
+    walk += start[..., None]
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +83,8 @@ def lmmse_coefficient(params: SystemParams, k: int, ap: int):
 
 @dataclass(frozen=True)
 class InterApChannel:
-    """Static N x N channel between the arrays with its leading singular pair.
+    """Static N x N channel between the arrays with its leading singular pair,
+    or a stack of them along leading axes.
 
     g_matrix @ u2 = op_norm * u1 (u2's largest-magnitude entry rotated to be
     real nonnegative, which pins the pair deterministically).
@@ -109,28 +93,23 @@ class InterApChannel:
     g_matrix: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    op_norm: float
+    op_norm: float | np.ndarray
 
 
 def inter_ap_channel(g: np.ndarray) -> InterApChannel:
-    """G with its leading singular pair by LAPACK SVD: u2 = conj(Vh[0]), its
-    largest-magnitude entry rotated to be real nonnegative, u1 = G u2 / s0 and
-    op_norm = s0."""
+    """G, or a stack of G along leading axes, with its leading singular pair
+    by LAPACK SVD: u2 = conj(Vh[0]), its largest-magnitude entry rotated to be
+    real nonnegative, u1 = G u2 / s0 and op_norm = s0."""
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or not np.any(g):
-        raise ValueError("g must be a nonzero matrix")
+    if g.ndim < 2 or not np.all(np.any(g, axis=(-2, -1))):
+        raise ValueError("g must be a nonzero matrix or a stack of them")
     _, s, vh = np.linalg.svd(g)
-    u2 = np.conj(vh[0])
-    peak = u2[np.argmax(np.abs(u2))]
-    u2 = u2 * (np.conj(peak) / np.abs(peak))
-    return InterApChannel(g_matrix=g, u1=g @ u2 / s[0], u2=u2, op_norm=float(s[0]))
-
-
-def sample_inter_ap_channel(seed, params: SystemParams) -> InterApChannel:
-    """Draw G with i.i.d. CN(0, beta_g) entries and attach its singular data."""
-    rng = np.random.default_rng(seed)
-    return inter_ap_channel(complex_normal(rng, (params.n_antennas, params.n_antennas),
-                                           params.beta_g))
+    u2 = np.conj(vh[..., 0, :])
+    peak = np.take_along_axis(u2, np.argmax(np.abs(u2), axis=-1)[..., None], axis=-1)
+    u2 *= np.conj(peak) / np.abs(peak)
+    s0 = s[..., 0]
+    return InterApChannel(g_matrix=g, u1=(g @ u2[..., None])[..., 0] / s0[..., None],
+                          u2=u2, op_norm=s0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,55 +123,32 @@ def sample_inter_ap_channel(seed, params: SystemParams) -> InterApChannel:
 # gain equal ||G|| there as well.
 
 def measure_direction(tx_ap: int, time: int, chan: InterApChannel, nu_pair,
-                      rho_ap: float, rng) -> float:
-    """Angle estimate of alpha = nu_rx[time] - nu_tx[time] from one sync signal.
+                      rho_ap: float, rng):
+    """Angle estimate of alpha = nu_rx[time] - nu_tx[time] from one sync signal,
+    for each run along the leading axes of the channel stack and the
+    trajectories.
 
     Synthesizes the received N-vector (unit-norm beamformer through G or G^T
     plus CN(0, I) noise) and returns the angle of the matched inner product.
     """
     if tx_ap not in (1, 2):
         raise ValueError("tx_ap must be 1 or 2")
-    if not hasattr(rng, "standard_normal"):
-        rng = np.random.default_rng(rng)
-    traj1, traj2 = nu_pair
+    nu1, nu2 = (traj[..., time - 1] for traj in nu_pair)
     if tx_ap == 2:
-        alpha = traj1.value_at(time) - traj2.value_at(time)
-        propagated = chan.g_matrix @ chan.u2
+        alpha = nu1 - nu2
+        propagated = (chan.g_matrix @ chan.u2[..., None])[..., 0]
     else:
-        alpha = traj2.value_at(time) - traj1.value_at(time)
-        propagated = chan.g_matrix.T @ np.conj(chan.u1)
-    z = complex_normal(rng, propagated.shape)
-    y = np.sqrt(rho_ap) * np.exp(1j * alpha) * propagated + z
-    return float(np.angle(np.vdot(propagated, y)))
-
-
-def combine_bidirectional(alpha_21: float, alpha_12: float) -> float:
-    """Difference of the two directional estimates; no modular reduction here,
-    circular handling is deferred to the tracker's innovation wrap."""
-    return alpha_12 - alpha_21
+        alpha = nu2 - nu1
+        propagated = (np.conj(chan.u1)[..., None, :] @ chan.g_matrix)[..., 0, :]
+    sent = np.sqrt(rho_ap) * np.exp(1j * alpha)[..., None] * propagated
+    y = sent + complex_normal(rng, sent.shape)
+    return np.angle(np.sum(np.conj(propagated) * y, axis=-1))
 
 
 # ---------------------------------------------------------------------------
-# compensation at the arrays and the UEs, and the residual phase factor
-
-@dataclass
-class CompensationState:
-    """Piecewise-constant compensation phases: theta for the arrays (theta_1
-    is identically zero; theta_2 resets whenever a new tracker output arrives)
-    and psi for the UEs (reset at each demodulation pilot)."""
-
-    theta2: float = 0.0
-    psi: float = 0.0
-    last_theta_reset: int = 0
-    last_psi_reset: int = 0
-
-    def theta(self, ap: int) -> float:
-        return 0.0 if ap == 1 else self.theta2
-
-    def reset_theta2(self, tracker_output: float, time: int):
-        self.theta2 = float(tracker_output)
-        self.last_theta_reset = time
-
+# compensation at the arrays (theta_2, set by each tracker output; theta_1 is
+# identically zero) and at the UEs (psi, set at each demodulation pilot), and
+# the residual phase factor
 
 def estimation_time(i: int, k: int, tau_c: int) -> int:
     """Global index of the k-th sample of the slot containing sample i,
@@ -202,24 +158,21 @@ def estimation_time(i: int, k: int, tau_c: int) -> int:
     return i - 1 - ((i - 1 - k) % tau_c)
 
 
-def ue_psi_update(pilot_time: int, nu1: PhaseTrajectory, tau_c: int,
-                  n_ues: int, noise: float = 0.0) -> float:
+def ue_psi_update(pilot_time: int, nu1: np.ndarray, tau_c: int, n_ues: int, noise=0.0):
     """UE-side compensation phase from the demodulation pilot: the true
     nu_1[pilot] + nu_1[[pilot]_{floor(K/2)}] (noiseless estimate), plus an
     optional Gaussian estimation error for sensitivity studies."""
-    k_rep = representative_ue(n_ues)
-    ref = estimation_time(pilot_time, k_rep, tau_c)
-    return nu1.value_at(pilot_time) + nu1.value_at(ref) + noise
+    ref = estimation_time(pilot_time, representative_ue(n_ues), tau_c)
+    return nu1[..., pilot_time - 1] + nu1[..., ref - 1] + noise
 
 
-def residual_delta(k: int, ap: int, i: int, nu_pair, comp: CompensationState,
-                   tau_c: int) -> complex:
+def residual_delta(k: int, ap: int, i: int, nu_pair, theta2, psi, tau_c: int):
     """Unit-modulus residual phase factor
-    exp(j(-nu_ap[i] - nu_ap[[i]_k] + theta_ap + psi))."""
+    exp(j(-nu_ap[i] - nu_ap[[i]_k] + theta_ap + psi)), theta_1 = 0."""
     traj = nu_pair[ap - 1]
-    phase = (-traj.value_at(i) - traj.value_at(estimation_time(i, k, tau_c))
-             + comp.theta(ap) + comp.psi)
-    return complex(np.exp(1j * phase))
+    theta = theta2 if ap == 2 else 0.0
+    return np.exp(1j * (-traj[..., i - 1] - traj[..., estimation_time(i, k, tau_c) - 1]
+                        + theta + psi))
 
 
 # ---------------------------------------------------------------------------

@@ -125,14 +125,7 @@ def test_criterion_04_measurement_mse_scaling():
         chan = inter_ap_channel(g * np.sqrt(norm_sq) / np.linalg.norm(g, 2))
         rho = target / norm_sq
 
-        class _Flat:
-            def __init__(self, v):
-                self.v = v
-
-            def value_at(self, i):
-                return self.v
-
-        nu = (_Flat(0.0), _Flat(0.25))
+        nu = (np.zeros(1), np.full(1, 0.25))
         errs = np.array([measure_direction(2, 1, chan, nu, rho, rng) + 0.25
                          for _ in range(10_000)])
         ratio = np.mean(errs**2) / (0.5 / target)

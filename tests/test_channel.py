@@ -7,7 +7,7 @@ from otasync.channel import batched_op_norms, gram_top_eigenvalue
 from otasync.config import default_params
 from tests.conftest import small_instance
 from tests.oracles import complex_normal, dense_op_norms, inter_ap_channel, ks_distance, \
-    lmmse_coefficient, sample_inter_ap_channel
+    lmmse_coefficient
 
 
 def test_ue_channels_empirical_variance():
@@ -84,22 +84,36 @@ def test_leading_singular_pair_invariants():
     assert peak.real > 0 and peak.imag == pytest.approx(0.0, abs=1e-15)
 
 
+def test_leading_singular_pair_of_a_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(3)
+    g = complex_normal(rng, (6, 16, 16), 1.0)
+    stack = inter_ap_channel(g)
+    assert stack.u1.shape == stack.u2.shape == (6, 16) and stack.op_norm.shape == (6,)
+    for r in range(len(g)):
+        own = inter_ap_channel(g[r])
+        assert stack.op_norm[r] == pytest.approx(own.op_norm, rel=1e-12)
+        # the same phase convention pins the same vectors
+        assert np.allclose(stack.u1[r], own.u1, rtol=1e-12, atol=1e-12)
+        assert np.allclose(stack.u2[r], own.u2, rtol=1e-12, atol=1e-12)
+
+
 def test_leading_singular_pair_zero_matrix():
     with pytest.raises(ValueError):
         inter_ap_channel(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         inter_ap_channel(np.ones(3))
+    with pytest.raises(ValueError):  # one zero matrix in a stack
+        inter_ap_channel(np.stack((np.eye(3), np.zeros((3, 3)))))
 
 
 def test_op_norm_concentration_near_mp_edge():
     # op_norm^2 / (N beta_g) concentrates near the Marchenko-Pastur edge 4;
     # band frozen from an independent eigensolver run (numpy.linalg.svd)
     p = default_params(beta_g=1e-3)
-    ratios = []
-    for i in range(100):
-        chan = sample_inter_ap_channel(1000 + i, p)
-        ratios.append(chan.op_norm**2 / (p.n_antennas * p.beta_g))
-    ratios = np.array(ratios)
+    N = p.n_antennas
+    g = np.stack([complex_normal(np.random.default_rng(1000 + i), (N, N), p.beta_g)
+                  for i in range(100)])
+    ratios = inter_ap_channel(g).op_norm**2 / (N * p.beta_g)
     assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
 
 
@@ -203,7 +217,8 @@ def test_batched_op_norms_memory_linear_in_n():
 
 def test_inter_ap_channel_consistency():
     p = default_params(beta_g=1e-3)
-    chan = sample_inter_ap_channel(4, p)
+    chan = inter_ap_channel(complex_normal(np.random.default_rng(4),
+                                           (p.n_antennas, p.n_antennas), p.beta_g))
     assert np.allclose(chan.g_matrix @ chan.u2, chan.op_norm * chan.u1, atol=1e-8)
 
 

@@ -9,22 +9,19 @@ SIGMA_REF = 3.9478417604357436e-05
 
 def test_zero_variance_is_constant():
     traj = generate_trajectory(0, 5, 0.0, initial_phase=0.3)
-    assert np.array_equal(traj.values, np.full(5, 0.3))
+    assert np.array_equal(traj, np.full(5, 0.3))
 
 
 def test_deterministic_given_seed():
     a = generate_trajectory(123, 1000, SIGMA_REF, initial_phase=1.0)
     b = generate_trajectory(123, 1000, SIGMA_REF, initial_phase=1.0)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_initial_value_and_length():
-    traj = generate_trajectory(5, 17, SIGMA_REF, initial_phase=-2.5, start_index=101)
-    assert len(traj) == 17
-    assert traj.values[0] == -2.5
-    assert traj.value_at(101) == -2.5
-    with pytest.raises(IndexError):
-        traj.value_at(118)
+    traj = generate_trajectory(5, 17, SIGMA_REF, initial_phase=-2.5)
+    assert traj.shape == (17,)
+    assert traj[0] == -2.5
 
 
 def test_invalid_length():
@@ -35,14 +32,13 @@ def test_invalid_length():
 def test_increment_variance_band():
     # generous band around the chi-square 3-sigma interval at 1e6 steps
     traj = generate_trajectory(7, 10**6, SIGMA_REF)
-    var = np.var(np.diff(traj.values), ddof=1)
+    var = np.var(np.diff(traj), ddof=1)
     assert 3.86e-5 <= var <= 4.04e-5
 
 
 def test_variance_linear_in_lag():
     # Var(nu_{i+m} - nu_i) = m sigma^2: slope of a through-origin fit within 5%
-    traj = generate_trajectory(11, 2 * 10**5, SIGMA_REF)
-    v = traj.values
+    v = generate_trajectory(11, 2 * 10**5, SIGMA_REF)
     lags = np.array([1, 4, 16, 64])
     variances = np.array([np.var(v[m:] - v[:-m], ddof=1) for m in lags])
     slope = np.sum(lags * variances) / np.sum(lags * lags)
@@ -56,7 +52,7 @@ def test_independent_streams_uncorrelated():
     n = 10**6
     a = generate_trajectory(run_seed(99, 0), n, SIGMA_REF)
     b = generate_trajectory(run_seed(99, 1), n, SIGMA_REF)
-    da, db = np.diff(a.values), np.diff(b.values)
+    da, db = np.diff(a), np.diff(b)
     corr = np.corrcoef(da, db)[0, 1]
     assert abs(corr) < 0.01
 

@@ -3,18 +3,14 @@ import pytest
 
 from otasync.config import default_params
 from otasync.tracking import derive_noise_model
-from tests.oracles import PhaseTrajectory, combine_bidirectional, complex_normal, \
-    generate_trajectory, inter_ap_channel, measure_direction
+from tests.oracles import complex_normal, generate_trajectory, inter_ap_channel, \
+    measure_direction
 
 
 def _chan_with_norm(n, target_norm_sq, seed=0):
     rng = np.random.default_rng(seed)
     g = complex_normal(rng, (n, n), 1.0)
     return inter_ap_channel(g * np.sqrt(target_norm_sq) / np.linalg.norm(g, 2))
-
-
-def _flat_traj(value, length=200):
-    return PhaseTrajectory(ap_id=1, start_index=1, values=np.full(length, value))
 
 
 class _NoiselessRng:
@@ -26,7 +22,7 @@ class _NoiselessRng:
 
 def test_noiseless_angle_exact():
     chan = _chan_with_norm(8, 0.05)
-    nu = (_flat_traj(0.4), _flat_traj(-0.9))
+    nu = (np.full(200, 0.4), np.full(200, -0.9))
     # 2->1: alpha = nu1 - nu2 = 1.3
     a21 = measure_direction(2, 10, chan, nu, 200.0, _NoiselessRng())
     assert a21 == pytest.approx(1.3, abs=1e-10)
@@ -37,7 +33,7 @@ def test_noiseless_angle_exact():
 
 def test_measurement_deterministic_given_seed():
     chan = _chan_with_norm(8, 0.05)
-    nu = (_flat_traj(0.1), _flat_traj(0.2))
+    nu = (np.full(200, 0.1), np.full(200, 0.2))
     a = measure_direction(2, 5, chan, nu, 200.0, np.random.default_rng(42))
     b = measure_direction(2, 5, chan, nu, 200.0, np.random.default_rng(42))
     assert a == b
@@ -46,7 +42,22 @@ def test_measurement_deterministic_given_seed():
 def test_invalid_tx_ap():
     chan = _chan_with_norm(4, 1.0)
     with pytest.raises(ValueError):
-        measure_direction(3, 1, chan, (_flat_traj(0), _flat_traj(0)), 1.0, 0)
+        measure_direction(3, 1, chan, (np.zeros(200), np.zeros(200)), 1.0, 0)
+
+
+def test_stacked_measurement_matches_per_channel_calls():
+    # one call over a stack of channels and per-run trajectories gives each
+    # run what its own channel and trajectories give alone, in both directions
+    rng = np.random.default_rng(11)
+    chans = [_chan_with_norm(8, 0.05 * (r + 1), seed=r) for r in range(5)]
+    stack = inter_ap_channel(np.stack([c.g_matrix for c in chans]))
+    nu = rng.uniform(-np.pi, np.pi, (2, 5, 30))
+    for tx in (1, 2):
+        got = measure_direction(tx, 17, stack, nu, 200.0, _NoiselessRng())
+        want = [measure_direction(tx, 17, c, nu[:, r], 200.0, _NoiselessRng())
+                for r, c in enumerate(chans)]
+        assert got.shape == (5,)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("target", [20.0, 100.0, 1000.0])
@@ -55,7 +66,7 @@ def test_angle_mse_approximation(target):
     norm_sq = 0.05
     rho = target / norm_sq
     chan = _chan_with_norm(8, norm_sq)
-    nu = (_flat_traj(0.0), _flat_traj(0.3))
+    nu = (np.zeros(200), np.full(200, 0.3))
     rng = np.random.default_rng(7)
     errs = np.array([measure_direction(2, 1, chan, nu, rho, rng) + 0.3
                      for _ in range(10_000)])
@@ -67,21 +78,12 @@ def test_both_directions_same_mse_scaling():
     norm_sq = 0.05
     rho = 100.0 / norm_sq
     chan = _chan_with_norm(8, norm_sq, seed=3)
-    nu = (_flat_traj(0.0), _flat_traj(0.0))
+    nu = (np.zeros(200), np.zeros(200))
     rng = np.random.default_rng(8)
     for tx in (1, 2):
         errs = np.array([measure_direction(tx, 1, chan, nu, rho, rng)
                          for _ in range(10_000)])
         assert np.mean(errs**2) == pytest.approx(0.5 / 100.0, rel=0.3)
-
-
-def test_combine_constant_offset():
-    # nu_1 = 0, nu_2 = c: alpha_21 = -c, alpha_12 = +c, combination = 2c
-    assert combine_bidirectional(-0.7, 0.7) == pytest.approx(1.4)
-
-
-def test_combine_identical_oscillators():
-    assert combine_bidirectional(0.25, 0.25) == 0.0
 
 
 def test_combine_noiseless_wiener_paths():
@@ -92,9 +94,8 @@ def test_combine_noiseless_wiener_paths():
     chan = _chan_with_norm(8, 0.05)
     a21 = measure_direction(2, 52, chan, (nu1, nu2), p.rho_ap, _NoiselessRng())
     a12 = measure_direction(1, 97, chan, (nu1, nu2), p.rho_ap, _NoiselessRng())
-    got = combine_bidirectional(a21, a12)
-    want = (nu2.value_at(52) + nu2.value_at(97)) - (nu1.value_at(52) + nu1.value_at(97))
-    assert got == pytest.approx(want, abs=1e-12)
+    want = (nu2[51] + nu2[96]) - (nu1[51] + nu1[96])
+    assert a12 - a21 == pytest.approx(want, abs=1e-12)
 
 
 def test_high_snr_consistency():
@@ -110,8 +111,8 @@ def test_high_snr_consistency():
         nu2 = generate_trajectory(rng, 100, sig2)
         a21 = measure_direction(2, 52, chan, (nu1, nu2), rho, rng)
         a12 = measure_direction(1, 97, chan, (nu1, nu2), rho, rng)
-        truth = (nu2.value_at(52) + nu2.value_at(97)) - (nu1.value_at(52) + nu1.value_at(97))
-        errs.append(combine_bidirectional(a21, a12) - truth)
+        truth = (nu2[51] + nu2[96]) - (nu1[51] + nu1[96])
+        errs.append(a12 - a21 - truth)
     assert np.mean(np.square(errs)) < 1e-5
 
 
