@@ -289,14 +289,15 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
-    (i1, _, _), (i2, _, _) = build_plan(params, scheme).sync_events
+    plan = build_plan(params, scheme)
+    (i1, _, _), (i2, _, _) = plan.sync_events
     op_norm = float(chunk_op_norms(params, master_seed, 0, 1)[0])
     rng = np.random.default_rng(run_seed(master_seed, 0))
     model = derive_noise_model(params, op_norm)
-    L = params.frame_len * params.tau_c
     # every value read is D = nu_2 - nu_1, at the representative UE's pilot,
     # i1 and i2, modulo 2 pi (see _simulate_chunk)
-    at = (np.arange(n_frames)[:, None] * L + [representative_ue(params.n_ues), i1, i2]).ravel()
+    pilot = plan.pilot_samples[0, representative_ue(params.n_ues) - 1]
+    at = (np.arange(n_frames)[:, None] * plan.n_samples + [pilot, i1, i2]).ravel()
     d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, 1), np.diff(at, prepend=1),
                          2 * derive_sigma_nu(params)).reshape(n_frames, 3)
     obs = d[:, 1] + d[:, 2] + _sync_errors(rng, op_norm, params.rho_ap, n_frames)

@@ -5,7 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import dataclasses  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import pytest  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -24,6 +24,15 @@ def tiny_params():
     """Smallest consistent geometry: K=1, tau_c=4 (i1=2, i2=4)."""
     return default_params(n_ues=1, tau_p=1, tau_u=1, tau_g=0, tau_d=2, tau_c=4,
                           beta_ue=0.01, eta=1.0)
+
+
+def traced_peak(call, *args, **kwargs):
+    """(call(*args, **kwargs), the call's peak traced allocation in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def small_instance(**overrides):

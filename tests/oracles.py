@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otasync.config import ConfigError, SystemParams
+from otasync.config import ConfigError, SystemParams, default_params
 from otasync.experiment import CSV_COLUMNS, ResultRow
 from otasync.tracking import representative_ue
 
@@ -81,6 +81,20 @@ def lmmse_coefficient(params: SystemParams, k: int, ap: int):
     return float(c), float(amp * beta * c)
 
 
+def draw_estimates(rng: np.random.Generator, params: SystemParams, k: int, ap: int, n: int):
+    """(q, q_hat), each (n, N): n draws of UE k's effective channel to AP ap
+    (both 1-based), q = e^{j nu} h with h ~ CN(0, beta I) and a uniform pilot
+    phase nu, and its LMMSE estimate c (sqrt(rho_ue K) q + z), z ~ CN(0, I).
+    Draws h, then nu, then z."""
+    N = params.n_antennas
+    c, _ = lmmse_coefficient(params, k, ap)
+    h = complex_normal(rng, (n, N), params.beta_ue[k - 1, ap - 1])
+    nu = rng.uniform(-np.pi, np.pi, n)
+    z = complex_normal(rng, (n, N))
+    q = np.exp(1j * nu)[:, None] * h
+    return q, c * (np.sqrt(params.rho_ue * params.n_ues) * q + z)
+
+
 @dataclass(frozen=True)
 class InterApChannel:
     """Static N x N channel between the arrays with its leading singular pair,
@@ -110,6 +124,12 @@ def inter_ap_channel(g: np.ndarray) -> InterApChannel:
     s0 = s[..., 0]
     return InterApChannel(g_matrix=g, u1=(g @ u2[..., None])[..., 0] / s0[..., None],
                           u2=u2, op_norm=s0)
+
+
+def channel_with_norm(rng: np.random.Generator, n: int, norm_sq: float) -> InterApChannel:
+    """An n x n channel with CN(0, 1) entries, scaled so that ||G||^2 = norm_sq."""
+    g = complex_normal(rng, (n, n))
+    return inter_ap_channel(g * np.sqrt(norm_sq) / np.linalg.norm(g, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -216,51 +236,29 @@ def monte_carlo_rate_oracle(params: SystemParams, k: int, a, target_delta,
     """
     rng = np.random.default_rng(seed)
     N, K, rho = params.n_antennas, params.n_ues, params.rho_ap
-    amp = np.sqrt(params.rho_ue * K)
 
+    aps = [ap for ap in range(2) if a[ap]]
     delta = np.zeros((2, n_samples), dtype=complex)
-    for ap in range(2):
-        if a[ap]:
-            delta[ap] = synthetic_delta(rng, complex(target_delta[ap]), n_samples)
+    for ap in aps:
+        delta[ap] = synthetic_delta(rng, complex(target_delta[ap]), n_samples)
 
     # fresh channels, pilot phases and pilot noise for every UE/AP/sample
-    signal = np.zeros(n_samples, dtype=complex)
-    ds_cf = 0.0 + 0.0j
-    ui_terms = []
-    q_k = {}
-    qhat = {}
-    for ap in range(2):
-        if not a[ap]:
-            continue
-        for kk in range(1, K + 1):
-            beta = params.beta_ue[kk - 1, ap]
-            c, gamma = lmmse_coefficient(params, kk, ap + 1)
-            h = complex_normal(rng, (n_samples, N), beta)
-            nu = rng.uniform(-np.pi, np.pi, n_samples)
-            z = complex_normal(rng, (n_samples, N))
-            q = np.exp(1j * nu)[:, None] * h
-            qhat[(kk, ap)] = c * (amp * q + z)
-            q_k[(kk, ap)] = q
-    for ap in range(2):
-        if not a[ap]:
-            continue
-        eta_k = params.eta[k - 1, ap]
-        _, gamma_k = lmmse_coefficient(params, k, ap + 1)
-        coupling = np.einsum("ij,ij->i", q_k[(k, ap)], np.conj(qhat[(k, ap)]))
-        signal += np.sqrt(rho * eta_k / (N * gamma_k)) * delta[ap] * coupling
-        ds_cf += np.sqrt(rho * eta_k * N * gamma_k) * complex(target_delta[ap])
-    for kk in range(1, K + 1):
-        if kk == k:
-            continue
+    est = {(kk, ap): draw_estimates(rng, params, kk, ap + 1, n_samples)
+           for ap in aps for kk in range(1, K + 1)}
+
+    def received(kk):
+        """UE k's received sum of UE kk's beamformed signal over the active APs."""
         term = np.zeros(n_samples, dtype=complex)
-        for ap in range(2):
-            if not a[ap]:
-                continue
-            eta_o = params.eta[kk - 1, ap]
-            _, gamma_o = lmmse_coefficient(params, kk, ap + 1)
-            coupling = np.einsum("ij,ij->i", q_k[(k, ap)], np.conj(qhat[(kk, ap)]))
-            term += np.sqrt(rho * eta_o / (N * gamma_o)) * delta[ap] * coupling
-        ui_terms.append(np.abs(term) ** 2)
+        for ap in aps:
+            _, gamma = lmmse_coefficient(params, kk, ap + 1)
+            coupling = np.einsum("ij,ij->i", est[(k, ap)][0], np.conj(est[(kk, ap)][1]))
+            term += np.sqrt(rho * params.eta[kk - 1, ap] / (N * gamma)) * delta[ap] * coupling
+        return term
+
+    signal = received(k)
+    ds_cf = sum(np.sqrt(rho * params.eta[k - 1, ap] * N * lmmse_coefficient(params, k, ap + 1)[1])
+                * complex(target_delta[ap]) for ap in aps)
+    ui_terms = [np.abs(received(kk)) ** 2 for kk in range(1, K + 1) if kk != k]
 
     ds_emp = signal.mean()
     ds_err = float(np.sqrt((signal.real.var() + signal.imag.var()) / n_samples))
@@ -297,6 +295,44 @@ def closed_form_powers(params: SystemParams, k: int, a, target_delta):
     return float(N * rho * abs(ds_amp) ** 2), float(bu), float(ui)
 
 
+def random_rate_instance(rng: np.random.Generator):
+    """(params, k, target) for a brute-force check of the closed form: N in
+    {2, 4, 8}, K in {2, 3, 4} UEs in a 100-sample slot, uniform beta and
+    column-normalized eta, E[Delta] moduli in {0, 0.5, 1} with uniform
+    phases, and a uniform UE k."""
+    N = int(rng.choice([2, 4, 8]))
+    K = int(rng.choice([2, 3, 4]))
+    beta = rng.uniform(0.005, 0.05, (K, 2))
+    eta = rng.uniform(0.1, 0.9, (K, 2))
+    eta /= eta.sum(axis=0, keepdims=True)
+    tau_u = (100 - K - 6) // 2
+    params = default_params(n_antennas=N, n_ues=K, tau_p=K, tau_u=tau_u,
+                            tau_d=100 - K - 6 - tau_u, beta_ue=beta, eta=eta)
+    mods = rng.choice([0.0, 0.5, 1.0], 2)
+    target = tuple(m * np.exp(1j * ph) for m, ph in zip(mods, rng.uniform(-np.pi, np.pi, 2)))
+    return params, int(rng.integers(1, K + 1)), target
+
+
+def closed_form_misses(params: SystemParams, k: int, target_delta, n_samples: int,
+                       seed) -> list:
+    """Names of the terms on which monte_carlo_rate_oracle, with both APs
+    active, misses the closed form for UE k by more than three standard
+    errors: 'ds' (the complex mean amplitude), 'bu' and 'ui'; and 'ds power'
+    if that amplitude's squared modulus is not closed_form_powers' ds power
+    to a relative 1e-9."""
+    a = (1, 1)
+    res = monte_carlo_rate_oracle(params, k, a, target_delta, n_samples, seed)
+    ds_power, bu, ui = closed_form_powers(params, k, a, target_delta)
+    gamma = params.gamma()
+    ds = sum(np.sqrt(params.rho_ap * params.eta[k - 1, ap] * params.n_antennas * gamma[k - 1, ap])
+             * target_delta[ap] for ap in range(2))
+    misses = {"ds power": abs(abs(ds) ** 2 - ds_power) > max(1e-9 * ds_power, 1e-12),
+              "ds": abs(res.ds_complex - ds) > 3 * res.ds_stderr + 1e-12,
+              "bu": abs(res.bu_power - bu) > 3 * res.bu_stderr,
+              "ui": abs(res.ui_power - ui) > 3 * res.ui_stderr}
+    return [name for name, miss in misses.items() if miss]
+
+
 # ---------------------------------------------------------------------------
 # results CSV reader
 
@@ -311,3 +347,9 @@ def parse_result_csv(text: str):
                               c_nu=float(f[3]), se_mean=float(f[4]), se_stderr=float(f[5]),
                               n_realizations=int(f[6]), wall_time_s=float(f[7])))
     return rows
+
+
+def csv_without_wall_time(text: str):
+    """The lines of a results CSV without the last column, wall_time_s, which
+    no run reproduces."""
+    return [",".join(ln.split(",")[:-1]) for ln in text.strip().splitlines()]

@@ -19,8 +19,8 @@ from otasync.timeline import Activity, build_frame_schedule, sync_instants
 from otasync.tracking import NoiseModel, kalman_gain, kalman_update, KalmanState, \
     noise_coefficients, wrap
 from tests.conftest import small_instance
-from tests.oracles import closed_form_powers, complex_normal, inter_ap_channel, \
-    lmmse_coefficient, measure_direction, monte_carlo_rate_oracle
+from tests.oracles import channel_with_norm, closed_form_misses, csv_without_wall_time, \
+    draw_estimates, lmmse_coefficient, measure_direction, random_rate_instance
 
 ACCEPT_SEED = 20250810
 N_REAL = 10_000
@@ -36,16 +36,9 @@ def _report(cid, name, ok, detail=""):
 def test_criterion_01_estimate_moment_identities():
     t0 = time.perf_counter()
     p = small_instance()  # N=8, K=2
-    rng = np.random.default_rng(ACCEPT_SEED)
-    n, N = 100_000, p.n_antennas
-    beta = p.beta_ue[0, 0]
-    amp = np.sqrt(p.rho_ue * p.n_ues)
-    h = complex_normal(rng, (n, N), beta)
-    nu = rng.uniform(-np.pi, np.pi, n)
-    z = complex_normal(rng, (n, N))
-    q = np.exp(1j * nu)[:, None] * h
-    c, gamma = lmmse_coefficient(p, 1, 1)
-    q_hat = c * (amp * q + z)
+    N, beta = p.n_antennas, p.beta_ue[0, 0]
+    q, q_hat = draw_estimates(np.random.default_rng(ACCEPT_SEED), p, 1, 1, 100_000)
+    _, gamma = lmmse_coefficient(p, 1, 1)
     err = q - q_hat
 
     fourth = (np.sum(np.abs(q_hat) ** 2, axis=1) ** 2).mean()
@@ -67,30 +60,9 @@ def test_criterion_02_closed_form_vs_brute_force():
     rng = np.random.default_rng(ACCEPT_SEED + 1)
     failures = []
     for trial in range(10):
-        N = int(rng.choice([2, 4, 8]))
-        K = int(rng.choice([2, 3, 4]))
-        beta = rng.uniform(0.005, 0.05, (K, 2))
-        eta = rng.uniform(0.1, 0.9, (K, 2))
-        eta /= eta.sum(axis=0, keepdims=True)
-        tau_u = (100 - K - 6) // 2
-        p = default_params(n_antennas=N, n_ues=K, tau_p=K, tau_u=tau_u,
-                           tau_d=100 - K - 6 - tau_u, beta_ue=beta, eta=eta)
-        mods = rng.choice([0.0, 0.5, 1.0], 2)
-        phases = rng.uniform(-np.pi, np.pi, 2)
-        target = tuple(m * np.exp(1j * ph) for m, ph in zip(mods, phases))
-        k = int(rng.integers(1, K + 1))
-        res = monte_carlo_rate_oracle(p, k, (1, 1), target, 60_000,
-                                      seed=ACCEPT_SEED + 10 + trial)
-        ds_cf, bu_cf, ui_cf = closed_form_powers(p, k, (1, 1), target)
-        gamma = p.gamma()
-        ds_cplx = sum(np.sqrt(p.rho_ap * p.eta[k - 1, ap] * N * gamma[k - 1, ap])
-                      * target[ap] for ap in range(2))
-        if abs(res.ds_complex - ds_cplx) > 3 * res.ds_stderr + 1e-12:
-            failures.append(f"trial {trial}: ds")
-        if abs(res.bu_power - bu_cf) > 3 * res.bu_stderr:
-            failures.append(f"trial {trial}: bu")
-        if abs(res.ui_power - ui_cf) > 3 * res.ui_stderr:
-            failures.append(f"trial {trial}: ui")
+        p, k, target = random_rate_instance(rng)
+        failures += [f"trial {trial}: {term}" for term in
+                     closed_form_misses(p, k, target, 60_000, seed=ACCEPT_SEED + 10 + trial)]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300
     _report("C2", "closed form vs brute force", ok,
@@ -117,17 +89,13 @@ def test_criterion_03_kalman_algebra_and_wrap():
 
 def test_criterion_04_measurement_mse_scaling():
     rng = np.random.default_rng(ACCEPT_SEED + 2)
-    g = complex_normal(rng, (8, 8), 1.0)
+    norm_sq = 0.05
+    chan = channel_with_norm(rng, 8, norm_sq)
+    nu = (np.zeros((10_000, 1)), np.full((10_000, 1), 0.25))  # one row per trial
     results = []
     ok = True
     for target in (20.0, 100.0, 1000.0):
-        norm_sq = 0.05
-        chan = inter_ap_channel(g * np.sqrt(norm_sq) / np.linalg.norm(g, 2))
-        rho = target / norm_sq
-
-        nu = (np.zeros(1), np.full(1, 0.25))
-        errs = np.array([measure_direction(2, 1, chan, nu, rho, rng) + 0.25
-                         for _ in range(10_000)])
+        errs = measure_direction(2, 1, chan, nu, target / norm_sq, rng) + 0.25
         ratio = np.mean(errs**2) / (0.5 / target)
         results.append(f"rho||G||^2={target:g}: ratio {ratio:.3f}")
         ok = ok and 0.7 <= ratio <= 1.3
@@ -173,9 +141,8 @@ def test_criterion_07_determinism():
     p = default_params()
     spec = SweepSpec(f_values=(1, 2), schemes=("kalman", "ap1_only"),
                      snr_ap_db=(-15.0,), n_realizations=200, master_seed=7)
-    strip = lambda text: [",".join(ln.split(",")[:-1]) for ln in text.strip().splitlines()]
-    a = strip(emit_csv(run_sweep(spec, p)))
-    b = strip(emit_csv(run_sweep(spec, p)))
+    a = csv_without_wall_time(emit_csv(run_sweep(spec, p)))
+    b = csv_without_wall_time(emit_csv(run_sweep(spec, p)))
     ok = a == b
     _report("C7", "bit-identical CSV for a fixed seed", ok,
             "(wall_time_s column excluded: not reproducible by nature)")

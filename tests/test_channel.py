@@ -1,13 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from otasync.channel import batched_op_norms, gram_top_eigenvalue
 from otasync.config import default_params
-from tests.conftest import small_instance
-from tests.oracles import complex_normal, dense_op_norms, inter_ap_channel, ks_distance, \
-    lmmse_coefficient
+from tests.conftest import small_instance, traced_peak
+from tests.oracles import complex_normal, dense_op_norms, draw_estimates, inter_ap_channel, \
+    ks_distance, lmmse_coefficient
 
 
 def test_ue_channels_empirical_variance():
@@ -44,34 +42,26 @@ def test_lmmse_noiseless_limit():
 def test_lmmse_statistics_match_model():
     # q_hat ~ CN(0, gamma I): empirical variance within 5%
     p = small_instance()
-    rng = np.random.default_rng(11)
-    n, N = 100_000, p.n_antennas
-    beta = p.beta_ue[0, 0]
-    amp = np.sqrt(p.rho_ue * p.n_ues)
-    h = complex_normal(rng, (n, N), beta)
-    nu = rng.uniform(-np.pi, np.pi, n)
-    z = complex_normal(rng, (n, N))
-    y = amp * np.exp(1j * nu)[:, None] * h + z
-    c, gamma = lmmse_coefficient(p, 1, 1)
-    q_hat = c * y
+    _, q_hat = draw_estimates(np.random.default_rng(11), p, 1, 1, 100_000)
+    _, gamma = lmmse_coefficient(p, 1, 1)
     assert np.mean(np.abs(q_hat) ** 2) == pytest.approx(gamma, rel=0.05)
 
 
-def test_leading_singular_pair_diagonal():
+def test_inter_ap_channel_diagonal():
     chan = inter_ap_channel(np.diag([3.0, 1.0, 0.5]).astype(complex))
     assert chan.op_norm == pytest.approx(3.0, abs=1e-10)
     assert abs(chan.u2[0]) == pytest.approx(1.0, abs=1e-8)
     assert chan.u2[0].real > 0  # phase convention
 
 
-def test_leading_singular_pair_scaled_identity():
+def test_inter_ap_channel_scaled_identity():
     g = (2.0 - 1.0j) / np.sqrt(5) * np.eye(4) * 3.0
     chan = inter_ap_channel(g)
     assert chan.op_norm == pytest.approx(3.0, abs=1e-8)
     assert np.linalg.norm(g @ chan.u2) == pytest.approx(3.0, abs=1e-8)
 
 
-def test_leading_singular_pair_invariants():
+def test_inter_ap_channel_invariants():
     rng = np.random.default_rng(2)
     g = complex_normal(rng, (16, 16), 1.0)
     chan = inter_ap_channel(g)
@@ -84,7 +74,7 @@ def test_leading_singular_pair_invariants():
     assert peak.real > 0 and peak.imag == pytest.approx(0.0, abs=1e-15)
 
 
-def test_leading_singular_pair_of_a_stack_matches_per_matrix_calls():
+def test_inter_ap_channel_of_a_stack_matches_per_matrix_calls():
     rng = np.random.default_rng(3)
     g = complex_normal(rng, (6, 16, 16), 1.0)
     stack = inter_ap_channel(g)
@@ -97,7 +87,7 @@ def test_leading_singular_pair_of_a_stack_matches_per_matrix_calls():
         assert np.allclose(stack.u2[r], own.u2, rtol=1e-12, atol=1e-12)
 
 
-def test_leading_singular_pair_zero_matrix():
+def test_inter_ap_channel_zero_matrix():
     with pytest.raises(ValueError):
         inter_ap_channel(np.zeros((3, 3)))
     with pytest.raises(ValueError):
@@ -205,12 +195,7 @@ def test_batched_op_norms_memory_linear_in_n():
     # here; a dense G for the same call would hold 4 GiB
     N, n = 512, 1024
     p = default_params(n_antennas=N)
-    tracemalloc.start()
-    try:
-        norms = batched_op_norms(np.random.default_rng(0), p, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    norms, peak = traced_peak(batched_op_norms, np.random.default_rng(0), p, n)
     assert norms.shape == (n,) and np.all(np.isfinite(norms))
     assert peak < 64 * N * n
 
@@ -225,23 +210,10 @@ def test_inter_ap_channel_consistency():
 # Direct checks of the four estimate/error coupling identities used by the
 # closed-form rate derivation, at N=8, K=2 (the acceptance suite re-runs 3-4).
 
-def _draw_estimates(p, n, seed):
-    rng = np.random.default_rng(seed)
-    N = p.n_antennas
-    beta = p.beta_ue[0, 0]
-    amp = np.sqrt(p.rho_ue * p.n_ues)
-    h = complex_normal(rng, (n, N), beta)
-    nu = rng.uniform(-np.pi, np.pi, n)
-    z = complex_normal(rng, (n, N))
-    q = np.exp(1j * nu)[:, None] * h
-    c, gamma = lmmse_coefficient(p, 1, 1)
-    q_hat = c * (amp * q + z)
-    return q, q_hat, gamma, beta
-
-
 def test_estimate_covariance_identity():
     p = small_instance()
-    q, q_hat, gamma, _ = _draw_estimates(p, 20_000, 21)
+    _, q_hat = draw_estimates(np.random.default_rng(21), p, 1, 1, 20_000)
+    _, gamma = lmmse_coefficient(p, 1, 1)
     cov = q_hat.conj().T @ q_hat / q_hat.shape[0]
     diag = np.real(np.diag(cov))
     assert np.all(np.abs(diag / gamma - 1) < 0.05)
@@ -251,7 +223,7 @@ def test_estimate_covariance_identity():
 
 def test_error_uncorrelated_with_estimate():
     p = small_instance()
-    q, q_hat, gamma, _ = _draw_estimates(p, 100_000, 22)
+    q, q_hat = draw_estimates(np.random.default_rng(22), p, 1, 1, 100_000)
     err = q - q_hat
     coupling = np.einsum("ij,ij->i", err, np.conj(q_hat))
     mean = coupling.mean()
@@ -261,16 +233,18 @@ def test_error_uncorrelated_with_estimate():
 
 def test_error_estimate_power_identity():
     p = small_instance()
-    q, q_hat, gamma, beta = _draw_estimates(p, 100_000, 23)
+    q, q_hat = draw_estimates(np.random.default_rng(23), p, 1, 1, 100_000)
+    _, gamma = lmmse_coefficient(p, 1, 1)
     err = q - q_hat
     coupling = np.abs(np.einsum("ij,ij->i", err, np.conj(q_hat))) ** 2
-    expect = p.n_antennas * gamma * (beta - gamma)
+    expect = p.n_antennas * gamma * (p.beta_ue[0, 0] - gamma)
     assert coupling.mean() == pytest.approx(expect, rel=0.05)
 
 
 def test_estimate_fourth_moment_identity():
     p = small_instance()
-    _, q_hat, gamma, _ = _draw_estimates(p, 100_000, 24)
+    _, q_hat = draw_estimates(np.random.default_rng(24), p, 1, 1, 100_000)
+    _, gamma = lmmse_coefficient(p, 1, 1)
     fourth = (np.sum(np.abs(q_hat) ** 2, axis=1) ** 2).mean()
     N = p.n_antennas
     assert fourth == pytest.approx(N * (N + 1) * gamma**2, rel=0.05)

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from otasync.config import ConfigError, default_params, derive_sigma_nu
 from otasync.experiment import SweepSpec, run_cell, run_sweep
 from otasync.rate import per_position_rates, spectral_efficiency
 from otasync.tracking import representative_ue, wrap
-from tests.conftest import geometries
+from tests.conftest import geometries, traced_peak
 from tests.oracles import complex_normal, generate_trajectory, ks_distance, residual_delta, \
     ue_psi_update
 from tests.reference_chain import reference_delta
@@ -394,12 +393,7 @@ def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_pa
 
 def test_group_bookkeeping_is_independent_of_the_run_count(params):
     # an ap1_only cell draws nothing, so it holds nothing per run either
-    tracemalloc.start()
-    try:
-        stats = monte_carlo_delta(params, "ap1_only", 10**7, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stats, peak = traced_peak(monte_carlo_delta, params, "ap1_only", 10**7, 3)
     assert peak < 2**20
     assert stats.group_counts.sum() == 10**7 and np.ptp(stats.group_counts) == 0
 

@@ -12,15 +12,10 @@ from otasync.compensation import N_GROUPS, monte_carlo_delta
 from otasync.config import ConfigError, default_params, dump_config
 from otasync.experiment import ResultRow, SweepSpec, cell_seed, emit_csv, fig2_sweep, \
     fig3_sweep, parse_sweep, run_cell, run_sweep
-from tests.oracles import parse_result_csv
+from tests.oracles import csv_without_wall_time, parse_result_csv
 
 QUICK = SweepSpec(f_values=(1, 2), schemes=("kalman", "direct", "ap1_only"),
                   snr_ap_db=(-15.0,), n_realizations=300, master_seed=9)
-
-
-def _strip_wall_time(csv_text):
-    lines = csv_text.strip().splitlines()
-    return [",".join(ln.split(",")[:-1]) for ln in lines]
 
 
 UNKNOWN = "; expected subset of ('kalman', 'direct', 'ap1_only')"
@@ -187,7 +182,7 @@ def test_sweep_determinism(params):
                      n_realizations=300, master_seed=5)
     a = emit_csv(run_sweep(spec, params))
     b = emit_csv(run_sweep(spec, params))
-    assert _strip_wall_time(a) == _strip_wall_time(b)
+    assert csv_without_wall_time(a) == csv_without_wall_time(b)
 
 
 def test_sweep_worker_invariance(params, monkeypatch):
@@ -274,7 +269,7 @@ def test_cli_determinism(tmp_path):
     args = ["--realizations", "150", "--seed", "7", "--scheme", "direct"]
     assert cli_main(args + ["--out", str(a)]) == 0
     assert cli_main(args + ["--out", str(b)]) == 0
-    assert _strip_wall_time(a.read_text()) == _strip_wall_time(b.read_text())
+    assert csv_without_wall_time(a.read_text()) == csv_without_wall_time(b.read_text())
 
 
 def test_cli_config_and_sweep_files(tmp_path):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +8,9 @@ from otasync.compensation import monte_carlo_delta, build_plan
 from otasync.config import default_params
 from otasync.rate import RateBreakdown, per_position_rates, rate_at_position, \
     spectral_efficiency
-from tests.conftest import small_instance
-from tests.oracles import closed_form_powers, monte_carlo_rate_oracle, synthetic_delta
+from tests.conftest import small_instance, traced_peak
+from tests.oracles import closed_form_misses, closed_form_powers, monte_carlo_rate_oracle, \
+    random_rate_instance, synthetic_delta
 
 
 def _at(params, k, a, mean_delta) -> RateBreakdown:
@@ -188,12 +188,7 @@ def test_rate_stage_memory_is_bounded():
     stats = monte_carlo_delta(p, "kalman", 20, 4)
     tables = np.concatenate((stats.mean_delta[None], stats.group_means))
     assert tables.shape == (11, 2, 1000)
-    tracemalloc.start()
-    try:
-        spectral_efficiency(plan, per_position_rates(p, plan, tables))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: spectral_efficiency(plan, per_position_rates(p, plan, tables)))
     assert peak <= 4 * 11 * p.n_ues * plan.n_samples * 8
 
 
@@ -225,27 +220,8 @@ def test_oracle_interference_scaling():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_oracle_vs_closed_form_random_instance(seed):
-    rng = np.random.default_rng(100 + seed)
-    N = int(rng.choice([2, 4, 8]))
-    K = int(rng.choice([2, 3, 4]))
-    beta = rng.uniform(0.005, 0.05, (K, 2))
-    eta = rng.uniform(0.1, 0.9, (K, 2))
-    eta /= eta.sum(axis=0, keepdims=True)
-    p = default_params(n_antennas=N, n_ues=K, tau_p=K, tau_u=(100 - K - 6) // 2,
-                       tau_d=100 - K - 6 - (100 - K - 6) // 2, beta_ue=beta, eta=eta)
-    mods = rng.choice([0.0, 0.5, 1.0], 2)
-    target = tuple(m * np.exp(1j * ph) for m, ph in zip(mods, rng.uniform(-np.pi, np.pi, 2)))
-    a = (1, 1)
-    k = int(rng.integers(1, K + 1))
-    res = monte_carlo_rate_oracle(p, k, a, target, 60_000, seed=200 + seed)
-    ds_cf, bu_cf, ui_cf = closed_form_powers(p, k, a, target)
-    gamma = p.gamma()
-    ds_cf_complex = sum(np.sqrt(p.rho_ap * p.eta[k - 1, ap] * N * gamma[k - 1, ap])
-                        * target[ap] for ap in range(2) if a[ap])
-    assert abs(ds_cf_complex) ** 2 == pytest.approx(ds_cf, rel=1e-9)
-    assert abs(res.ds_complex - ds_cf_complex) <= 3 * res.ds_stderr + 1e-12
-    assert abs(res.bu_power - bu_cf) <= 3 * res.bu_stderr
-    assert abs(res.ui_power - ui_cf) <= 3 * res.ui_stderr
+    p, k, target = random_rate_instance(np.random.default_rng(100 + seed))
+    assert closed_form_misses(p, k, target, 60_000, seed=200 + seed) == []
 
 
 def test_oracle_rejects_bad_modulus():

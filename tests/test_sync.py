@@ -3,14 +3,8 @@ import pytest
 
 from otasync.config import default_params
 from otasync.tracking import derive_noise_model
-from tests.oracles import complex_normal, generate_trajectory, inter_ap_channel, \
+from tests.oracles import channel_with_norm, generate_trajectory, inter_ap_channel, \
     measure_direction
-
-
-def _chan_with_norm(n, target_norm_sq, seed=0):
-    rng = np.random.default_rng(seed)
-    g = complex_normal(rng, (n, n), 1.0)
-    return inter_ap_channel(g * np.sqrt(target_norm_sq) / np.linalg.norm(g, 2))
 
 
 class _NoiselessRng:
@@ -21,7 +15,7 @@ class _NoiselessRng:
 
 
 def test_noiseless_angle_exact():
-    chan = _chan_with_norm(8, 0.05)
+    chan = channel_with_norm(np.random.default_rng(0), 8, 0.05)
     nu = (np.full(200, 0.4), np.full(200, -0.9))
     # 2->1: alpha = nu1 - nu2 = 1.3
     a21 = measure_direction(2, 10, chan, nu, 200.0, _NoiselessRng())
@@ -32,7 +26,7 @@ def test_noiseless_angle_exact():
 
 
 def test_measurement_deterministic_given_seed():
-    chan = _chan_with_norm(8, 0.05)
+    chan = channel_with_norm(np.random.default_rng(0), 8, 0.05)
     nu = (np.full(200, 0.1), np.full(200, 0.2))
     a = measure_direction(2, 5, chan, nu, 200.0, np.random.default_rng(42))
     b = measure_direction(2, 5, chan, nu, 200.0, np.random.default_rng(42))
@@ -40,7 +34,7 @@ def test_measurement_deterministic_given_seed():
 
 
 def test_invalid_tx_ap():
-    chan = _chan_with_norm(4, 1.0)
+    chan = channel_with_norm(np.random.default_rng(0), 4, 1.0)
     with pytest.raises(ValueError):
         measure_direction(3, 1, chan, (np.zeros(200), np.zeros(200)), 1.0, 0)
 
@@ -49,7 +43,7 @@ def test_stacked_measurement_matches_per_channel_calls():
     # one call over a stack of channels and per-run trajectories gives each
     # run what its own channel and trajectories give alone, in both directions
     rng = np.random.default_rng(11)
-    chans = [_chan_with_norm(8, 0.05 * (r + 1), seed=r) for r in range(5)]
+    chans = [channel_with_norm(np.random.default_rng(r), 8, 0.05 * (r + 1)) for r in range(5)]
     stack = inter_ap_channel(np.stack([c.g_matrix for c in chans]))
     nu = rng.uniform(-np.pi, np.pi, (2, 5, 30))
     for tx in (1, 2):
@@ -65,11 +59,9 @@ def test_angle_mse_approximation(target):
     # per-direction MSE ~ 0.5 / (rho ||G||^2) within +-30%
     norm_sq = 0.05
     rho = target / norm_sq
-    chan = _chan_with_norm(8, norm_sq)
-    nu = (np.zeros(200), np.full(200, 0.3))
-    rng = np.random.default_rng(7)
-    errs = np.array([measure_direction(2, 1, chan, nu, rho, rng) + 0.3
-                     for _ in range(10_000)])
+    chan = channel_with_norm(np.random.default_rng(0), 8, norm_sq)
+    nu = (np.zeros((10_000, 1)), np.full((10_000, 1), 0.3))  # one row per trial
+    errs = measure_direction(2, 1, chan, nu, rho, np.random.default_rng(7)) + 0.3
     mse = np.mean(errs**2)
     assert 0.7 * 0.5 / target <= mse <= 1.3 * 0.5 / target
 
@@ -77,12 +69,11 @@ def test_angle_mse_approximation(target):
 def test_both_directions_same_mse_scaling():
     norm_sq = 0.05
     rho = 100.0 / norm_sq
-    chan = _chan_with_norm(8, norm_sq, seed=3)
-    nu = (np.zeros(200), np.zeros(200))
+    chan = channel_with_norm(np.random.default_rng(3), 8, norm_sq)
+    nu = np.zeros((2, 10_000, 1))  # one row per trial
     rng = np.random.default_rng(8)
     for tx in (1, 2):
-        errs = np.array([measure_direction(tx, 1, chan, nu, rho, rng)
-                         for _ in range(10_000)])
+        errs = measure_direction(tx, 1, chan, nu, rho, rng)
         assert np.mean(errs**2) == pytest.approx(0.5 / 100.0, rel=0.3)
 
 
@@ -91,7 +82,7 @@ def test_combine_noiseless_wiener_paths():
     sig2 = 3.9478417604357436e-05
     nu1 = generate_trajectory(1, 100, sig2, initial_phase=0.0)
     nu2 = generate_trajectory(2, 100, sig2, initial_phase=0.0)
-    chan = _chan_with_norm(8, 0.05)
+    chan = channel_with_norm(np.random.default_rng(0), 8, 0.05)
     a21 = measure_direction(2, 52, chan, (nu1, nu2), p.rho_ap, _NoiselessRng())
     a12 = measure_direction(1, 97, chan, (nu1, nu2), p.rho_ap, _NoiselessRng())
     want = (nu2[51] + nu2[96]) - (nu1[51] + nu1[96])
@@ -102,17 +93,13 @@ def test_high_snr_consistency():
     # rho ||G||^2 = 1e6: combined-estimate MSE below 1e-5 rad^2
     norm_sq = 0.05
     rho = 1e6 / norm_sq
-    chan = _chan_with_norm(8, norm_sq, seed=5)
+    chan = channel_with_norm(np.random.default_rng(5), 8, norm_sq)
     sig2 = 3.9478417604357436e-05
     rng = np.random.default_rng(9)
-    errs = []
-    for trial in range(2000):
-        nu1 = generate_trajectory(rng, 100, sig2)
-        nu2 = generate_trajectory(rng, 100, sig2)
-        a21 = measure_direction(2, 52, chan, (nu1, nu2), rho, rng)
-        a12 = measure_direction(1, 97, chan, (nu1, nu2), rho, rng)
-        truth = (nu2[51] + nu2[96]) - (nu1[51] + nu1[96])
-        errs.append(a12 - a21 - truth)
+    nu1, nu2 = generate_trajectory(rng, 100, sig2, initial_phase=np.zeros((2, 2000)))
+    a21 = measure_direction(2, 52, chan, (nu1, nu2), rho, rng)
+    a12 = measure_direction(1, 97, chan, (nu1, nu2), rho, rng)
+    errs = a12 - a21 - ((nu2[:, 51] + nu2[:, 96]) - (nu1[:, 51] + nu1[:, 96]))
     assert np.mean(np.square(errs)) < 1e-5
 
 
