@@ -2,10 +2,8 @@
 """Time the engine layer by layer, and the paper's presets end to end, with
 BLAS on one thread; write one JSON report with a section per measurement:
 
-- opnorm: the per-run op-norm draw for OPNORM_RUNS runs at N in SIZES, the
-  dense-G SVD oracle (tests/oracles.py) against the bidiagonal model
-  (otasync.channel.batched_op_norms); dense is skipped where its G alone
-  would take 1 GiB or more.
+- opnorm: the per-run op-norm draw (otasync.channel.batched_op_norms, the
+  bidiagonal model) for OPNORM_RUNS runs at N in SIZES.
 - chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (N_GROUPS
   batch-mean groups, one sum per AP-2 segment) per synced scheme and F; the
   cell geometry and the chunk's op norms are made outside the timed call, as
@@ -53,10 +51,9 @@ from otasync.compensation import CHUNK_SIZE, N_GROUPS, _cell_geometry, _simulate
     build_plan, chunk_op_norms, monte_carlo_delta  # noqa: E402
 from otasync.config import default_params  # noqa: E402
 from otasync.rate import per_position_rates, spectral_efficiency  # noqa: E402
-from tests.oracles import dense_op_norms  # noqa: E402
 
 SEED = 1
-SIZES, OPNORM_RUNS, OPNORM_REPEATS, DENSE_LIMIT_BYTES = (64, 128, 256, 512), 1024, 3, 2**30
+SIZES, OPNORM_RUNS, OPNORM_REPEATS = (64, 128, 256, 512), 1024, 3
 SCHEMES, FRAME_LENGTHS, CHUNK_REPEATS = ("kalman", "direct"), (1, 10), 5
 RATE_SCHEMES, RATE_RUNS, RATE_REPEATS = ("kalman", "ap1_only"), 1024, 15
 PRESETS, PRESET_RUNS, PRESET_REPEATS = ("--fig2", "--fig3"), 10_000, 3
@@ -82,22 +79,13 @@ def measure(repeats, call, args_of):
     return dict(s=statistics.median(times), s_all=times, peak_mib=peak / 2**20), result
 
 
-def _op_norms(draw, params):
-    timing, norms = measure(OPNORM_REPEATS, draw,
-                            lambda r: (np.random.default_rng(SEED + r), params, OPNORM_RUNS))
-    return dict(timing, mean_op_norm=float(norms.mean()))
-
-
 def opnorm():
     for N in SIZES:
         params = default_params(n_antennas=N)
-        g_bytes = OPNORM_RUNS * N * N * 16
-        row = dict(N=N, runs=OPNORM_RUNS, dense_g_bytes=g_bytes,
-                   bidiagonal=_op_norms(batched_op_norms, params), dense=None)
-        if g_bytes < DENSE_LIMIT_BYTES:
-            row["dense"] = _op_norms(dense_op_norms, params)
-            row["speedup"] = row["dense"]["s"] / row["bidiagonal"]["s"]
-        yield row
+        timing, norms = measure(OPNORM_REPEATS, batched_op_norms, lambda r: (
+            np.random.default_rng(SEED + r), params, OPNORM_RUNS))
+        yield dict(N=N, runs=OPNORM_RUNS,
+                   bidiagonal=dict(timing, mean_op_norm=float(norms.mean())))
 
 
 def chunk():

@@ -12,8 +12,8 @@ from dataclasses import replace
 
 from .compensation import SCHEMES, build_plan, dump_trace_csv, run_phase_trace
 from .config import ConfigError, default_params, load_config_file
-from .experiment import DEFAULT_SWEEP, SweepSpec, emit_csv, fig2_sweep, fig3_sweep, \
-    parse_sweep, run_sweep
+from .experiment import _SWEEP_KEYS, DEFAULT_SWEEP, SweepSpec, emit_csv, fig2_sweep, \
+    fig3_sweep, parse_sweep, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="INT",
                         help="master seed (overrides the sweep file)")
     parser.add_argument("--scheme", metavar="LIST",
-                        help="comma-separated subset of: " + ",".join(SCHEMES))
+                        help="comma-separated subset of: " + ",".join(SCHEMES)
+                        + " (--dump-plan and --dump-trace take one; default kalman)")
     parser.add_argument("--realizations", type=int, metavar="INT",
                         help="Monte Carlo runs per cell (overrides the sweep file)")
     mode = parser.add_mutually_exclusive_group()
@@ -56,7 +57,7 @@ def _write(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _resolve_sweep(args) -> SweepSpec:
+def _resolve_sweep(args, schemes) -> SweepSpec:
     if args.fig2:
         spec = fig2_sweep()
     elif args.fig3:
@@ -74,8 +75,8 @@ def _resolve_sweep(args) -> SweepSpec:
         updates["master_seed"] = args.seed
     if args.realizations is not None:
         updates["n_realizations"] = args.realizations
-    if args.scheme is not None:
-        updates["schemes"] = tuple(s.strip() for s in args.scheme.split(","))
+    if schemes is not None:
+        updates["schemes"] = schemes
     return replace(spec, **updates)
 
 
@@ -102,8 +103,13 @@ def cli_main(argv=None) -> int:
         return 2
 
     try:
-        # --dump-plan/--dump-trace take one scheme
-        scheme = "kalman" if args.scheme is None else args.scheme
+        # one parse for every mode: the sweep file's rule for its schemes line
+        schemes = None if args.scheme is None else _SWEEP_KEYS["schemes"](args.scheme)
+        if args.dump_plan or args.dump_trace:
+            if schemes is not None and len(schemes) > 1:
+                mode = "--dump-plan" if args.dump_plan else "--dump-trace"
+                raise ConfigError(f"{mode} takes one scheme, got {args.scheme!r}")
+            (scheme,) = schemes or ("kalman",)
         if args.dump_plan:
             _write(build_plan(params, scheme).dump_csv(), args.out)
             return 0
@@ -113,7 +119,7 @@ def cli_main(argv=None) -> int:
             rows = run_phase_trace(params, n_frames, seed, scheme)
             _write(dump_trace_csv(rows), args.out)
             return 0
-        spec = _resolve_sweep(args)
+        spec = _resolve_sweep(args, schemes)
         rows = run_sweep(spec, params)
         _write(emit_csv(rows), args.out)
         return 0

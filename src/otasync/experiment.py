@@ -23,7 +23,7 @@ def _integral(v) -> bool:
 @dataclass(frozen=True)
 class SweepSpec:
     f_values: tuple
-    schemes: tuple = ("kalman", "direct", "ap1_only")
+    schemes: tuple = SCHEMES
     snr_ap_db: tuple = (-15.0,)
     c_nu_values: tuple = (5e-18,)
     n_realizations: int = 1000

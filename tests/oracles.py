@@ -110,18 +110,27 @@ class InterApChannel:
     op_norm: float | np.ndarray
 
 
+# matrices per LAPACK SVD call: U and Vh of one block are all that the SVD
+# holds besides G, at any run count
+SVD_BLOCK = 128
+
+
 def inter_ap_channel(g: np.ndarray) -> InterApChannel:
     """G, or a stack of G along leading axes, with its leading singular pair
-    by LAPACK SVD: u2 = conj(Vh[0]), its largest-magnitude entry rotated to be
-    real nonnegative, u1 = G u2 / s0 and op_norm = s0."""
+    by LAPACK SVD, SVD_BLOCK matrices per call: u2 = conj(Vh[0]), its
+    largest-magnitude entry rotated to be real nonnegative, u1 = G u2 / s0
+    and op_norm = s0."""
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2 or not np.all(np.any(g, axis=(-2, -1))):
         raise ValueError("g must be a nonzero matrix or a stack of them")
-    _, s, vh = np.linalg.svd(g)
-    u2 = np.conj(vh[..., 0, :])
+    flat = g.reshape(-1, *g.shape[-2:])
+    s0, u2 = np.empty(len(flat)), np.empty((len(flat), g.shape[-1]), dtype=complex)
+    for b in range(0, len(flat), SVD_BLOCK):
+        _, s, vh = np.linalg.svd(flat[b:b + SVD_BLOCK])
+        s0[b:b + SVD_BLOCK], u2[b:b + SVD_BLOCK] = s[:, 0], np.conj(vh[:, 0])
+    s0, u2 = s0.reshape(g.shape[:-2])[()], u2.reshape(*g.shape[:-2], -1)
     peak = np.take_along_axis(u2, np.argmax(np.abs(u2), axis=-1)[..., None], axis=-1)
     u2 *= np.conj(peak) / np.abs(peak)
-    s0 = s[..., 0]
     return InterApChannel(g_matrix=g, u1=(g @ u2[..., None])[..., 0] / s0[..., None],
                           u2=u2, op_norm=s0)
 

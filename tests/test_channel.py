@@ -207,8 +207,9 @@ def test_inter_ap_channel_consistency():
     assert np.allclose(chan.g_matrix @ chan.u2, chan.op_norm * chan.u1, atol=1e-8)
 
 
-# Direct checks of the four estimate/error coupling identities used by the
-# closed-form rate derivation, at N=8, K=2 (the acceptance suite re-runs 3-4).
+# Two of the four estimate/error coupling identities used by the closed-form
+# rate derivation, at N=8, K=2; C1 (test_acceptance.py) checks the other two,
+# E|q~^H q^|^2 and E||q^||^4.
 
 def test_estimate_covariance_identity():
     p = small_instance()
@@ -229,22 +230,3 @@ def test_error_uncorrelated_with_estimate():
     mean = coupling.mean()
     se = np.sqrt((coupling.real.var() + coupling.imag.var()) / coupling.size)
     assert abs(mean) < 3 * se
-
-
-def test_error_estimate_power_identity():
-    p = small_instance()
-    q, q_hat = draw_estimates(np.random.default_rng(23), p, 1, 1, 100_000)
-    _, gamma = lmmse_coefficient(p, 1, 1)
-    err = q - q_hat
-    coupling = np.abs(np.einsum("ij,ij->i", err, np.conj(q_hat))) ** 2
-    expect = p.n_antennas * gamma * (p.beta_ue[0, 0] - gamma)
-    assert coupling.mean() == pytest.approx(expect, rel=0.05)
-
-
-def test_estimate_fourth_moment_identity():
-    p = small_instance()
-    _, q_hat = draw_estimates(np.random.default_rng(24), p, 1, 1, 100_000)
-    _, gamma = lmmse_coefficient(p, 1, 1)
-    fourth = (np.sum(np.abs(q_hat) ** 2, axis=1) ** 2).mean()
-    N = p.n_antennas
-    assert fourth == pytest.approx(N * (N + 1) * gamma**2, rel=0.05)

@@ -31,6 +31,10 @@ PINNED_CELLS = {
     "direct_f1_hetero": ("direct", dict(frame_len=1, beta_ue=HETERO_BETA)),
     "ap1_only_f3": ("ap1_only", dict(frame_len=3)),
 }
+# Short single-run traces that pin run_phase_trace's values, made the same way.
+PINNED_TRACE_PATH = PINNED_PATH.with_name("phase_trace.npz")
+PINNED_TRACES = {"kalman_seed1": ("kalman", 1), "direct_seed2": ("direct", 2)}
+TRACE_FIELDS = ("obs", "alpha_hat", "p_var", "kappa", "alpha_true")
 
 
 def test_psi_zero_phase_noise():
@@ -474,6 +478,18 @@ def test_rng_stream_matches_stored_values(name, params):
     assert np.allclose(_pinned_mean(params, name), stored, rtol=0.0, atol=1e-12)
 
 
+def _pinned_trace(params, name):
+    scheme, seed = PINNED_TRACES[name]
+    return np.array([[row[f] for f in TRACE_FIELDS]
+                     for row in run_phase_trace(params, 20, seed, scheme)])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_phase_trace_matches_stored_values(name, params):
+    stored = np.load(PINNED_TRACE_PATH)[name]
+    assert np.allclose(_pinned_trace(params, name), stored, rtol=0.0, atol=1e-12)
+
+
 def test_invalid_scheme(params):
     with pytest.raises(ValueError):
         monte_carlo_delta(params, "zero_forcing", 10, 0)
@@ -517,3 +533,5 @@ if __name__ == "__main__":
     PINNED_PATH.parent.mkdir(exist_ok=True)
     np.savez_compressed(PINNED_PATH, **{name: _pinned_mean(default_params(), name)
                                         for name in PINNED_CELLS})
+    np.savez_compressed(PINNED_TRACE_PATH, **{name: _pinned_trace(default_params(), name)
+                                              for name in PINNED_TRACES})

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from otasync.config import ConfigError, default_params, derive_sigma_nu, dump_config, \
     load_config
-from tests.conftest import geometries
 
 
 def test_defaults_match_reference_scenario():

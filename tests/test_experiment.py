@@ -177,14 +177,6 @@ def test_csv_six_significant_digits():
     assert "1.23457" in line and "0.00123457" in line and "1.58e-17" in line
 
 
-def test_sweep_determinism(params):
-    spec = SweepSpec(f_values=(1,), schemes=("kalman",), snr_ap_db=(-15.0,),
-                     n_realizations=300, master_seed=5)
-    a = emit_csv(run_sweep(spec, params))
-    b = emit_csv(run_sweep(spec, params))
-    assert csv_without_wall_time(a) == csv_without_wall_time(b)
-
-
 def test_sweep_worker_invariance(params, monkeypatch):
     # n_workers is accepted and read by nothing: every chunk runs in this
     # process, and a multi-chunk synced sweep gives the n_workers = 1 rows
@@ -337,13 +329,16 @@ def test_cli_bad_config(tmp_path, capsys):
     ["--realizations", "10", "--scheme", ""],
     ["--fig2", "--scheme", ""],
     ["--realizations", "10", "--scheme", ","],
+    ["--dump-trace", "--scheme", "kalman, direct"],
 ])
 def test_cli_bad_run_options(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert cli_main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    if argv[:2] == ["--dump-trace", "--scheme"]:
+    if argv[0].startswith("--dump") and "," in argv[-1]:   # a dump takes one scheme
+        assert err == f"otasync: {argv[0]} takes one scheme, got {argv[-1]!r}\n"
+    elif argv[:2] == ["--dump-trace", "--scheme"]:
         assert err == f"otasync: cannot trace scheme {argv[2]!r}; " \
                       "expected one of ('kalman', 'direct')\n"
     elif "--scheme" in argv and argv[0] != "--dump-plan":   # blank: unknown, not repeated
@@ -421,6 +416,10 @@ def test_cli_dump_plan(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,ap1_label,ap2_label,a1,a2"
     assert len(lines) == 101
+    # --scheme is split and stripped as a sweep file's schemes line is
+    padded = tmp_path / "padded.csv"
+    assert cli_main(["--dump-plan", "--scheme", "direct ", "--out", str(padded)]) == 0
+    assert padded.read_text() == out.read_text()
 
 
 def test_cli_dump_trace(tmp_path):
@@ -430,6 +429,9 @@ def test_cli_dump_trace(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,obs,alpha_hat,p_var,kappa,alpha_true"
     assert len(lines) == 26
+    assert cli_main(["--dump-trace", "--trace-frames", "25", "--seed", "2",
+                     "--scheme", " kalman", "--out", str(out)]) == 0
+    assert out.read_text().strip().splitlines() == lines   # stripped, as in a sweep
     # --scheme direct passes every measurement through: gain 1, output = obs
     assert cli_main(["--dump-trace", "--trace-frames", "25", "--seed", "2",
                      "--scheme", "direct", "--out", str(out)]) == 0

@@ -54,18 +54,6 @@ def test_stacked_measurement_matches_per_channel_calls():
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("target", [20.0, 100.0, 1000.0])
-def test_angle_mse_approximation(target):
-    # per-direction MSE ~ 0.5 / (rho ||G||^2) within +-30%
-    norm_sq = 0.05
-    rho = target / norm_sq
-    chan = channel_with_norm(np.random.default_rng(0), 8, norm_sq)
-    nu = (np.zeros((10_000, 1)), np.full((10_000, 1), 0.3))  # one row per trial
-    errs = measure_direction(2, 1, chan, nu, rho, np.random.default_rng(7)) + 0.3
-    mse = np.mean(errs**2)
-    assert 0.7 * 0.5 / target <= mse <= 1.3 * 0.5 / target
-
-
 def test_both_directions_same_mse_scaling():
     norm_sq = 0.05
     rho = 100.0 / norm_sq

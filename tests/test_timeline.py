@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from otasync.config import ConfigError, default_params
 from otasync.timeline import Activity, build_ap1_only_schedule, build_broken_slot, \
@@ -14,20 +14,6 @@ DOWNLINK_SIDE = (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX)
 
 def spans(labels, activities):
     return np.nonzero(np.isin(labels, activities))[0] + 1
-
-
-def test_conventional_slot_reference(params):
-    lab = build_conventional_slot(params)
-    assert np.all(lab[:10] == Activity.UL_PILOT)
-    assert np.all(lab[10:52] == Activity.UL_DATA)
-    assert np.all(lab[52:55] == Activity.GUARD)
-    assert lab[55] == Activity.DL_DEMOD_PILOT
-    assert np.all(lab[56:97] == Activity.DL_DATA)
-    assert np.all(lab[97:100] == Activity.GUARD)
-
-
-def test_sync_instants_reference_geometry(params):
-    assert sync_instants(params) == (52, 97)
 
 
 def test_sync_instants_minimal_slot(tiny_params):
@@ -45,6 +31,7 @@ def test_sync_instants_minimal_slot(tiny_params):
 
 @settings(max_examples=100, deadline=None)
 @given(geometries())
+@example(default_params())
 def test_conventional_slot_over_valid_geometries(geometry):
     # the four lengths partition the slot in order; i1 closes the uplink, i2
     # the downlink, and the demod pilot opens the downlink
@@ -59,6 +46,7 @@ def test_conventional_slot_over_valid_geometries(geometry):
 
 @settings(max_examples=100, deadline=None)
 @given(geometries())
+@example(default_params())
 def test_sync_geometry_over_valid_geometries(geometry):
     # C6 at every geometry: the sync events sit at i1 = tau_p + tau_u and
     # i2 = i1 + tau_g + tau_d, and the broken slot overlaps one AP's downlink
@@ -72,14 +60,6 @@ def test_sync_geometry_over_valid_geometries(geometry):
     ap2_ul, ap2_dl = np.isin(broken[1], UPLINK_SIDE), np.isin(broken[1], DOWNLINK_SIDE)
     assert np.array_equal(np.flatnonzero(ap2_dl & ap1_ul) + 1, [i1])
     assert np.array_equal(np.flatnonzero(ap1_dl & ap2_ul) + 1, [i2])
-
-
-def test_conventional_zero_guard(tiny_params):
-    lab = build_conventional_slot(tiny_params)
-    ul = spans(lab, UPLINK_SIDE)
-    dl = spans(lab, DOWNLINK_SIDE)
-    assert not set(ul) & set(dl)
-    assert len(ul) + len(dl) == tiny_params.tau_c
 
 
 def test_broken_slot_reference(params):
@@ -103,16 +83,6 @@ def test_broken_slot_reference(params):
     assert ap2[96] == Activity.SYNC_RX
     assert np.all(ap2[97:100] == Activity.UL_DATA)
     assert events == ((52, 2, 1), (97, 1, 2))
-
-
-def test_broken_slot_single_overlap_each_direction(params):
-    lab, _ = build_broken_slot(params)
-    ap1_ul = np.isin(lab[0], UPLINK_SIDE)
-    ap1_dl = np.isin(lab[0], DOWNLINK_SIDE)
-    ap2_ul = np.isin(lab[1], UPLINK_SIDE)
-    ap2_dl = np.isin(lab[1], DOWNLINK_SIDE)
-    assert np.count_nonzero(ap2_dl & ap1_ul) == 1
-    assert np.count_nonzero(ap1_dl & ap2_ul) == 1
 
 
 def test_broken_slot_too_small():
@@ -158,30 +128,11 @@ def test_frame_schedule_structure(params):
     assert np.array_equal(plan.demod_pilot_samples[0], [56, 156, 256])
 
 
-def test_frame_schedule_f1_is_broken_every_slot(params):
-    plan = build_frame_schedule(params)
-    assert plan.frame_len == 1
-    assert (52, 2, 1) in plan.sync_events
-
-
-def test_indicator_matches_transmitting_labels(params):
-    plan = build_frame_schedule(params)
+def test_indicator_matches_transmitting_labels():
+    # F = 2: a broken slot and a conventional one
+    plan = build_frame_schedule(default_params(frame_len=2))
     expect = np.isin(plan.labels, DOWNLINK_SIDE)
     assert np.array_equal(plan.a, expect)
-
-
-def test_conventional_indicators_symmetric(params):
-    import dataclasses
-    p = dataclasses.replace(params, frame_len=2)
-    plan = build_frame_schedule(p)
-    assert np.array_equal(plan.a[0, 100:], plan.a[1, 100:])
-
-
-def test_every_sample_exactly_one_label(params):
-    plan = build_frame_schedule(params)
-    assert plan.labels.min() >= 0
-    valid = set(int(a) for a in Activity)
-    assert set(np.unique(plan.labels)).issubset(valid)
 
 
 def test_downlink_sample_budget(params):

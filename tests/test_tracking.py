@@ -88,17 +88,6 @@ def test_kalman_init_zero_noise():
     assert kalman_init(1.0, model).p_var == 0.0
 
 
-def test_kalman_update_worked_example():
-    # frozen from independent evaluation of the gain/variance formulas
-    model = NoiseModel(sigma_zeta_sq=0.017055, sigma_xi_sq=0.003711, meas_var=0.005)
-    state = KalmanState(alpha_hat=0.0, p_var=0.01)
-    kappa = kalman_gain(state.p_var, model)
-    assert kappa == pytest.approx(0.5246623043661271, abs=1e-9)
-    new = kalman_update(state, 0.1, model)
-    assert new.p_var == pytest.approx(0.0198613551448360, abs=1e-9)
-    assert new.alpha_hat == pytest.approx(kappa * 0.1, abs=1e-12)
-
-
 def test_kalman_per_run_arrays_match_scalar_steps():
     # array state and per-run meas_var: each run follows the scalar recursion
     p = default_params()
