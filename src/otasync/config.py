@@ -30,7 +30,6 @@ class SystemParams:
     n_antennas: int = 64
     n_ues: int = 10
     tau_c: int = 100
-    tau_p: int = 10                  # = n_ues
     tau_u: int = 42
     tau_g: int = 3
     tau_d: int = 42
@@ -61,6 +60,11 @@ class SystemParams:
                 return False
         return True
 
+    @property
+    def tau_p(self) -> int:
+        """Uplink pilot samples: one orthogonal pilot per UE."""
+        return self.n_ues
+
     def validate(self):
         filled = self.tau_p + self.tau_u + self.tau_d + 2 * self.tau_g
         if filled != self.tau_c:
@@ -68,8 +72,6 @@ class SystemParams:
                 "slot does not fill exactly: tau_p + tau_u + tau_d + 2*tau_g = "
                 f"{filled} != tau_c = {self.tau_c}"
             )
-        if self.tau_p != self.n_ues:
-            raise ConfigError(f"tau_p = {self.tau_p} must equal n_ues = {self.n_ues}")
         for name in ("rho_ue", "rho_ap", "beta_g", "f_c", "f_s"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
@@ -101,7 +103,7 @@ class SystemParams:
 
 
 def _check_counts(fields):
-    for name in ("n_antennas", "n_ues", "tau_c", "tau_p", "tau_u", "tau_d", "frame_len"):
+    for name in ("n_antennas", "n_ues", "tau_c", "tau_u", "tau_d", "frame_len"):
         if fields[name] < 1:
             raise ConfigError(f"{name} must be a positive integer, got {fields[name]}")
     if fields["tau_g"] < 0:
@@ -126,18 +128,16 @@ def _as_table(value, n_ues: int, name: str) -> np.ndarray:
 def default_params(**given) -> SystemParams:
     """SystemParams from the given keys. An omitted key takes its field
     default, except the keys that follow others: rho_ap = 2*rho_ue,
-    tau_p = n_ues, eta = 1/n_ues, and tau_u and tau_d take what the slot
-    leaves (split evenly if both are omitted)."""
+    eta = 1/n_ues, and tau_u and tau_d take what the slot leaves after
+    tau_p = n_ues pilot samples (split evenly if both are omitted)."""
     values = {f.name: f.default for f in fields(SystemParams)}
     values.update(given)
     _check_counts(values)   # before the dependent keys divide by or size with them
     if "rho_ap" not in given:
         values["rho_ap"] = 2.0 * values["rho_ue"]
-    if "tau_p" not in given:
-        values["tau_p"] = values["n_ues"]
     if "eta" not in given:
         values["eta"] = 1.0 / values["n_ues"]
-    rest = values["tau_c"] - values["tau_p"] - 2 * values["tau_g"]
+    rest = values["tau_c"] - values["n_ues"] - 2 * values["tau_g"]
     if "tau_u" not in given and "tau_d" not in given:
         if rest < 2 or rest % 2:
             raise ConfigError(f"cannot split tau_c - tau_p - 2*tau_g = {rest} into tau_u + tau_d")

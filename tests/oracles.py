@@ -315,7 +315,7 @@ def random_rate_instance(rng: np.random.Generator):
     eta = rng.uniform(0.1, 0.9, (K, 2))
     eta /= eta.sum(axis=0, keepdims=True)
     tau_u = (100 - K - 6) // 2
-    params = default_params(n_antennas=N, n_ues=K, tau_p=K, tau_u=tau_u,
+    params = default_params(n_antennas=N, n_ues=K, tau_u=tau_u,
                             tau_d=100 - K - 6 - tau_u, beta_ue=beta, eta=eta)
     mods = rng.choice([0.0, 0.5, 1.0], 2)
     target = tuple(m * np.exp(1j * ph) for m, ph in zip(mods, rng.uniform(-np.pi, np.pi, 2)))

@@ -299,8 +299,8 @@ def test_cli_usage_error():
 
 def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for line in ("tau_p = 7", "beta_ue = nan", "eta = nan", "ue_pilot_noise_var = inf",
-                 "n_ues = 0", "n_ues = -2", "rho_ue = 4000 dB"):
+    for line in ("tau_u = 45\ntau_d = 45", "beta_ue = nan", "eta = nan",
+                 "ue_pilot_noise_var = inf", "n_ues = 0", "n_ues = -2", "rho_ue = 4000 dB"):
         cfg.write_text(line + "\n")
         assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
     cfg.write_bytes(b"n_ues = 4\xff\n")

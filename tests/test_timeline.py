@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
 
 from otasync.config import ConfigError, default_params
 from otasync.timeline import Activity, build_ap1_only_schedule, build_broken_slot, \
     build_conventional_slot, build_frame_schedule, sync_instants
-from tests.conftest import geometries
+from tests.conftest import GEOMETRIES, at_geometry
 from tests.oracles import estimation_time
 
 UPLINK_SIDE = (Activity.UL_PILOT, Activity.UL_DATA, Activity.SYNC_RX)
@@ -29,37 +28,35 @@ def test_sync_instants_minimal_slot(tiny_params):
     assert events == ((2, 2, 1), (4, 1, 2))
 
 
-@settings(max_examples=100, deadline=None)
-@given(geometries())
-@example(default_params())
-def test_conventional_slot_over_valid_geometries(geometry):
+def test_conventional_slot_over_valid_geometries():
     # the four lengths partition the slot in order; i1 closes the uplink, i2
     # the downlink, and the demod pilot opens the downlink
-    p, u, g, d = geometry.tau_p, geometry.tau_u, geometry.tau_g, geometry.tau_d
     A = Activity
-    expect = [A.UL_PILOT] * p + [A.UL_DATA] * u + [A.GUARD] * g + [A.DL_DEMOD_PILOT] \
-        + [A.DL_DATA] * (d - 1) + [A.GUARD] * g
-    assert list(build_conventional_slot(geometry)) == expect
-    downlink = spans(expect, DOWNLINK_SIDE)
-    assert sync_instants(geometry) == (spans(expect, UPLINK_SIDE)[-1], downlink[-1])
+    for geometry in GEOMETRIES:
+        with at_geometry(geometry):
+            p, u, g, d = geometry.tau_p, geometry.tau_u, geometry.tau_g, geometry.tau_d
+            expect = [A.UL_PILOT] * p + [A.UL_DATA] * u + [A.GUARD] * g + [A.DL_DEMOD_PILOT] \
+                + [A.DL_DATA] * (d - 1) + [A.GUARD] * g
+            assert list(build_conventional_slot(geometry)) == expect
+            downlink = spans(expect, DOWNLINK_SIDE)
+            assert sync_instants(geometry) == (spans(expect, UPLINK_SIDE)[-1], downlink[-1])
 
 
-@settings(max_examples=100, deadline=None)
-@given(geometries())
-@example(default_params())
-def test_sync_geometry_over_valid_geometries(geometry):
+def test_sync_geometry_over_valid_geometries():
     # C6 at every geometry: the sync events sit at i1 = tau_p + tau_u and
     # i2 = i1 + tau_g + tau_d, and the broken slot overlaps one AP's downlink
     # with the other's uplink at exactly one sample each way, at those events
-    i1 = geometry.tau_p + geometry.tau_u
-    i2 = i1 + geometry.tau_g + geometry.tau_d
-    plan = build_frame_schedule(geometry)
-    assert plan.sync_events == ((i1, 2, 1), (i2, 1, 2))
-    broken = plan.labels[:, :geometry.tau_c]
-    ap1_ul, ap1_dl = np.isin(broken[0], UPLINK_SIDE), np.isin(broken[0], DOWNLINK_SIDE)
-    ap2_ul, ap2_dl = np.isin(broken[1], UPLINK_SIDE), np.isin(broken[1], DOWNLINK_SIDE)
-    assert np.array_equal(np.flatnonzero(ap2_dl & ap1_ul) + 1, [i1])
-    assert np.array_equal(np.flatnonzero(ap1_dl & ap2_ul) + 1, [i2])
+    for geometry in GEOMETRIES:
+        with at_geometry(geometry):
+            i1 = geometry.tau_p + geometry.tau_u
+            i2 = i1 + geometry.tau_g + geometry.tau_d
+            plan = build_frame_schedule(geometry)
+            assert plan.sync_events == ((i1, 2, 1), (i2, 1, 2))
+            broken = plan.labels[:, :geometry.tau_c]
+            ap1_ul, ap1_dl = np.isin(broken[0], UPLINK_SIDE), np.isin(broken[0], DOWNLINK_SIDE)
+            ap2_ul, ap2_dl = np.isin(broken[1], UPLINK_SIDE), np.isin(broken[1], DOWNLINK_SIDE)
+            assert np.array_equal(np.flatnonzero(ap2_dl & ap1_ul) + 1, [i1])
+            assert np.array_equal(np.flatnonzero(ap1_dl & ap2_ul) + 1, [i2])
 
 
 def test_broken_slot_reference(params):
@@ -86,7 +83,7 @@ def test_broken_slot_reference(params):
 
 
 def test_broken_slot_too_small():
-    p = default_params(n_ues=1, tau_p=1, tau_u=2, tau_g=2, tau_d=5, tau_c=12,
+    p = default_params(n_ues=1, tau_u=2, tau_g=2, tau_d=5, tau_c=12,
                        beta_ue=0.01, eta=1.0)
     with pytest.raises(ConfigError, match="relocate"):
         build_broken_slot(p)
@@ -182,17 +179,16 @@ def test_ap1_only_schedule(params):
     assert plan.demod_pilot_samples[1, 0] == -1
 
 
-@settings(max_examples=100, deadline=None)
-@given(geometries())
-def test_demod_pilot_samples_over_valid_geometries(geometry):
+def test_demod_pilot_samples_over_valid_geometries():
     # both APs send their demod pilot at the same slot offset in every slot of
     # the synced schedule; with AP 2 switched off it sends none
-    g = geometry
-    expect = np.arange(g.frame_len) * g.tau_c + g.tau_p + g.tau_u + g.tau_g + 1
-    synced = build_frame_schedule(g).demod_pilot_samples
-    ap1_only = build_ap1_only_schedule(g).demod_pilot_samples
-    assert np.array_equal(synced, [expect, expect])
-    assert np.array_equal(ap1_only, [expect, np.full_like(expect, -1)])
+    for g in GEOMETRIES:
+        with at_geometry(g):
+            expect = np.arange(g.frame_len) * g.tau_c + g.tau_p + g.tau_u + g.tau_g + 1
+            synced = build_frame_schedule(g).demod_pilot_samples
+            ap1_only = build_ap1_only_schedule(g).demod_pilot_samples
+            assert np.array_equal(synced, [expect, expect])
+            assert np.array_equal(ap1_only, [expect, np.full_like(expect, -1)])
 
 
 def test_plan_dump_csv(params):
