@@ -89,6 +89,14 @@ class SystemParams:
             raise ConfigError(
                 f"per-AP power constraint violated: sum_k eta[k,ap] = {col} exceeds 1"
             )
+        # an overflow in the rate formula's constants would turn every SE into
+        # a silent NaN; a gamma that is not finite makes the first one so
+        with np.errstate(over="ignore", invalid="ignore"):
+            unc, ui = self.rate_constants()
+        for name, value in (("n_antennas * rho_ap * eta * gamma(beta_ue, rho_ue, n_ues)", unc),
+                            ("rho_ap * beta_ue * sum_k eta", ui)):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"rate term {name} is not finite")
 
     def gamma(self) -> np.ndarray:
         """Effective-channel estimate variances, shape (K, 2).
@@ -97,6 +105,12 @@ class SystemParams:
         """
         snr = self.rho_ue * self.n_ues * self.beta_ue
         return self.beta_ue * snr / (snr + 1.0)
+
+    def rate_constants(self):
+        """The closed-form rate's per-UE constants, each of shape (K, 2):
+        N rho_ap eta gamma and rho_ap beta_ue sum_k' eta."""
+        return (self.n_antennas * self.rho_ap * self.eta * self.gamma(),
+                self.rho_ap * self.beta_ue * self.eta.sum(axis=0))
 
     def with_snr_ap_db(self, snr_db: float) -> "SystemParams":
         return replace(self, beta_g=_from_db(snr_db) / self.rho_ap)
@@ -151,7 +165,10 @@ def default_params(**given) -> SystemParams:
 
 def derive_sigma_nu(params: SystemParams) -> float:
     """Per-sample Wiener phase-increment variance, 4*pi^2*f_c^2*c_nu/f_s [rad^2]."""
-    out = 4.0 * math.pi**2 * params.f_c**2 * params.c_nu / params.f_s
+    try:
+        out = 4.0 * math.pi**2 * params.f_c**2 * params.c_nu / params.f_s
+    except OverflowError:   # f_c**2 beyond the float range raises; a product gives inf
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"sigma_nu^2 is not finite for f_c={params.f_c}, c_nu={params.c_nu}")
     return out

@@ -48,9 +48,9 @@ def rate_at_position(params: SystemParams, a, mean_delta) -> RateBreakdown:
     d = np.where(a, mean_delta, 0.0)
     u = np.maximum(0.0, 1.0 - (d.real ** 2 + d.imag ** 2)) * a
     # per-UE constants, (K, 2): N rho eta gamma, its root and rho beta sum_k' eta
-    unc = params.n_antennas * params.rho_ap * params.eta * params.gamma()
+    unc, ui_per_ue = params.rate_constants()
     amp = np.sqrt(unc)
-    ui = (params.rho_ap * params.beta_ue * params.eta.sum(axis=0)) @ a
+    ui = ui_per_ue @ a
     ds = (amp @ d.real) ** 2 + (amp @ d.imag) ** 2
     bu = unc @ u
     return RateBreakdown(ds_power=ds, bu_power=bu, ui_power=np.broadcast_to(ui, ds.shape),

@@ -18,6 +18,8 @@ def wrap(angle):
     if not np.all(np.isfinite(angle)):
         raise ValueError("wrap() requires finite input")
     wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    # the mod rounds angle + pi up to 2 pi for an angle just below -pi
+    wrapped = np.where(wrapped >= np.pi, -np.pi, wrapped)
     return float(wrapped) if np.isscalar(angle) or np.ndim(angle) == 0 else wrapped
 
 

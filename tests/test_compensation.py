@@ -10,7 +10,7 @@ from otasync import compensation
 from otasync.channel import batched_op_norms
 from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, WARMUP_FRAMES, _cell_geometry, \
     _sync_errors, build_plan, chunk_op_norms, monte_carlo_delta, run_phase_trace
-from otasync.config import ConfigError, default_params, derive_sigma_nu
+from otasync.config import default_params, derive_sigma_nu
 from otasync.experiment import SweepSpec, run_cell, run_sweep
 from otasync.rate import per_position_rates, spectral_efficiency
 from otasync.tracking import representative_ue, wrap
@@ -496,8 +496,6 @@ def test_phase_trace_matches_stored_values(name, params):
 def test_invalid_scheme(params):
     with pytest.raises(ValueError):
         monte_carlo_delta(params, "zero_forcing", 10, 0)
-    with pytest.raises(ConfigError, match="unknown scheme"):
-        build_plan(params, "zero_forcing")
     with pytest.raises(ValueError):
         monte_carlo_delta(params, "kalman", 0, 0)
 
@@ -514,20 +512,6 @@ def test_trace_output_fields(params):
     assert set(rows[0]) == {"n", "obs", "alpha_hat", "p_var", "kappa", "alpha_true"}
     kappas = [r["kappa"] for r in rows[5:]]
     assert all(0 < k < 1 for k in kappas)
-    for scheme in ("ap1_only", "bogus"):
-        with pytest.raises(ConfigError, match=f"cannot trace scheme '{scheme}'; expected one of"):
-            run_phase_trace(params, 5, 2, scheme=scheme)
-    with pytest.raises(ConfigError):
-        run_phase_trace(params, 0, 2)
-
-
-def test_trace_rejects_what_the_broken_slot_rejects():
-    # the sync instants come from the plan, so a slot too short to relocate
-    # tau_g + 1 uplink samples is rejected as it is by the sweep
-    p = default_params(n_ues=1, tau_u=2, tau_g=2, tau_d=5, tau_c=12,
-                       beta_ue=0.01, eta=1.0)
-    with pytest.raises(ConfigError, match="cannot relocate 3 uplink samples"):
-        run_phase_trace(p, 3, 2)
 
 
 if __name__ == "__main__":

@@ -36,8 +36,10 @@ def test_sigma_nu_scaling_laws():
 
 
 def test_sigma_nu_nonfinite_rejected():
-    with pytest.raises(ConfigError):
-        derive_sigma_nu(default_params(c_nu=math.inf))
+    # f_c**2 overflows on its own; c_nu = 1e300 overflows the product
+    for kw in (dict(f_c=1e160), dict(c_nu=1e300)):
+        with pytest.raises(ConfigError, match="^sigma_nu\\^2 is not finite"):
+            derive_sigma_nu(default_params(**kw))
 
 
 def test_slot_fill_invariant_enforced():
@@ -77,32 +79,6 @@ def test_load_config_db_conversion():
 def test_load_config_rho_ap_override():
     p = load_config("rho_ue = 20dB\nrho_ap = 20dB")
     assert p.rho_ap == pytest.approx(100.0)
-
-
-def test_load_config_violated_invariant():
-    with pytest.raises(ConfigError):
-        load_config("tau_u = 45\ntau_d = 45")  # the slot does not fill
-
-
-def test_load_config_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config("n_antennae = 64")
-
-
-def test_load_config_malformed_value():
-    with pytest.raises(ConfigError, match="malformed"):
-        load_config("rho_ue = fast")
-    with pytest.raises(ConfigError, match="^line 3: malformed value for 'eta'"):
-        load_config("# header\nn_antennas = 32\neta = 0.1,x\n")
-    for key in ("rho_ue", "rho_ap", "beta_g", "beta_ue"):
-        with pytest.raises(ConfigError, match=f"^line 1: malformed value for '{key}' "
-                                              r"\(4000 dB is out of range\)$"):
-            load_config(f"{key} = 4000 dB\n")
-
-
-def test_load_config_db_on_non_power_key():
-    with pytest.raises(ConfigError, match="line 1: .*dB"):
-        load_config("tau_c = 100dB")
 
 
 def test_load_config_comments_and_blanks():

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import re
 
 import numpy as np
@@ -21,6 +20,8 @@ QUICK = SweepSpec(f_values=(1, 2), schemes=("kalman", "direct", "ap1_only"),
 UNKNOWN = "; expected subset of ('kalman', 'direct', 'ap1_only')"
 
 
+# SweepSpec's own checks; the command-line table (test_cli_rejects) holds what
+# a sweep file or a flag makes of them
 @pytest.mark.parametrize("values, message", [
     (dict(f_values=(1, 2, 3, 0)), "f_values must be positive, got 0"),
     (dict(f_values=(-1, 2)), "f_values must be positive, got -1"),
@@ -63,24 +64,6 @@ def test_parse_sweep_roundtrip():
     assert spec.schemes == ("kalman", "direct")
     assert spec.snr_ap_db == (-15.0, -20.0)
     assert spec.n_realizations == 50
-
-
-def test_parse_sweep_errors():
-    with pytest.raises(ConfigError):
-        parse_sweep("frames = 1,2")
-    with pytest.raises(ConfigError):
-        parse_sweep("f_values = one")
-    with pytest.raises(ConfigError):
-        parse_sweep("n_realizations = 10")  # f_values missing
-    with pytest.raises(ConfigError, match="line 3: duplicate key 'n_realizations'"):
-        parse_sweep("f_values = 1\nn_realizations = 10\nn_realizations = 20\n")
-    with pytest.raises(ConfigError, match="line 2: malformed value for 'master_seed'"):
-        parse_sweep("f_values = 1\nmaster_seed = 1.5\n")
-    for text, key in (("f_values = 1, 2, 3, 0\n", "f_values"),
-                      ("f_values = 1\nsnr_ap_db = -15, nan\n", "snr_ap_db"),
-                      ("f_values = 1\nc_nu_values = 5e-18, -1\n", "c_nu_values")):
-        with pytest.raises(ConfigError, match=f"^{key} must be "):
-            parse_sweep(text)
 
 
 @pytest.mark.parametrize("key", ["f_values", "schemes", "snr_ap_db", "c_nu_values"])
@@ -282,69 +265,6 @@ def test_cli_stdout_when_no_out(capsys):
     assert cap.out.startswith("scheme,frame_len")
 
 
-def test_cli_usage_error():
-    assert cli_main(["--no-such-flag"]) == 1
-    assert cli_main(["--fig2", "--fig3"]) == 1
-    for preset in ("--fig2", "--fig3"):   # one sweep: a preset or a sweep file
-        assert cli_main([preset, "--sweep", "s.cfg"]) == 1
-    assert cli_main(["--workers", "2"]) == 1  # chunks run in one process
-    for dump in ("--dump-plan", "--dump-trace"):   # a dump mode runs no sweep
-        for sweep in (["--sweep", "missing.cfg"], ["--fig2"], ["--fig3"], ["--realizations", "5"]):
-            assert cli_main([dump] + sweep) == 1
-    assert cli_main(["--dump-plan", "--dump-trace"]) == 1
-    for argv in (["--dump-plan"], ["--realizations", "20"], ["--fig2"], []):
-        assert cli_main(argv + ["--trace-frames", "7"]) == 1   # only a trace reads it
-    assert cli_main(["--dump-plan", "--seed", "5"]) == 1       # a plan draws nothing
-
-
-def test_cli_bad_config(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    for line in ("tau_u = 45\ntau_d = 45", "beta_ue = nan", "eta = nan",
-                 "ue_pilot_noise_var = inf", "n_ues = 0", "n_ues = -2", "rho_ue = 4000 dB"):
-        cfg.write_text(line + "\n")
-        assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
-    cfg.write_bytes(b"n_ues = 4\xff\n")
-    assert cli_main(["--config", str(cfg), "--out", os.devnull]) == 2
-    errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 8 and all(e.startswith("otasync: invalid config: ") for e in errors)
-    assert errors[4:6] == [f"otasync: invalid config: n_ues must be a positive integer, got {k}"
-                           for k in (0, -2)]
-    assert errors[6] == "otasync: invalid config: line 1: malformed value for 'rho_ue' " \
-                        "(4000 dB is out of range)"
-    assert "'utf-8' codec can't decode byte 0xff" in errors[7]
-    assert cli_main(["--config", str(tmp_path / "missing.cfg")]) == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["--dump-plan", "--scheme", "bogus"],
-    ["--dump-plan", "--scheme", "ap1_only,bogus"],
-    ["--dump-plan", "--scheme", "kalman,direct"],
-    ["--dump-trace", "--scheme", "ap1_only"],
-    ["--realizations", "0"],
-    ["--dump-trace", "--trace-frames", "0"],
-    ["--dump-trace", "--trace-frames", "-3"],
-    ["--dump-trace", "--scheme", "bogus"],
-    ["--dump-trace", "--scheme", ""],
-    ["--dump-plan", "--scheme", ""],
-    ["--realizations", "10", "--scheme", ""],
-    ["--fig2", "--scheme", ""],
-    ["--realizations", "10", "--scheme", ","],
-    ["--dump-trace", "--scheme", "kalman, direct"],
-])
-def test_cli_bad_run_options(tmp_path, capsys, argv):
-    out = tmp_path / "out.csv"
-    assert cli_main(argv + ["--out", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    if argv[0].startswith("--dump") and "," in argv[-1]:   # a dump takes one scheme
-        assert err == f"otasync: {argv[0]} takes one scheme, got {argv[-1]!r}\n"
-    elif argv[:2] == ["--dump-trace", "--scheme"]:
-        assert err == f"otasync: cannot trace scheme {argv[2]!r}; " \
-                      "expected one of ('kalman', 'direct')\n"
-    elif "--scheme" in argv and argv[0] != "--dump-plan":   # blank: unknown, not repeated
-        assert err.startswith("otasync: unknown scheme(s) ['")
-
-
 @pytest.mark.parametrize("exc", [MemoryError("cannot allocate G"), RuntimeError("boom")])
 def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
     def fail(spec, params):
@@ -356,58 +276,148 @@ def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_rejects_a_negative_seed(tmp_path, capsys):
-    sw = tmp_path / "neg.sweep"
-    sw.write_text("f_values = 1\nmaster_seed = -3\n")
-    for argv in (["--seed", "-1", "--realizations", "10"], ["--sweep", str(sw)],
-                 ["--dump-trace", "--seed", "-1"]):
-        assert cli_main(argv + ["--out", os.devnull]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "otasync: master_seed must be a non-negative integer, got -1",
-        f"otasync: invalid sweep file {sw}: master_seed must be a non-negative integer, got -3",
-        "otasync: master_seed must be a non-negative integer, got -1"]
+def row(*argv, config=None, sweep=None, code=2, err, id=None):
+    """One bad input: config and sweep texts (bytes need an id), flags, exit code, stderr."""
+    if id is None:
+        id = " ".join([f"{kind} {'; '.join(text.splitlines())}" for kind, text in
+                       (("config", config), ("sweep", sweep)) if text is not None]
+                      + [a or "''" for a in argv])
+    return pytest.param(config, sweep, list(argv), code, err, id=id)
 
 
-def test_cli_bad_sweep(tmp_path, capsys):
-    sw = tmp_path / "bad.sweep"
-    for text in ("schemes = zf\nf_values = 1\n",
-                 "f_values = 1\nn_realizations = 10\nn_realizations = 20\n"):
-        sw.write_text(text)
-        assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
-    sw.write_bytes(b"f_values = 1\xff\n")
-    assert cli_main(["--sweep", str(sw), "--out", os.devnull]) == 2
-    # one line naming the file for each, as a config file gets
-    errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 3 and all(e.startswith(f"otasync: invalid sweep file {sw}: ")
-                                    for e in errors)
-    assert errors[1].endswith("line 3: duplicate key 'n_realizations'")
-    assert "'utf-8' codec can't decode byte 0xff" in errors[2]
+def config(text, err, **kw):
+    return row(config=text, err="otasync: invalid config: " + err, **kw)
 
 
-def test_cli_rejects_a_bad_sweep_value_before_any_cell(tmp_path, capsys, monkeypatch):
-    def no_cell(*args, **kwargs):
+def sweep(text, err, **kw):
+    return row(sweep=text, err="otasync: invalid sweep file {sweep}: " + err, **kw)
+
+
+DUMPS = ("--dump-plan", "--dump-trace")
+SEED = "master_seed must be a non-negative integer, got "
+MALFORMED = "line {}: malformed value for '{}' ({})"
+FLOAT = "could not convert string to float: {!r}"
+INT = "invalid literal for int() with base 10: {!r}"
+UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+NOT_FILLED = "slot does not fill exactly: tau_p + tau_u + tau_d + 2*tau_g = {} != tau_c = 100"
+NONFINITE = {"beta_ue": "beta_ue entries must be positive and finite",
+             "eta": "eta entries must be nonnegative and finite",
+             "ue_pilot_noise_var": "ue_pilot_noise_var must be nonnegative and finite"}
+SIGMA = "sigma_nu^2 is not finite for f_c={}, c_nu={}"
+CELL = "otasync: cell c_nu = {}, snr_ap_db = {}, F = 1: "
+
+CLI_REJECTS = [
+    # usage errors, exit 1: err is a pattern for the last stderr line after
+    # "otasync: error: ", the program's own message or, as argparse's wording
+    # varies across Python versions, any line that names the flag
+    row("--no-such-flag", code=1, err=".*--no-such-flag.*"),
+    row("--workers", "2", code=1, err=".*--workers.*"),   # chunks run in one process
+    row("--fig2", "--fig3", code=1, err=".*--fig3.*"),
+    *[row(preset, "--sweep", "s.cfg", code=1, err=".*--sweep.*")   # one sweep: a preset
+      for preset in ("--fig2", "--fig3")],                          # or a file
+    *[row(dump, *other, code=1, err=f".*{other[0]}.*")             # a dump mode runs no sweep
+      for dump in DUMPS for other in (["--sweep", "missing.cfg"], ["--fig2"], ["--fig3"])],
+    *[row(dump, "--realizations", "5", code=1, err="--realizations applies only to a sweep")
+      for dump in DUMPS],
+    row("--dump-plan", "--dump-trace", code=1, err=".*--dump-trace.*"),
+    *[row(*argv, "--trace-frames", "7", code=1, err="--trace-frames applies only to --dump-trace")
+      for argv in (["--dump-plan"], ["--realizations", "20"], ["--fig2"], [])],
+    row("--dump-plan", "--seed", "5", code=1, err="--seed does not apply to --dump-plan"),
+    # bad flag values, exit 2
+    *[row("--dump-plan", "--scheme", s, err=f"otasync: unknown scheme {s!r}; expected one of "
+          "('kalman', 'direct', 'ap1_only')") for s in ("bogus", "zero_forcing", "")],
+    *[row(dump, "--scheme", s, err=f"otasync: {dump} takes one scheme, got {s!r}")
+      for dump, s in (("--dump-plan", "ap1_only,bogus"), ("--dump-plan", "kalman,direct"),
+                      ("--dump-trace", "kalman, direct"))],
+    *[row("--dump-trace", "--scheme", s, err=f"otasync: cannot trace scheme {s!r}; expected one "
+          "of ('kalman', 'direct')") for s in ("ap1_only", "bogus", "")],
+    *[row("--dump-trace", "--trace-frames", n, err="otasync: trace needs at least one frame, got "
+          + n) for n in ("0", "-3")],
+    *[row(*argv, "--seed", "-1", err="otasync: " + SEED + "-1")
+      for argv in (["--dump-trace"], ["--realizations", "10"])],
+    row("--realizations", "0", err="otasync: n_realizations must be an integer >= 1, got 0"),
+    *[row(*argv, "--scheme", s, err=f"otasync: unknown scheme(s) {s.split(',')!r}" + UNKNOWN)
+      for argv in (["--realizations", "10"], ["--fig2"]) for s in ("", ",")],
+    # config files, exit 2
+    row("--config", "missing.cfg",
+        err="otasync: cannot read config: [Errno 2] No such file or directory: 'missing.cfg'"),
+    config(b"n_ues = 4\xff\n", UTF8.format(9), id="config n_ues = 4 and byte 0xff"),
+    config("n_antennae = 64", "line 1: unknown key 'n_antennae'"),
+    config("rho_ue = fast", MALFORMED.format(1, "rho_ue", FLOAT.format("fast"))),
+    config("# header\nn_antennas = 32\neta = 0.1,x", MALFORMED.format(3, "eta", FLOAT.format("x"))),
+    *[config(f"{key} = 4000 dB", MALFORMED.format(1, key, "4000 dB is out of range"))
+      for key in ("rho_ue", "rho_ap", "beta_g", "beta_ue")],
+    config("tau_c = 100dB", MALFORMED.format(1, "tau_c", "'tau_c' does not accept a dB value")),
+    *[config(f"n_ues = {k}", f"n_ues must be a positive integer, got {k}") for k in (0, -2)],
+    config("tau_u = 45\ntau_d = 45", NOT_FILLED.format(106)),
+    config("tau_u = 42\ntau_d = 41", NOT_FILLED.format(99)),
+    *[config(f"{key} = {bad}", NONFINITE[key]) for key in NONFINITE for bad in ("nan", "inf")],
+    *[config(f"{key} = " + ",".join(["0.01"] * 7 + [bad] + ["0.01"] * 12), NONFINITE[key],
+             id=f"config {key} = {bad} at [3, 1] of 10 x 2")
+      for key in ("beta_ue", "eta") for bad in ("nan", "inf")],
+    config("eta = 0.2", "per-AP power constraint violated: sum_k eta[k,ap] = [2. 2.] exceeds 1"),
+    *[config(text, "rate term n_antennas * rho_ap * eta * gamma(beta_ue, rho_ue, n_ues) is not "
+             "finite") for text in ("beta_ue = 1e306", "rho_ap = 1e307")],
+    row(config="f_c = 1e160", err=CELL.format("5e-18", -15) + SIGMA.format("1e+160", "5e-18")),
+    row("--dump-trace", config="f_c = 1e160", err="otasync: " + SIGMA.format("1e+160", "5e-18")),
+    row("--dump-trace", config="c_nu = 1e300", err="otasync: " + SIGMA.format(2e9, "1e+300")),
+    # the trace reads its sync instants from the plan, so it rejects a slot too
+    # short to relocate tau_g + 1 uplink samples, as the sweep does
+    row("--dump-trace", "--trace-frames", "3", "--seed", "2",
+        config="n_ues = 1\ntau_c = 12\ntau_g = 2\ntau_u = 2",
+        err="otasync: cannot relocate 3 uplink samples: only 2 uplink data samples"),
+    # sweep files, exit 2
+    sweep(b"f_values = 1\xff\n", UTF8.format(12), id="sweep f_values = 1 and byte 0xff"),
+    sweep("frames = 1,2", "line 1: unknown key 'frames'"),
+    sweep("n_realizations = 10", "sweep must define f_values"),
+    sweep("f_values = 1\nn_realizations = 10\nn_realizations = 20",
+          "line 3: duplicate key 'n_realizations'"),
+    sweep("f_values = one", MALFORMED.format(1, "f_values", INT.format("one"))),
+    sweep("f_values = 1\nmaster_seed = 1.5", MALFORMED.format(2, "master_seed", INT.format("1.5"))),
+    sweep("f_values = 1\nmaster_seed = -3", SEED + "-3"),
+    sweep("schemes = zf\nf_values = 1", "unknown scheme(s) ['zf']" + UNKNOWN),
+    sweep("f_values = 1\nn_workers = 0", "n_workers must be an integer >= 1, got 0"),
+    *[sweep(text, "f_values must be positive, got " + bad)
+      for text, bad in (("f_values = 1, 2, 3, 0", "0"), ("f_values = -1, 2", "-1"))],
+    *[sweep("f_values = 1\nsnr_ap_db = " + text, "snr_ap_db must be finite, got " + bad)
+      for text, bad in (("-15, nan", "nan"), ("-inf", "-inf"))],
+    *[sweep("f_values = 1\nc_nu_values = " + text, "c_nu_values must be nonnegative and finite, "
+            "got " + bad) for text, bad in (("5e-18, -1", "-1.0"), ("nan", "nan"))],
+    # a value repeated in one list would only repeat a row
+    sweep("f_values = 1, 3, 1", "f_values repeats 1"),
+    sweep("f_values = 1\nschemes = ap1_only, kalman, ap1_only", "schemes repeats ap1_only"),
+    sweep("f_values = 1\nsnr_ap_db = -15, -20, -15.0", "snr_ap_db repeats -15.0"),
+    sweep("f_values = 1\nc_nu_values = 5e-18, 5.0e-18", "c_nu_values repeats 5e-18"),
+    # valid in the file, out of range once a cell's params are built
+    *[row(sweep="f_values = 1\n" + text, err=CELL.format(*at) + message) for text, at, message in (
+        ("snr_ap_db = -15, 4000", ("5e-18", 4000), "4000 dB is out of range"),
+        ("snr_ap_db = -15, -4000", ("5e-18", -4000), "beta_g must be positive and finite, got 0.0"),
+        ("c_nu_values = 5e-18, 1e300", ("1e+300", -15), SIGMA.format(2e9, "1e+300")))],
+]
+
+
+@pytest.mark.parametrize("config_text, sweep_text, argv, code, err", CLI_REJECTS)
+def test_cli_rejects(config_text, sweep_text, argv, code, err, tmp_path, monkeypatch, capsys):
+    # each row: its exit code and stderr, no output file, empty stdout, no cell run
+    def no_cell(*args):
+        ran.append(args)
         raise AssertionError("a cell ran")
 
+    ran = []
     monkeypatch.setattr(experiment, "run_cell", no_cell)
-    sw = tmp_path / "bad.sweep"
-    out = tmp_path / "out.csv"
-    for text in ("f_values = 1, 2, 3, 0\n", "f_values = 1\nsnr_ap_db = -15, nan\n",
-                 "f_values = 1\nc_nu_values = 5e-18, -1\n",
-                 # valid in the file, out of range once a cell's params are built
-                 "f_values = 1\nsnr_ap_db = -15, 4000\n", "f_values = 1\nsnr_ap_db = -15, -4000\n",
-                 "f_values = 1\nc_nu_values = 5e-18, 1e300\n"):
-        sw.write_text(text)
-        assert cli_main(["--sweep", str(sw), "--out", str(out)]) == 2
-        assert not out.exists()
-    assert capsys.readouterr().err.splitlines() == [
-        f"otasync: invalid sweep file {sw}: f_values must be positive, got 0",
-        f"otasync: invalid sweep file {sw}: snr_ap_db must be finite, got nan",
-        f"otasync: invalid sweep file {sw}: c_nu_values must be nonnegative and finite, got -1.0",
-        "otasync: cell c_nu = 5e-18, snr_ap_db = 4000, F = 1: 4000 dB is out of range",
-        "otasync: cell c_nu = 5e-18, snr_ap_db = -4000, F = 1: "
-        "beta_g must be positive and finite, got 0.0",
-        "otasync: cell c_nu = 1e+300, snr_ap_db = -15, F = 1: "
-        "sigma_nu^2 is not finite for f_c=2000000000.0, c_nu=1e+300"]
+    monkeypatch.chdir(tmp_path)   # so the relative paths in argv name no file
+    for flag, name, text in (("--sweep", "run.sweep", sweep_text),
+                             ("--config", "sys.cfg", config_text)):
+        if text is not None:
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+            argv = [flag, name] + argv
+    assert cli_main(argv + ["--out", "out.csv"]) == code
+    cap = capsys.readouterr()
+    if code == 2:
+        assert cap.err == err.replace("{sweep}", "run.sweep") + "\n"
+    else:   # argparse's usage lines, then the error line
+        assert re.fullmatch("otasync: error: " + err, cap.err.splitlines()[-1])
+    assert not (tmp_path / "out.csv").exists() and cap.out == "" and not ran
 
 
 def test_cli_dump_plan(tmp_path):

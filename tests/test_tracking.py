@@ -26,9 +26,10 @@ def test_wrap_rejects_nonfinite():
 
 def test_wrap_congruence_and_range():
     # seeded angles in +-1e6, then the edges with both signs: zero, the
-    # smallest subnormal, pi, 2 pi, odd multiples of pi near 1e6 (318309 pi =
-    # 999997.3) and 1e6
-    edges = np.array([0.0, 5e-324, np.pi, 2 * np.pi, 318307 * np.pi, 318309 * np.pi, 1e6])
+    # smallest subnormal, pi and the float above it, 2 pi, odd multiples of pi
+    # near 1e6 (318309 pi = 999997.3) and 1e6
+    edges = np.array([0.0, 5e-324, np.pi, np.nextafter(np.pi, 4), 2 * np.pi, 318307 * np.pi,
+                      318309 * np.pi, 1e6])
     angle = np.concatenate((np.random.default_rng(8).uniform(-1e6, 1e6, 10_000), edges, -edges))
     w = wrap(angle)
     k = (angle - w) / (2 * math.pi)
