@@ -4,10 +4,11 @@ BLAS on one thread; write one JSON report with a section per measurement:
 
 - opnorm: the per-run op-norm draw (otasync.channel.batched_op_norms, the
   bidiagonal model) for OPNORM_RUNS runs at N in SIZES.
-- chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (N_GROUPS
-  batch-mean groups, one sum per AP-2 segment) per synced scheme and F; the
-  cell geometry and the chunk's op norms are made outside the timed call, as
-  monte_carlo_delta makes them. ap1_only has no chunk: its table is exact.
+- chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (each run's
+  Delta at each AP-2 segment's anchor) per synced scheme and F; the cell
+  geometry and the chunk's op norms are made outside the timed call, as
+  monte_carlo_delta makes them, and so is its batch-mean reduction. ap1_only
+  has no chunk: its table is exact.
 - rate: one cell's rate stage, spectral_efficiency(per_position_rates(...))
   on the mean and group-mean E[Delta] tables of RATE_RUNS runs (made outside
   the timed call), for default and heterogeneous beta_ue/eta.
@@ -47,8 +48,8 @@ os.environ.update(pinned_env(ROOT))   # before numpy loads BLAS; the presets' pr
 import numpy as np  # noqa: E402
 
 from otasync.channel import batched_op_norms  # noqa: E402
-from otasync.compensation import CHUNK_SIZE, N_GROUPS, _cell_geometry, _simulate_chunk, \
-    build_plan, chunk_op_norms, monte_carlo_delta  # noqa: E402
+from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, build_plan, \
+    chunk_op_norms, monte_carlo_delta  # noqa: E402
 from otasync.config import default_params  # noqa: E402
 from otasync.rate import per_position_rates, spectral_efficiency  # noqa: E402
 
@@ -89,16 +90,13 @@ def opnorm():
 
 
 def chunk():
-    group_starts = np.flatnonzero(np.diff(np.arange(CHUNK_SIZE) * N_GROUPS // CHUNK_SIZE,
-                                          prepend=-1))
     for scheme in SCHEMES:
         for F in FRAME_LENGTHS:
             geom = _cell_geometry(default_params(frame_len=F), scheme)
-            timing, sums = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
-                geom, r, CHUNK_SIZE, SEED, group_starts,
-                chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE)))
-            # (G, S) segment sums -> AP 2's E[Delta] per payload position
-            mean_delta = sums.sum(axis=0)[geom.segment] * geom.weight / CHUNK_SIZE
+            timing, delta = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
+                geom, r, CHUNK_SIZE, SEED, chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE)))
+            # (S, runs) Delta at the anchors -> AP 2's E[Delta] per payload position
+            mean_delta = delta.mean(axis=1)[geom.segment] * geom.weight
             # the grid holds frames W-1 and W from frame W-1's start: count frame W's
             yield dict(scheme=scheme, F=F, runs=CHUNK_SIZE,
                        grid_columns=int((geom.instants > F * geom.params.tau_c).sum()),

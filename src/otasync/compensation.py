@@ -186,11 +186,10 @@ def _sync_errors(rng, op_norm, rho_ap, n_frames):
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
-                    master_seed: int, group_starts, op_norm):
+                    master_seed: int, op_norm):
     """One vectorized chunk of runs of a synced scheme: WARMUP_FRAMES frames
     to bring the tracker to steady state, then the measured frame, with the
-    runs' chunk_op_norms. Returns (G, S): per group (the runs from each of
-    group_starts) and AP-2 segment, the sum of each run's Delta at the
+    runs' chunk_op_norms. Returns (S, n_runs): each run's Delta at each AP-2
     segment's anchor; times a position's weight, that is its Delta.
 
     Every output is invariant to a common shift of both oscillator phases and
@@ -232,7 +231,7 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
 
     anchor, krep_col, tracker, psi_slot = geom.segments.T
     ph = theta[tracker] + psi[psi_slot] - (nu2[anchor] + nu2[krep_col])
-    return np.add.reduceat(np.exp(1j * ph), group_starts, axis=1).T
+    return np.exp(1j * ph)
 
 
 def _chunk_task(args):   # unused here; perfbench/tracer.py rebinds it by name
@@ -264,9 +263,10 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     starts = range(0, n_realizations, CHUNK_SIZE) if geom.pos.size else ()
     for j, start in enumerate(starts):
         g = np.arange(start, min(start + CHUNK_SIZE, n_realizations)) * n_groups // n_realizations
-        part = _simulate_chunk(geom, j, g.size, master_seed,
-                               np.flatnonzero(np.diff(g, prepend=-1)),
-                               chunk_op_norms(params, master_seed, j, g.size))
+        delta = _simulate_chunk(geom, j, g.size, master_seed,
+                                chunk_op_norms(params, master_seed, j, g.size))
+        # (groups of this chunk, S): the runs' sum per group and segment
+        part = np.add.reduceat(delta, np.flatnonzero(np.diff(g, prepend=-1)), axis=1).T
         group_sums[g[0]:g[0] + len(part), 1, geom.pos - 1] += \
             part[:, geom.segment] * geom.weight
     return DeltaStats(mean_delta=geom.exact + group_sums.sum(axis=0) / n_realizations,

@@ -89,12 +89,18 @@ class SystemParams:
             raise ConfigError(
                 f"per-AP power constraint violated: sum_k eta[k,ap] = {col} exceeds 1"
             )
-        # an overflow in the rate formula's constants would turn every SE into
-        # a silent NaN; a gamma that is not finite makes the first one so
+        # an overflow in the rate formula's constants, or in its sums over
+        # the two arrays, would turn every SE into a silent NaN; a gamma that
+        # is not finite makes the first constant so. The sums are checked at
+        # their worst case: both arrays sending, |E[Delta]| = 1 in ds and 0 in bu
         with np.errstate(over="ignore", invalid="ignore"):
             unc, ui = self.rate_constants()
+            ds = np.sqrt(unc).sum(axis=1) ** 2
+            denominator = unc.sum(axis=1) + ui.sum(axis=1) + 1.0
         for name, value in (("n_antennas * rho_ap * eta * gamma(beta_ue, rho_ue, n_ues)", unc),
-                            ("rho_ap * beta_ue * sum_k eta", ui)):
+                            ("rho_ap * beta_ue * sum_k eta", ui),
+                            ("ds with both arrays sending", ds),
+                            ("bu + ui + 1 with both arrays sending", denominator)):
             if not np.isfinite(value).all():
                 raise ConfigError(f"rate term {name} is not finite")
 

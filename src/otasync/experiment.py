@@ -136,12 +136,14 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int):
 
 def run_sweep(spec: SweepSpec, params: SystemParams):
     """Evaluate every (c_nu, SNR, scheme, F) cell; deterministic for a fixed
-    master_seed, row order fixed by the loop nesting. Every cell's params are
-    built and checked before the first cell runs.
+    master_seed, row order fixed by the loop nesting. Every cell's params,
+    and each scheme's plan, are built and checked before the first cell runs.
 
     ap1_only does not depend on the inter-array SNR, so it is evaluated once
     per (c_nu, F) and reported with snr_ap_db = NaN.
     """
+    for scheme in spec.schemes:   # the slot checks read neither F, c_nu nor the SNR
+        build_plan(params, scheme)
     cells = []
     for i_cnu, c_nu in enumerate(spec.c_nu_values):
         for i_snr, snr_db in enumerate(spec.snr_ap_db):

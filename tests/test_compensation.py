@@ -2,6 +2,7 @@ import ast
 import dataclasses
 from itertools import product
 from pathlib import Path
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -147,55 +148,35 @@ def test_op_norm_memo_never_holds_more_than_its_cap(params):
 
 def test_op_norm_memo_keeps_its_chunks_when_a_cell_has_more_than_it_holds(params, monkeypatch):
     # two cells of one seed, 4 chunks each, 3 memo slots: the second cell
-    # redraws only the chunk past the cap, not every chunk
-    draws = []
-    draw = compensation.batched_op_norms
-
-    def spy(rng, p, n_runs):
-        draws.append(n_runs)
-        return draw(rng, p, n_runs)
-
-    monkeypatch.setattr(compensation, "batched_op_norms", spy)
+    # redraws only the chunk past the cap, and every chunk below it runs on
+    # the memo's own array
+    draw = Mock(wraps=compensation.batched_op_norms)
+    simulate = Mock(wraps=compensation._simulate_chunk)
+    monkeypatch.setattr(compensation, "batched_op_norms", draw)
+    monkeypatch.setattr(compensation, "_simulate_chunk", simulate)
+    monkeypatch.setattr(compensation, "_op_norm_memo", {})
     monkeypatch.setattr(compensation, "OP_NORM_MEMO_SIZE", 3)
-    compensation._op_norm_memo.clear()
     spec = SweepSpec(f_values=(1, 2), schemes=("kalman",), snr_ap_db=(-15.0,),
                      n_realizations=3 * CHUNK_SIZE + 10, master_seed=37)
     run_sweep(spec, dataclasses.replace(params, n_antennas=4))
-    assert draws == [CHUNK_SIZE] * 3 + [10] * 2
-
-
-def test_chunks_get_the_memoized_op_norms(params, monkeypatch):
-    # each chunk runs on its memoized op norms
-    seen = []
-    simulate = compensation._simulate_chunk
-
-    def spy(geom, chunk_index, n_runs, master_seed, group_starts, op_norm):
-        seen.append(op_norm)
-        return simulate(geom, chunk_index, n_runs, master_seed, group_starts, op_norm)
-
-    monkeypatch.setattr(compensation, "_simulate_chunk", spy)
-    monte_carlo_delta(params, "kalman", CHUNK_SIZE + 10, 33)
-    assert [op.size for op in seen] == [CHUNK_SIZE, 10]
-    for j, op_norm in enumerate(seen):
-        assert op_norm is chunk_op_norms(params, 33, j, op_norm.size)
+    assert [call.args[2] for call in draw.call_args_list] == [CHUNK_SIZE] * 3 + [10] * 2
+    assert [call.args[1] for call in simulate.call_args_list] == [0, 1, 2, 3] * 2
+    for call in simulate.call_args_list:
+        geom, j, n_runs, seed, op_norm = call.args
+        again = chunk_op_norms(geom.params, seed, j, n_runs)
+        assert (op_norm is again) == (j < 3) and np.array_equal(op_norm, again)
 
 
 @pytest.mark.parametrize("scheme", ["kalman", "direct"])
 def test_a_synced_chunk_draws_its_paths_in_two_calls(scheme, params, monkeypatch):
     # the warm-up's difference path in one call, the last two frames' paths in
     # another, whatever the frame length
-    calls = []
-    draw = compensation.wiener_values_at
-
-    def spy(*args):
-        calls.append(args)
-        return draw(*args)
-
-    monkeypatch.setattr(compensation, "wiener_values_at", spy)
+    draw = Mock(wraps=compensation.wiener_values_at)
+    monkeypatch.setattr(compensation, "wiener_values_at", draw)
     for F in (1, 2, 10):
-        calls.clear()
+        draw.reset_mock()
         monte_carlo_delta(dataclasses.replace(params, frame_len=F), scheme, 100, 35)
-        assert 1 <= len(calls) <= 2
+        assert 1 <= draw.call_count <= 2
 
 
 @pytest.mark.parametrize("snr_ap_db", [-15.0, -20.0])
@@ -385,14 +366,14 @@ def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_pa
                                                    monkeypatch):
     # ap1_only, and a synced cell whose AP 2 sends no payload: no chunk, no
     # op norm, no path
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the cell drew")
-
-    for name in ("_simulate_chunk", "wiener_values_at", "chunk_op_norms"):
-        monkeypatch.setattr(compensation, name, forbidden)
+    spies = {name: Mock(wraps=getattr(compensation, name))
+             for name in ("_simulate_chunk", "wiener_values_at", "chunk_op_norms")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(compensation, name, spy)
     p = dataclasses.replace(params if scheme == "ap1_only" else tiny_params,
                             ue_pilot_noise_var=noise)
     stats = monte_carlo_delta(p, scheme, 3 * CHUNK_SIZE, 41)
+    assert not any(spy.called for spy in spies.values())
     exact = _cell_geometry(p, scheme).exact
     assert np.array_equal(stats.mean_delta, exact)
     assert all(np.array_equal(group, exact) for group in stats.group_means)

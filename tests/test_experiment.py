@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -76,47 +77,34 @@ def test_sweep_spec_rejects_a_repeated_value(key):
         parse_sweep(text)
 
 
-def test_cell_seed_ignores_frame_length_and_scheme(params, monkeypatch):
-    seeds = {}
-
-    def record(cell, scheme, n_realizations, seed):
-        seeds[(cell.c_nu, cell.beta_g, scheme, cell.frame_len)] = seed
-        return 1.0, 0.0
-
-    monkeypatch.setattr(experiment, "run_cell", record)
-    spec = SweepSpec(f_values=(1, 10), schemes=("kalman", "direct"), snr_ap_db=(-15.0, -20.0),
-                     c_nu_values=(5e-18, 1.58e-17), n_realizations=10, master_seed=3)
-    run_sweep(spec, params)
-    assert len(seeds) == 16
-    by_scenario = {}
-    for (c_nu, beta_g, _, _), seed in seeds.items():
-        by_scenario.setdefault((c_nu, beta_g), set()).add(seed)
-    # one seed per (c_nu, SNR), a different one for each of them
-    assert all(len(s) == 1 for s in by_scenario.values())
-    assert len(set.union(*by_scenario.values())) == 4
-    assert cell_seed(3, 0, 0) in seeds.values() and cell_seed(4, 0, 0) not in seeds.values()
-
-
 def test_op_norms_are_shared_across_frame_length_and_scheme(params, monkeypatch):
-    # common random numbers: every synced cell of one (c_nu, SNR) runs on the
-    # same op norms, drawn once; the memo is emptied so each cell draws afresh
-    seen = []
-    simulate = compensation._simulate_chunk
-
-    def spy(geom, chunk_index, n_runs, master_seed, group_starts, op_norm):
-        seen.append((geom.scheme, geom.params.frame_len, op_norm))
-        compensation._op_norm_memo.clear()
-        return simulate(geom, chunk_index, n_runs, master_seed, group_starts, op_norm)
-
-    monkeypatch.setattr(compensation, "_simulate_chunk", spy)
+    # one seed per (c_nu, SNR), whatever the scheme and F, a different one for
+    # each; every synced cell of one (c_nu, SNR) runs on the same op norms
+    # (common random numbers), each drawn afresh as the memo holds nothing;
+    # ap1_only cells start no chunk, as AP 1's table is exact
+    cells = Mock(wraps=experiment.run_cell)
+    simulate = Mock(wraps=compensation._simulate_chunk)
+    monkeypatch.setattr(experiment, "run_cell", cells)
+    monkeypatch.setattr(compensation, "_simulate_chunk", simulate)
+    monkeypatch.setattr(compensation, "_op_norm_memo", {})
+    monkeypatch.setattr(compensation, "OP_NORM_MEMO_SIZE", 0)
     spec = SweepSpec(f_values=(1, 10), schemes=("kalman", "direct", "ap1_only"),
-                     snr_ap_db=(-15.0,), n_realizations=60, master_seed=11)
+                     snr_ap_db=(-15.0, -20.0), c_nu_values=(5e-18, 1.58e-17),
+                     n_realizations=10, master_seed=3)
     run_sweep(spec, params)
-    # ap1_only cells start no chunk: AP 1's half of the table is exact
-    assert [(scheme, F) for scheme, F, _ in seen] == \
-        [("kalman", 1), ("kalman", 10), ("direct", 1), ("direct", 10)]
-    first = seen[0][2]
-    assert all(op.tobytes() == first.tobytes() for _, _, op in seen)
+    seeds, op_norms = {}, {}
+    for call in cells.call_args_list:
+        cell, _, _, seed = call.args
+        seeds.setdefault((cell.c_nu, cell.beta_g), set()).add(seed)
+    for call in simulate.call_args_list:
+        cell, op_norm = call.args[0].params, call.args[4]
+        op_norms.setdefault((cell.c_nu, cell.beta_g), set()).add(op_norm.tobytes())
+    assert [len(s) for s in seeds.values()] == [len(s) for s in op_norms.values()] == [1] * 4
+    union = set.union(*seeds.values())
+    assert len(union) == 4 and union == {cell_seed(3, i, j) for i in (0, 1) for j in (0, 1)}
+    # one chunk per synced cell, in sweep order
+    assert [(call.args[0].params, call.args[0].scheme) for call in simulate.call_args_list] \
+        == [call.args[:2] for call in cells.call_args_list if call.args[1] != "ap1_only"]
 
 
 def test_run_sweep_row_grid(params):
@@ -179,27 +167,41 @@ def test_sweep_worker_invariance(params, monkeypatch):
 @pytest.mark.parametrize("scheme", ["kalman", "ap1_only"])
 def test_run_cell_builds_one_plan(scheme, params, monkeypatch):
     # run_cell's plan is the one monte_carlo_delta reads
-    calls = []
-    for name in ("build_frame_schedule", "build_ap1_only_schedule"):
-        def counted(p, _build=getattr(compensation, name)):
-            calls.append(p)
-            return _build(p)
-        monkeypatch.setattr(compensation, name, counted)
+    builds = {name: Mock(wraps=getattr(compensation, name))
+              for name in ("build_frame_schedule", "build_ap1_only_schedule")}
+    for name, build in builds.items():
+        monkeypatch.setattr(compensation, name, build)
     run_cell(params, scheme, 30, 4)
-    assert len(calls) == 1
+    assert sum(build.call_count for build in builds.values()) == 1
 
 
-@pytest.mark.parametrize("n", [2, 500, 1100])
-def test_stderr_groups_are_consecutive_runs(n, params):
+@pytest.mark.parametrize("scheme, n", [("ap1_only", 2), ("ap1_only", 500), ("ap1_only", 1100),
+                                       ("kalman", 1100)], ids=["2", "500", "1100", "kalman-1100"])
+def test_stderr_groups_are_consecutive_runs(scheme, n, params, monkeypatch):
     # min(10, n) groups of consecutive runs, sizes differing by at most one,
     # so the stderr is finite below one chunk (1024 runs); with one run per
     # group it is NaN, as every group's |E[Delta]| is the position's weight
-    stats = monte_carlo_delta(params, "ap1_only", n, 8)
-    assert stats.group_counts.sum() == n and len(stats.group_counts) == min(10, n)
+    simulate = compensation._simulate_chunk
+    spy = Mock(wraps=simulate)
+    monkeypatch.setattr(compensation, "_simulate_chunk", spy)
+    stats = monte_carlo_delta(params, scheme, n, 8)
+    n_groups = len(stats.group_counts)
+    assert stats.group_counts.sum() == n and n_groups == min(10, n)
     assert np.ptp(stats.group_counts) <= 1
     weighted = np.tensordot(stats.group_counts, stats.group_means, axes=1) / n
     assert np.allclose(weighted, stats.mean_delta, rtol=0.0, atol=1e-12)
-    se, stderr = run_cell(params, "ap1_only", n, 8)
+    assert spy.called == (scheme == "kalman")
+    if spy.called:
+        # group g holds runs ceil(g n / G) .. ceil((g + 1) n / G) - 1; at 1100
+        # runs group 9 straddles the chunk boundary at run 1024
+        geom = spy.call_args.args[0]
+        delta = np.concatenate([simulate(*call.args) for call in spy.call_args_list], axis=1)
+        bounds = -(-np.arange(n_groups + 1) * n // n_groups)
+        for g in range(n_groups):
+            expect = delta[:, bounds[g]:bounds[g + 1]].mean(axis=1)[geom.segment] * geom.weight
+            assert np.allclose(stats.group_means[g, 1, geom.pos - 1], expect,
+                               rtol=0.0, atol=1e-12)
+    se, stderr = run_cell(params, scheme, n, 8)
     if n < 2 * N_GROUPS:
         assert math.isnan(stderr)
     else:
@@ -267,9 +269,7 @@ def test_cli_stdout_when_no_out(capsys):
 
 @pytest.mark.parametrize("exc", [MemoryError("cannot allocate G"), RuntimeError("boom")])
 def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
-    def fail(spec, params):
-        raise exc
-    monkeypatch.setattr("otasync.cli.run_sweep", fail)
+    monkeypatch.setattr("otasync.cli.run_sweep", Mock(side_effect=exc))
     out = tmp_path / "out.csv"
     assert cli_main(["--realizations", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"otasync: {type(exc).__name__}: {exc}\n"
@@ -358,6 +358,14 @@ CLI_REJECTS = [
     config("eta = 0.2", "per-AP power constraint violated: sum_k eta[k,ap] = [2. 2.] exceeds 1"),
     *[config(text, "rate term n_antennas * rho_ap * eta * gamma(beta_ue, rho_ue, n_ues) is not "
              "finite") for text in ("beta_ue = 1e306", "rho_ap = 1e307")],
+    # each constant is finite, their sum over the two arrays is not
+    row(config="n_ues = 1\nn_antennas = 1\nrho_ap = 1e300\nrho_ue = 1\nbeta_ue = 1e8\n"
+        "tau_c = 21\ntau_g = 2",
+        sweep="f_values = 1\nsnr_ap_db = 40\nschemes = direct, ap1_only\nn_realizations = 20",
+        err="otasync: invalid config: rate term ds with both arrays sending is not finite"),
+    config("n_ues = 2\nn_antennas = 1\nrho_ap = 1e300\nrho_ue = 1\n"
+           "beta_ue = 1.2e8, 1.2e8, 1e-8, 1e-8\neta = 1e-10, 1e-10, 0.9, 0.9",
+           "rate term bu + ui + 1 with both arrays sending is not finite"),
     row(config="f_c = 1e160", err=CELL.format("5e-18", -15) + SIGMA.format("1e+160", "5e-18")),
     row("--dump-trace", config="f_c = 1e160", err="otasync: " + SIGMA.format("1e+160", "5e-18")),
     row("--dump-trace", config="c_nu = 1e300", err="otasync: " + SIGMA.format(2e9, "1e+300")),
@@ -365,6 +373,10 @@ CLI_REJECTS = [
     # short to relocate tau_g + 1 uplink samples, as the sweep does
     row("--dump-trace", "--trace-frames", "3", "--seed", "2",
         config="n_ues = 1\ntau_c = 12\ntau_g = 2\ntau_u = 2",
+        err="otasync: cannot relocate 3 uplink samples: only 2 uplink data samples"),
+    # and a sweep rejects it before its first cell, whatever scheme that runs
+    row(config="n_ues = 1\ntau_c = 12\ntau_g = 2\ntau_u = 2",
+        sweep="f_values = 1, 2\nschemes = ap1_only, kalman\nn_realizations = 20",
         err="otasync: cannot relocate 3 uplink samples: only 2 uplink data samples"),
     # sweep files, exit 2
     sweep(b"f_values = 1\xff\n", UTF8.format(12), id="sweep f_values = 1 and byte 0xff"),
@@ -399,12 +411,8 @@ CLI_REJECTS = [
 @pytest.mark.parametrize("config_text, sweep_text, argv, code, err", CLI_REJECTS)
 def test_cli_rejects(config_text, sweep_text, argv, code, err, tmp_path, monkeypatch, capsys):
     # each row: its exit code and stderr, no output file, empty stdout, no cell run
-    def no_cell(*args):
-        ran.append(args)
-        raise AssertionError("a cell ran")
-
-    ran = []
-    monkeypatch.setattr(experiment, "run_cell", no_cell)
+    cells = Mock(wraps=experiment.run_cell)
+    monkeypatch.setattr(experiment, "run_cell", cells)
     monkeypatch.chdir(tmp_path)   # so the relative paths in argv name no file
     for flag, name, text in (("--sweep", "run.sweep", sweep_text),
                              ("--config", "sys.cfg", config_text)):
@@ -417,7 +425,7 @@ def test_cli_rejects(config_text, sweep_text, argv, code, err, tmp_path, monkeyp
         assert cap.err == err.replace("{sweep}", "run.sweep") + "\n"
     else:   # argparse's usage lines, then the error line
         assert re.fullmatch("otasync: error: " + err, cap.err.splitlines()[-1])
-    assert not (tmp_path / "out.csv").exists() and cap.out == "" and not ran
+    assert not (tmp_path / "out.csv").exists() and cap.out == "" and not cells.called
 
 
 def test_cli_dump_plan(tmp_path):

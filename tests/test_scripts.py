@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otasync.compensation import CHUNK_SIZE, N_GROUPS, _cell_geometry, _simulate_chunk, \
-    chunk_op_norms
+from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, chunk_op_norms
 from otasync.config import default_params
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_engine.py"
@@ -40,15 +39,14 @@ def bench(monkeypatch):
 
 
 def test_bench_chunk_measure(bench):
-    # measure times a kalman chunk twice and returns its (G, S) segment sums
+    # measure times a kalman chunk twice and returns its (S, runs) Delta at the anchors
     geom = _cell_geometry(default_params(n_antennas=8), "kalman")
-    starts = np.flatnonzero(np.diff(np.arange(CHUNK_SIZE) * N_GROUPS // CHUNK_SIZE, prepend=-1))
-    timing, sums = bench.measure(2, _simulate_chunk, lambda r: (
-        geom, r, CHUNK_SIZE, 1, starts, chunk_op_norms(geom.params, 1, r, CHUNK_SIZE)))
+    timing, delta = bench.measure(2, _simulate_chunk, lambda r: (
+        geom, r, CHUNK_SIZE, 1, chunk_op_norms(geom.params, 1, r, CHUNK_SIZE)))
     assert len(timing["s_all"]) == 2 and timing["peak_mib"] > 0
     assert timing["s"] == pytest.approx(np.median(timing["s_all"]))
-    mean_delta = sums.sum(axis=0)[geom.segment] * geom.weight / CHUNK_SIZE
-    assert sums.shape == (N_GROUPS, len(geom.segments))
+    mean_delta = delta.mean(axis=1)[geom.segment] * geom.weight
+    assert delta.shape == (len(geom.segments), CHUNK_SIZE)
     assert 0 < np.abs(mean_delta).mean() <= 1
 
 
