@@ -2,8 +2,11 @@
 """Time the engine layer by layer, and the paper's presets end to end, with
 BLAS on one thread; write one JSON report with a section per measurement:
 
-- opnorm: the per-run op-norm draw (otasync.channel.batched_op_norms, the
-  bidiagonal model) for OPNORM_RUNS runs at N in SIZES.
+- opnorm: per (N, runs) in OPNORM_CASES, the per-run op-norm draw
+  (otasync.channel.batched_op_norms, the bidiagonal model: chi-square draws,
+  then the top eigenvalue of B^T B), and that eigenvalue solve alone
+  (otasync.channel.gram_top_eigenvalue) on chi squares drawn outside the
+  timed call. 76 runs is fig2-grid's tail chunk (1100 = 1024 + 76).
 - chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (each run's
   Delta at each AP-2 segment's anchor) per synced scheme and F; the cell
   geometry and the chunk's op norms are made outside the timed call, as
@@ -47,14 +50,15 @@ os.environ.update(pinned_env(ROOT))   # before numpy loads BLAS; the presets' pr
 
 import numpy as np  # noqa: E402
 
-from otasync.channel import batched_op_norms  # noqa: E402
+from otasync.channel import batched_op_norms, gram_top_eigenvalue  # noqa: E402
 from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, build_plan, \
     chunk_op_norms, monte_carlo_delta  # noqa: E402
 from otasync.config import default_params  # noqa: E402
 from otasync.rate import per_position_rates, spectral_efficiency  # noqa: E402
 
 SEED = 1
-SIZES, OPNORM_RUNS, OPNORM_REPEATS = (64, 128, 256, 512), 1024, 3
+OPNORM_CASES = ((64, 76), (64, 1024), (128, 1024), (256, 1024), (512, 1024))
+OPNORM_REPEATS = 7
 SCHEMES, FRAME_LENGTHS, CHUNK_REPEATS = ("kalman", "direct"), (1, 10), 5
 RATE_SCHEMES, RATE_RUNS, RATE_REPEATS = ("kalman", "ap1_only"), 1024, 15
 PRESETS, PRESET_RUNS, PRESET_REPEATS = ("--fig2", "--fig3"), 10_000, 3
@@ -80,13 +84,23 @@ def measure(repeats, call, args_of):
     return dict(s=statistics.median(times), s_all=times, peak_mib=peak / 2**20), result
 
 
+def chi_squares(seed, N, n):
+    """The (diag_sq, super_sq) chi squares batched_op_norms draws for n runs."""
+    dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))
+    chi_sq = np.random.default_rng(seed).chisquare(dof[:, None], (2 * N - 1, n))
+    return chi_sq[:N], chi_sq[N:]
+
+
 def opnorm():
-    for N in SIZES:
+    for N, runs in OPNORM_CASES:
         params = default_params(n_antennas=N)
         timing, norms = measure(OPNORM_REPEATS, batched_op_norms, lambda r: (
-            np.random.default_rng(SEED + r), params, OPNORM_RUNS))
-        yield dict(N=N, runs=OPNORM_RUNS,
-                   bidiagonal=dict(timing, mean_op_norm=float(norms.mean())))
+            np.random.default_rng(SEED + r), params, runs))
+        solve, lam = measure(OPNORM_REPEATS, gram_top_eigenvalue,
+                             lambda r: chi_squares(SEED + r, N, runs))
+        solve["mean_op_norm"] = float(np.sqrt(0.5 * params.beta_g * lam).mean())
+        yield dict(N=N, runs=runs, bidiagonal=dict(timing, mean_op_norm=float(norms.mean())),
+                   solve=solve)
 
 
 def chunk():

@@ -6,10 +6,17 @@ law of those of a real upper-bidiagonal B / sqrt(2) with diagonal
 chi_{2N}, chi_{2N-2}, ..., chi_2 and superdiagonal chi_{2N-2}, ..., chi_2
 (Dumitriu & Edelman, "Matrix models for beta ensembles", J. Math. Phys. 43,
 2002). The engine draws B and finds the top eigenvalue of the tridiagonal
-B^T B by Sturm-count bisection, in O(N) memory and O(N) work per step.
+B^T B over all runs at once, in O(N) memory and O(N) work per pass over the
+LDL^T pivots: a few Sturm-count halvings, Laguerre steps from the bracket's
+upper end (for the real-rooted characteristic polynomial they move down to
+lambda_max monotonically, cubically at a simple root), and a Sturm check that
+certifies the result; a column the check does not certify, such as one with
+a double top eigenvalue, finishes by bisection.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -17,8 +24,91 @@ from .config import SystemParams
 
 # The starting bracket [max diag, Gershgorin bound] of B^T B is at most 3x its
 # top eigenvalue wide, so 53 halvings leave the midpoint within
-# 3 * 2**-54 < 2**-52 of it, relative: float64 resolution.
+# 3 * 2**-54 < 2**-52 of it, relative: float64 resolution. HALVINGS of them
+# come first; a column the check below does not certify takes the rest.
 BISECTION_STEPS = 53
+HALVINGS = 12
+# From a bracket 3 * 2**-12 wide, 3 steps pass the check on every chi draw
+# tried (2**18 runs each at N = 2, 8, 64 and 128, 2**16 at N = 512) unless
+# the top two eigenvalues nearly coincide. After 8 halvings 2 of 16,384
+# N = 128 draws still needed the bisection finish.
+LAGUERRE_STEPS = 3
+# The result x stands where Sturm counts put lambda_max within
+# x (1 -+ CERTIFY), 16 units in the last place; on those draws x lands
+# within 4.
+CERTIFY = 2.0 ** -48
+# Laguerre raises each pivot's magnitude to at least this, in the column's
+# scaled units, so that reciprocals and derivative terms stay finite. Above
+# lambda_max every pivot is at least x - lambda_max in magnitude, and that
+# is at least 2**-55 while x has not reached lambda_max (at least 1/6 once
+# scaled), so the floor acts only on a converged x or one clipped below it.
+PIVOT_FLOOR = 2.0 ** -80
+
+
+def _sturm_above(diag, off_sq, x, pivots):
+    """True per column where x lies above every eigenvalue: every pivot of
+    the LDL^T factorization of the tridiagonal - x I is negative (Sturm count
+    N). Pivots of magnitude at most the smallest normal float count as
+    negative and are replaced by its negative, as in LAPACK's dstebz; the
+    columns are scaled so that no off_sq exceeds 1. pivots is scratch shaped
+    like diag."""
+    np.subtract(diag, x, out=pivots)
+    neg_pivmin = np.full_like(x, -np.finfo(float).tiny)
+    guarded = np.empty_like(x)
+    for prev, row, b_sq in zip(pivots, pivots[1:], off_sq):
+        np.minimum(prev, neg_pivmin, out=guarded)
+        np.divide(b_sq, guarded, out=guarded)
+        row -= guarded
+    return pivots.max(axis=0) <= -neg_pivmin
+
+
+def _bisect(diag, off_sq, lo, hi, steps, pivots):
+    """Halve each column's bracket [lo, hi] around lambda_max steps times."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        above = _sturm_above(diag, off_sq, mid, pivots)
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return lo, hi
+
+
+def _laguerre(diag, off_sq, lo, hi, x_minus_a):
+    """LAGUERRE_STEPS Laguerre steps from hi, kept at or above lo.
+
+    With q_i = -d_i the negated LDL^T pivots of the tridiagonal - x I
+    (positive above lambda_max), f = det(x I - T) = prod q_i, so
+    G = f'/f = sum u_i and H = -G' = sum (2 z_i - u_i^2), where
+    u_i = q_i'/q_i = r_i + k_i u_{i-1} and z_i = u_i^2 + k_i z_{i-1}, with
+    r_i = 1/q_i and k_i = b_{i-1}^2 r_{i-1} r_i. Each |q_i| is raised to at
+    least PIVOT_FLOOR, so every term stays finite below lambda_max too, where
+    the step means nothing and lo clips it. x_minus_a is scratch shaped like
+    diag."""
+    N, n = diag.shape
+    floor, one, zero = np.full(n, PIVOT_FLOOR), np.ones(n), np.zeros(n)
+    terms, sums = np.empty((3, n)), np.empty((3, n))
+    u, z, u_sq = terms
+    b_sq_r, q, r, k = np.empty((4, n))
+    x = hi
+    for _ in range(LAGUERRE_STEPS):
+        np.subtract(x, diag, out=x_minus_a)
+        r[...] = terms[...] = sums[...] = 0.0
+        for row, b_sq in zip(x_minus_a, chain([zero], off_sq)):
+            np.multiply(b_sq, r, out=b_sq_r)
+            np.subtract(row, b_sq_r, out=q)
+            np.abs(q, out=q)
+            np.maximum(q, floor, out=q)
+            np.divide(one, q, out=r)
+            np.multiply(b_sq_r, r, out=k)
+            np.multiply(u, k, out=u)
+            u += r
+            np.multiply(z, k, out=z)
+            np.multiply(u, u, out=u_sq)
+            z += u_sq
+            sums += terms
+        g, h = sums[0], 2.0 * sums[1] - sums[2]
+        root = np.sqrt((N - 1) * np.maximum(N * h - g * g, 0.0))
+        x = np.maximum(x - N / np.maximum(g + root, N), lo)
+    return x
 
 
 def gram_top_eigenvalue(diag_sq: np.ndarray, super_sq: np.ndarray) -> np.ndarray:
@@ -27,43 +117,50 @@ def gram_top_eigenvalue(diag_sq: np.ndarray, super_sq: np.ndarray) -> np.ndarray
     B_i,i+1^2, one column per matrix. Returns shape (n,).
 
     B^T B is tridiagonal with diagonal B_ii^2 + B_i-1,i^2 and squared
-    off-diagonal B_ii^2 B_i,i+1^2. x lies above every eigenvalue exactly when
-    every pivot of the LDL^T factorization of B^T B - x I is negative (Sturm
-    count N); pivots of magnitude at most the matrix's own `pivmin` count as
-    negative and are replaced by -pivmin, as in LAPACK's dstebz.
+    off-diagonal B_ii^2 B_i,i+1^2. Each column is scaled by the power of two
+    just above its Gershgorin bound, which is exact, so every entry and
+    eigenvalue is below 1 and the pivot floors need no per-matrix factor.
+    Every step acts on each column alone, so a column's result does not
+    depend on its batch-mates.
     """
     diag = diag_sq.astype(float)
     diag[1:] += super_sq
     off_sq = diag_sq[:-1] * super_sq
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, off_sq.max(axis=0, initial=0.0))
+    work = np.empty_like(diag)                 # Gershgorin bounds, then pivots
+    work[0] = 0.0
+    np.sqrt(off_sq, out=work[1:])
+    for row, below in zip(work, work[1:]):     # |b_i-1| + |b_i|, in place
+        row += below
+    work += diag
+    gershgorin = work.max(axis=0)
+    scale = np.frexp(gershgorin)[1]
+    np.ldexp(diag, -scale, out=diag)
+    np.ldexp(off_sq, -2 * scale, out=off_sq)
 
-    lo = diag.max(axis=0)                      # lambda_max >= every diagonal entry
-    pivots = diag.copy()                       # Gershgorin bounds first, then the pivots
-    off = np.sqrt(off_sq)
-    pivots[:-1] += off
-    pivots[1:] += off
-    hi = pivots.max(axis=0)
-
-    guarded, neg_pivmin = np.empty_like(lo), -pivmin
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        np.subtract(diag, mid, out=pivots)
-        for i in range(1, diag.shape[0]):
-            np.minimum(pivots[i - 1], neg_pivmin, out=guarded)
-            np.divide(off_sq[i - 1], guarded, out=guarded)
-            pivots[i] -= guarded
-        above = pivots.max(axis=0) <= pivmin
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+    lo, hi = _bisect(diag, off_sq, diag.max(axis=0), np.ldexp(gershgorin, -scale), HALVINGS,
+                     work)
+    x = _laguerre(diag, off_sq, lo, hi, work)
+    low, high = x * (1 - CERTIFY), x * (1 + CERTIFY)
+    reached = ~_sturm_above(diag, off_sq, low, work)
+    passed = _sturm_above(diag, off_sq, high, work)
+    loose = np.flatnonzero(~(reached & passed))
+    if loose.size:
+        lo = np.where(reached, np.maximum(lo, low), lo)[loose]
+        hi = np.where(passed, np.minimum(hi, high), hi)[loose]
+        diag = diag[:, loose]
+        lo, hi = _bisect(diag, off_sq[:, loose], lo, hi, BISECTION_STEPS - HALVINGS,
+                         np.empty_like(diag))
+        x[loose] = 0.5 * (lo + hi)
+    return np.ldexp(x, scale)
 
 
 def batched_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> np.ndarray:
     """Largest singular value of n independent draws of G with i.i.d.
     CN(0, beta_g) entries, shape (n,), drawn from the bidiagonal model.
 
-    The test suite checks it against a dense SVD of the same bidiagonal and,
-    in law, against SVDs of dense G draws.
+    The test suite checks it against a dense SVD of the same bidiagonal and
+    against the Sturm bisection it replaced (tests/oracles.py) and, in law,
+    against SVDs of dense G draws.
     """
     N = params.n_antennas
     dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))

@@ -11,7 +11,9 @@ inter-array channel's operator norm from its bidiagonal model
 one-dimensional matched-filter projection, without the phase it measures;
 all are distributional identities with the dense/vector formulation. A
 chunk's op norms depend only on the channel law, the seed and the chunk, so
-cells that share a seed share them, and each is drawn once per process. At a
+cells that share a seed share them: the memo keeps the first
+OP_NORM_MEMO_SIZE chunks' draws, and every cell that reads a later chunk
+draws it again. At a
 payload position it takes the conditional mean of Delta given those instants,
 integrating out the independent Wiener increment from the position's anchor
 (the last instant before it), which keeps E[Delta]. AP 1's half is exact, so

@@ -5,7 +5,7 @@ from otasync.channel import batched_op_norms, gram_top_eigenvalue
 from otasync.config import default_params
 from tests.conftest import small_instance, traced_peak
 from tests.oracles import complex_normal, dense_op_norms, draw_estimates, inter_ap_channel, \
-    ks_distance, lmmse_coefficient
+    ks_distance, lmmse_coefficient, sturm_top_eigenvalue
 
 
 def test_ue_channels_empirical_variance():
@@ -119,7 +119,7 @@ def _dense_bidiagonal(diag_sq, super_sq):
     return np.diag(np.sqrt(diag_sq)) + np.diag(np.sqrt(super_sq), 1)
 
 
-@pytest.mark.parametrize("N", [1, 2, 8, 64])
+@pytest.mark.parametrize("N", [1, 2, 8, 64, 128])
 def test_batched_op_norms_match_svd_of_same_bidiagonal(N):
     p = default_params(n_antennas=N, beta_g=1e-3)
     norms = batched_op_norms(np.random.default_rng(N), p, 32)
@@ -129,6 +129,17 @@ def test_batched_op_norms_match_svd_of_same_bidiagonal(N):
         assert norms[r] == pytest.approx(np.sqrt(p.beta_g / 2) * s, rel=1e-12)
 
 
+def _split_bidiagonal(scale):
+    # two 8 x 8 blocks joined by a zero superdiagonal entry, the second scaled
+    # by `scale`: B^T B's top eigenvalue is double at scale 1 and splits by
+    # about 2 (scale - 1) relative, where Laguerre's step converges only
+    # linearly until it comes closer than the split
+    b_diag = [4.1, 3.6, 3.3, 2.9, 2.4, 2.1, 1.6, 0.9]
+    b_super = [3.8, 3.4, 3.1, 2.6, 2.2, 1.8, 1.2]
+    return (b_diag + [scale * b for b in b_diag],
+            b_super + [0.0] + [scale * b for b in b_super])
+
+
 DEGENERATE_BIDIAGONALS = [
     ([0.0, 0.0, 0.0], [0.0, 0.0]),          # B = 0
     ([1.0, 0.0], [1.0]),                    # rank-one B^T B
@@ -136,6 +147,10 @@ DEGENERATE_BIDIAGONALS = [
     ([0.0, 0.0, 0.0], [1.0, 3.0]),          # zero diagonal
     ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
     ([1e-160, 1.0, 1e150], [1e-160, 1e-150]),
+    _split_bidiagonal(1.0),                 # double top eigenvalue
+    _split_bidiagonal(1.0 + 1e-12),         # near-double ones
+    _split_bidiagonal(1.0 + 1e-9),
+    _split_bidiagonal(1.0 + 1e-6),
 ]
 
 
@@ -162,6 +177,16 @@ def test_gram_top_eigenvalue_batch_matches_column_calls(b_diag, b_super):
     batch = gram_top_eigenvalue(diag_sq, super_sq)
     alone = [gram_top_eigenvalue(diag_sq[:, [r]], super_sq[:, [r]])[0] for r in range(5)]
     assert np.array_equal(batch, alone)
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 128])
+def test_gram_top_eigenvalue_matches_sturm_bisection(N):
+    # every column of 2**14 chi draws agrees with plain bisection, whose own
+    # error is below 2**-52 relative
+    diag_sq, super_sq = _bidiagonal_draws(100 + N, N, 2**14)
+    lam = gram_top_eigenvalue(diag_sq, super_sq)
+    ref = sturm_top_eigenvalue(diag_sq, super_sq)
+    assert np.max(np.abs(lam - ref) / ref) <= 1e-13
 
 
 @pytest.mark.parametrize("N, n_dense", [(8, 20_000), (64, 4000)])

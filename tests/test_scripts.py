@@ -17,7 +17,7 @@ from otasync.config import default_params
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_engine.py"
 
 # sizes small enough for a smoke run of every section
-SMALL = dict(SIZES=(8,), OPNORM_RUNS=16, OPNORM_REPEATS=1, CHUNK_REPEATS=2, RATE_REPEATS=2,
+SMALL = dict(OPNORM_CASES=((8, 16),), OPNORM_REPEATS=1, CHUNK_REPEATS=2, RATE_REPEATS=2,
              RATE_RUNS=20, PRESET_RUNS=20, PRESET_REPEATS=1)
 
 
@@ -66,8 +66,11 @@ def test_bench_opnorm_report(bench):
     assert row["N"] == 8 and row["runs"] == 16
     # ||G|| of an 8x8 G: a little below sqrt(beta_g) 2 sqrt(8)
     scale = math.sqrt(default_params().beta_g) * 2 * math.sqrt(8)
-    assert len(row["bidiagonal"]["s_all"]) == 1 and row["bidiagonal"]["peak_mib"] > 0
+    for timing in (row["bidiagonal"], row["solve"]):
+        assert len(timing["s_all"]) == 1 and timing["peak_mib"] > 0
     assert 0.6 < row["bidiagonal"]["mean_op_norm"] / scale < 1.1
+    # the solve alone is timed on the chi squares batched_op_norms draws
+    assert row["solve"]["mean_op_norm"] == row["bidiagonal"]["mean_op_norm"]
 
 
 def test_bench_rate_report(bench, monkeypatch):
