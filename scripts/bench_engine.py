@@ -52,7 +52,7 @@ import numpy as np  # noqa: E402
 
 from otasync.channel import batched_op_norms, gram_top_eigenvalue  # noqa: E402
 from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, build_plan, \
-    chunk_op_norms, monte_carlo_delta  # noqa: E402
+    draw_op_norms, monte_carlo_delta  # noqa: E402
 from otasync.config import default_params  # noqa: E402
 from otasync.rate import per_position_rates, spectral_efficiency  # noqa: E402
 
@@ -104,11 +104,13 @@ def opnorm():
 
 
 def chunk():
+    # repeat r runs chunk r on its slice of one draw; F changes no op norm
+    norms = draw_op_norms(default_params(), SEED, CHUNK_REPEATS * CHUNK_SIZE)
     for scheme in SCHEMES:
         for F in FRAME_LENGTHS:
             geom = _cell_geometry(default_params(frame_len=F), scheme)
             timing, delta = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
-                geom, r, CHUNK_SIZE, SEED, chunk_op_norms(geom.params, SEED, r, CHUNK_SIZE)))
+                geom, r, CHUNK_SIZE, SEED, norms[r * CHUNK_SIZE:(r + 1) * CHUNK_SIZE]))
             # (S, runs) Delta at the anchors -> AP 2's E[Delta] per payload position
             mean_delta = delta.mean(axis=1)[geom.segment] * geom.weight
             # the grid holds frames W-1 and W from frame W-1's start: count frame W's

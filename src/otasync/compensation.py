@@ -10,10 +10,9 @@ inter-array channel's operator norm from its bidiagonal model
 (otasync.channel) and each sync measurement's error from its exact
 one-dimensional matched-filter projection, without the phase it measures;
 all are distributional identities with the dense/vector formulation. A
-chunk's op norms depend only on the channel law, the seed and the chunk, so
-cells that share a seed share them: the memo keeps the first
-OP_NORM_MEMO_SIZE chunks' draws, and every cell that reads a later chunk
-draws it again. At a
+cell's op norms depend only on the channel law, the seed and the run count
+(draw_op_norms), so a caller whose cells share a seed draws them once and
+passes them to each (experiment.run_sweep does, per (c_nu, SNR)). At a
 payload position it takes the conditional mean of Delta given those instants,
 integrating out the independent Wiener increment from the position's anchor
 (the last instant before it), which keeps E[Delta]. AP 1's half is exact, so
@@ -39,12 +38,6 @@ SCHEMES = ("kalman", "direct", "ap1_only")
 WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation (>= 2)
 CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: part of the RNG stream)
 N_GROUPS = 10            # batch-mean groups for standard errors
-OP_NORM_MEMO_SIZE = 256  # memoized chunks of at most CHUNK_SIZE floats: 2 MiB at most
-
-# chunk index below OP_NORM_MEMO_SIZE -> (chunk_op_norms' key, its read-only
-# draw); a hit equals a fresh draw, so no result depends on what earlier calls
-# in the process left here
-_op_norm_memo: dict = {}
 
 
 @dataclass(frozen=True)
@@ -151,26 +144,20 @@ def _cell_geometry(params: SystemParams, scheme: str,
 # ---------------------------------------------------------------------------
 # vectorized chunk simulation
 
-def chunk_op_norms(params: SystemParams, seed: int, chunk_index: int,
-                   n_runs: int) -> np.ndarray:
-    """The op norms of one chunk's runs, shape (n_runs,), read-only.
+def draw_op_norms(params: SystemParams, seed: int, n_runs: int) -> np.ndarray:
+    """The op norms of runs 0 .. n_runs-1, shape (n_runs,), read-only.
 
-    They come from the chunk's own child stream, SeedSequence(seed,
-    spawn_key=(chunk_index, 0)) (the first child of run_seed(seed,
-    chunk_index), which feeds the rest of the chunk), so they are a pure
-    function of (N, beta_g, seed, chunk_index, n_runs). Each distinct draw
-    of the first OP_NORM_MEMO_SIZE chunks stays in its chunk's slot of the
-    memo until a draw for another key replaces it.
+    Chunk j's runs (CHUNK_SIZE each, the last one short) come from the
+    chunk's own child stream, SeedSequence(seed, spawn_key=(j, 0)) (the
+    first child of run_seed(seed, j), which feeds the rest of the chunk), so
+    the draw is a pure function of (N, beta_g, seed, n_runs).
     """
-    key = (params.n_antennas, params.beta_g, seed, n_runs)
-    slot = _op_norm_memo.get(chunk_index)
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index, 0)))
-    norms = batched_op_norms(rng, params, n_runs)
+    norms = np.empty(n_runs)
+    for j, start in enumerate(range(0, n_runs, CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j, 0)))
+        norms[start:start + CHUNK_SIZE] = batched_op_norms(
+            rng, params, min(CHUNK_SIZE, n_runs - start))
     norms.flags.writeable = False
-    if chunk_index < OP_NORM_MEMO_SIZE:
-        _op_norm_memo[chunk_index] = key, norms
     return norms
 
 
@@ -191,7 +178,7 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                     master_seed: int, op_norm):
     """One vectorized chunk of runs of a synced scheme: WARMUP_FRAMES frames
     to bring the tracker to steady state, then the measured frame, with the
-    runs' chunk_op_norms. Returns (S, n_runs): each run's Delta at each AP-2
+    runs' op norms. Returns (S, n_runs): each run's Delta at each AP-2
     segment's anchor; times a position's weight, that is its Delta.
 
     Every output is invariant to a common shift of both oscillator phases and
@@ -241,7 +228,8 @@ def _chunk_task(args):   # unused here; perfbench/tracer.py rebinds it by name
 
 
 def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
-                      master_seed: int, *, plan: SamplePlan | None = None):
+                      master_seed: int, *, plan: SamplePlan | None = None,
+                      op_norms: np.ndarray | None = None):
     """Estimate E[Delta] at every frame position over independent runs.
 
     AP 1's row is exact in the mean and in every group. If AP 2 sends
@@ -249,9 +237,10 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     WARMUP_FRAMES frames to bring the tracker to steady state, then sums
     AP 2's Delta over one measured frame; ap1_only draws nothing. Runs are
     split into fixed-size chunks seeded from (master_seed, chunk index), each
-    with its chunk_op_norms, and summed in index order. The batch-mean groups
-    are consecutive runs. plan is the cell's build_plan(params, scheme), if
-    the caller has built it already.
+    reading its slice of op_norms, and summed in index order. The batch-mean
+    groups are consecutive runs. plan, build_plan(params, scheme), and
+    op_norms, draw_op_norms(params, master_seed, n_realizations), are made
+    here unless the caller passes them.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -263,10 +252,11 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
     group_sums = np.zeros((n_groups,) + geom.exact.shape, dtype=complex)
     # only AP 2's half is drawn
     starts = range(0, n_realizations, CHUNK_SIZE) if geom.pos.size else ()
+    if starts and op_norms is None:
+        op_norms = draw_op_norms(params, master_seed, n_realizations)
     for j, start in enumerate(starts):
         g = np.arange(start, min(start + CHUNK_SIZE, n_realizations)) * n_groups // n_realizations
-        delta = _simulate_chunk(geom, j, g.size, master_seed,
-                                chunk_op_norms(params, master_seed, j, g.size))
+        delta = _simulate_chunk(geom, j, g.size, master_seed, op_norms[start:start + g.size])
         # (groups of this chunk, S): the runs' sum per group and segment
         part = np.add.reduceat(delta, np.flatnonzero(np.diff(g, prepend=-1)), axis=1).T
         group_sums[g[0]:g[0] + len(part), 1, geom.pos - 1] += \
@@ -293,7 +283,7 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
     plan = build_plan(params, scheme)
     (i1, _, _), (i2, _, _) = plan.sync_events
-    op_norm = float(chunk_op_norms(params, master_seed, 0, 1)[0])
+    op_norm = float(draw_op_norms(params, master_seed, 1)[0])
     rng = np.random.default_rng(run_seed(master_seed, 0))
     model = derive_noise_model(params, op_norm)
     # every value read is D = nu_2 - nu_1, at the representative UE's pilot,

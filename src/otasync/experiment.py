@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compensation import SCHEMES, build_plan, monte_carlo_delta
+from .compensation import SCHEMES, build_plan, draw_op_norms, monte_carlo_delta
 from .config import ConfigError, SystemParams, derive_sigma_nu, read_key_values
 from .rate import per_position_rates, spectral_efficiency
 
@@ -108,21 +108,22 @@ def cell_seed(master_seed: int, i_cnu: int, i_snr: int) -> int:
     """Per-cell RNG seed; deliberately excludes the scheme and the frame
     length, so that the cells of one (c_nu, SNR) share their random draws.
     Each chunk's op norms come from a child stream of the seed that no other
-    draw reads (compensation.chunk_op_norms), so they are the same draws in
-    every such cell and are made once."""
+    draw reads (compensation.draw_op_norms), so they are the same draws in
+    every such cell: run_sweep makes them once and passes them to each."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(i_cnu, i_snr))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int):
+def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int, *,
+             op_norms: np.ndarray | None = None):
     """One sweep cell: Delta statistics -> rate table -> average per-UE SE.
 
     Returns (se_mean, se_stderr); the stderr comes from batch means over
     groups of consecutive runs (NaN below 2 runs per group, whose |E[Delta]|
     is fixed by the position). The overall mean and the group means go
-    through the rate table as one stack."""
+    through the rate table as one stack; op_norms goes to monte_carlo_delta."""
     plan = build_plan(params, scheme)
-    stats = monte_carlo_delta(params, scheme, n_realizations, seed, plan=plan)
+    stats = monte_carlo_delta(params, scheme, n_realizations, seed, plan=plan, op_norms=op_norms)
     tables = np.concatenate((stats.mean_delta[None], stats.group_means))
     se_all = spectral_efficiency(plan, per_position_rates(params, plan, tables)).mean(axis=-1)
     se, se_groups = float(se_all[0]), se_all[1:]
@@ -140,7 +141,8 @@ def run_sweep(spec: SweepSpec, params: SystemParams):
     and each scheme's plan, are built and checked before the first cell runs.
 
     ap1_only does not depend on the inter-array SNR, so it is evaluated once
-    per (c_nu, F) and reported with snr_ap_db = NaN.
+    per (c_nu, F) and reported with snr_ap_db = NaN. Each (c_nu, SNR)'s op
+    norms are drawn once, in the wall time of its first synced cell.
     """
     for scheme in spec.schemes:   # the slot checks read neither F, c_nu nor the SNR
         build_plan(params, scheme)
@@ -161,10 +163,12 @@ def run_sweep(spec: SweepSpec, params: SystemParams):
                                           f"F = {F}: {exc}") from exc
                     snr = float("nan") if scheme == "ap1_only" else float(snr_db)
                     cells.append((cell, scheme, seed, snr))
-    rows = []
+    rows, drawn = [], {}   # the current (c_nu, SNR)'s op norms only
     for cell, scheme, seed, snr in cells:
         t0 = time.perf_counter()
-        se, stderr = run_cell(cell, scheme, spec.n_realizations, seed)
+        if scheme != "ap1_only" and seed not in drawn:
+            drawn = {seed: draw_op_norms(cell, seed, spec.n_realizations)}
+        se, stderr = run_cell(cell, scheme, spec.n_realizations, seed, op_norms=drawn.get(seed))
         rows.append(ResultRow(
             scheme=scheme, frame_len=cell.frame_len, snr_ap_db=snr, c_nu=cell.c_nu,
             se_mean=se, se_stderr=stderr, n_realizations=spec.n_realizations,

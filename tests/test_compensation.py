@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from otasync import compensation
-from otasync.channel import batched_op_norms
-from otasync.compensation import CHUNK_SIZE, OP_NORM_MEMO_SIZE, WARMUP_FRAMES, _cell_geometry, \
-    _sync_errors, build_plan, chunk_op_norms, monte_carlo_delta, run_phase_trace
+from otasync.compensation import CHUNK_SIZE, WARMUP_FRAMES, _cell_geometry, _sync_errors, \
+    build_plan, draw_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import default_params, derive_sigma_nu
-from otasync.experiment import SweepSpec, run_cell, run_sweep
+from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
 from otasync.tracking import representative_ue, wrap
 from tests.conftest import GEOMETRIES, at_geometry, traced_peak
@@ -111,60 +110,6 @@ def test_deterministic_given_seed(params):
     a = monte_carlo_delta(params, "kalman", 300, 11)
     b = monte_carlo_delta(params, "kalman", 300, 11)
     assert np.array_equal(a.mean_delta, b.mean_delta)
-
-
-def test_op_norm_memo_hit_is_a_fresh_draw(params):
-    p = dataclasses.replace(params, n_antennas=8)
-    first = chunk_op_norms(p, 31, 2, 40)
-    hit = chunk_op_norms(p, 31, 2, 40)
-    rng = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(2, 0)))
-    assert np.array_equal(hit, batched_op_norms(rng, p, 40))
-    assert hit is first and not hit.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        hit[0] = 1.0
-    # the key is the channel law, the seed, the chunk and the run count
-    for other in (chunk_op_norms(dataclasses.replace(p, beta_g=2 * p.beta_g), 31, 2, 40),
-                  chunk_op_norms(p, 32, 2, 40), chunk_op_norms(p, 31, 3, 40),
-                  chunk_op_norms(p, 31, 2, 41)[:40]):
-        assert not np.array_equal(other, hit)
-
-
-def test_op_norm_memo_never_holds_more_than_its_cap(params):
-    p = dataclasses.replace(params, n_antennas=2)
-    for chunk in range(OP_NORM_MEMO_SIZE + 20):
-        chunk_op_norms(p, 0, chunk, 1)
-        assert len(compensation._op_norm_memo) <= OP_NORM_MEMO_SIZE
-    # one slot per chunk index below the cap: a hit keeps its entry, and a
-    # draw for another key (here another seed) replaces it
-    first = chunk_op_norms(p, 0, 20, 1)
-    assert chunk_op_norms(p, 0, 20, 1) is first
-    other = chunk_op_norms(p, 1, 20, 1)
-    key, norms = compensation._op_norm_memo[20]
-    assert key == (2, p.beta_g, 1, 1) and norms is other
-    assert chunk_op_norms(p, 0, 20, 1) is not first
-    assert chunk_op_norms(p, 0, 21, 1) is compensation._op_norm_memo[21][1]
-    assert max(compensation._op_norm_memo) < OP_NORM_MEMO_SIZE
-
-
-def test_op_norm_memo_keeps_its_chunks_when_a_cell_has_more_than_it_holds(params, monkeypatch):
-    # two cells of one seed, 4 chunks each, 3 memo slots: the second cell
-    # redraws only the chunk past the cap, and every chunk below it runs on
-    # the memo's own array
-    draw = Mock(wraps=compensation.batched_op_norms)
-    simulate = Mock(wraps=compensation._simulate_chunk)
-    monkeypatch.setattr(compensation, "batched_op_norms", draw)
-    monkeypatch.setattr(compensation, "_simulate_chunk", simulate)
-    monkeypatch.setattr(compensation, "_op_norm_memo", {})
-    monkeypatch.setattr(compensation, "OP_NORM_MEMO_SIZE", 3)
-    spec = SweepSpec(f_values=(1, 2), schemes=("kalman",), snr_ap_db=(-15.0,),
-                     n_realizations=3 * CHUNK_SIZE + 10, master_seed=37)
-    run_sweep(spec, dataclasses.replace(params, n_antennas=4))
-    assert [call.args[2] for call in draw.call_args_list] == [CHUNK_SIZE] * 3 + [10] * 2
-    assert [call.args[1] for call in simulate.call_args_list] == [0, 1, 2, 3] * 2
-    for call in simulate.call_args_list:
-        geom, j, n_runs, seed, op_norm = call.args
-        again = chunk_op_norms(geom.params, seed, j, n_runs)
-        assert (op_norm is again) == (j < 3) and np.array_equal(op_norm, again)
 
 
 @pytest.mark.parametrize("scheme", ["kalman", "direct"])
@@ -367,7 +312,7 @@ def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_pa
     # ap1_only, and a synced cell whose AP 2 sends no payload: no chunk, no
     # op norm, no path
     spies = {name: Mock(wraps=getattr(compensation, name))
-             for name in ("_simulate_chunk", "wiener_values_at", "chunk_op_norms")}
+             for name in ("_simulate_chunk", "wiener_values_at", "draw_op_norms")}
     for name, spy in spies.items():
         monkeypatch.setattr(compensation, name, spy)
     p = dataclasses.replace(params if scheme == "ap1_only" else tiny_params,
@@ -482,9 +427,13 @@ def test_invalid_scheme(params):
 
 
 def test_plan_is_keyword_only(params):
+    # so are the op norms: the benchmark's tracer reads a fifth positional
+    # argument as a worker count
     plan = build_plan(params, "kalman")
     with pytest.raises(TypeError):
         monte_carlo_delta(params, "kalman", 10, 0, plan)
+    with pytest.raises(TypeError):
+        monte_carlo_delta(params, "kalman", 10, 0, draw_op_norms(params, 0, 10))
 
 
 def test_trace_output_fields(params):

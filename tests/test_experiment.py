@@ -8,7 +8,8 @@ import pytest
 
 from otasync import compensation, experiment
 from otasync.cli import cli_main
-from otasync.compensation import N_GROUPS, monte_carlo_delta
+from otasync.channel import batched_op_norms
+from otasync.compensation import CHUNK_SIZE, N_GROUPS, monte_carlo_delta
 from otasync.config import ConfigError, default_params, dump_config
 from otasync.experiment import ResultRow, SweepSpec, cell_seed, emit_csv, fig2_sweep, \
     fig3_sweep, parse_sweep, run_cell, run_sweep
@@ -79,32 +80,44 @@ def test_sweep_spec_rejects_a_repeated_value(key):
 
 def test_op_norms_are_shared_across_frame_length_and_scheme(params, monkeypatch):
     # one seed per (c_nu, SNR), whatever the scheme and F, a different one for
-    # each; every synced cell of one (c_nu, SNR) runs on the same op norms
-    # (common random numbers), each drawn afresh as the memo holds nothing;
-    # ap1_only cells start no chunk, as AP 1's table is exact
+    # each; every synced cell of one (c_nu, SNR) runs on the same read-only op
+    # norms (common random numbers), each chunk's drawn once from its own child
+    # stream; ap1_only cells start no chunk, as AP 1's table is exact
     cells = Mock(wraps=experiment.run_cell)
     simulate = Mock(wraps=compensation._simulate_chunk)
+    draw = Mock(wraps=compensation.batched_op_norms)
     monkeypatch.setattr(experiment, "run_cell", cells)
     monkeypatch.setattr(compensation, "_simulate_chunk", simulate)
-    monkeypatch.setattr(compensation, "_op_norm_memo", {})
-    monkeypatch.setattr(compensation, "OP_NORM_MEMO_SIZE", 0)
+    monkeypatch.setattr(compensation, "batched_op_norms", draw)
     spec = SweepSpec(f_values=(1, 10), schemes=("kalman", "direct", "ap1_only"),
                      snr_ap_db=(-15.0, -20.0), c_nu_values=(5e-18, 1.58e-17),
-                     n_realizations=10, master_seed=3)
+                     n_realizations=CHUNK_SIZE + 10, master_seed=3)
     run_sweep(spec, params)
-    seeds, op_norms = {}, {}
+    assert [call.args[2] for call in draw.call_args_list] == [CHUNK_SIZE, 10] * 4
+    seeds, shared = {}, {}
     for call in cells.call_args_list:
-        cell, _, _, seed = call.args
+        cell, scheme, _, seed = call.args
         seeds.setdefault((cell.c_nu, cell.beta_g), set()).add(seed)
-    for call in simulate.call_args_list:
-        cell, op_norm = call.args[0].params, call.args[4]
-        op_norms.setdefault((cell.c_nu, cell.beta_g), set()).add(op_norm.tobytes())
-    assert [len(s) for s in seeds.values()] == [len(s) for s in op_norms.values()] == [1] * 4
+        if scheme != "ap1_only":
+            norms = shared.setdefault((cell.c_nu, cell.beta_g), call.kwargs["op_norms"])
+            assert call.kwargs["op_norms"] is norms and not norms.flags.writeable
+    assert [len(s) for s in seeds.values()] == [1] * 4 and len(shared) == 4
     union = set.union(*seeds.values())
     assert len(union) == 4 and union == {cell_seed(3, i, j) for i in (0, 1) for j in (0, 1)}
-    # one chunk per synced cell, in sweep order
-    assert [(call.args[0].params, call.args[0].scheme) for call in simulate.call_args_list] \
-        == [call.args[:2] for call in cells.call_args_list if call.args[1] != "ap1_only"]
+    # two chunks per synced cell, in sweep order, each on its slice of the
+    # cell's op norms: a fresh draw of its size from its chunk's child stream
+    synced = [call for call in cells.call_args_list if call.args[1] != "ap1_only"]
+    assert len(simulate.call_args_list) == 2 * len(synced)
+    for k, call in enumerate(simulate.call_args_list):
+        geom, j, n_runs, seed, op_norm = call.args
+        cell, scheme, _, expect_seed = synced[k // 2].args
+        assert (geom.params, geom.scheme, seed, j) == (cell, scheme, expect_seed, k % 2)
+        assert op_norm.base is synced[k // 2].kwargs["op_norms"]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j, 0)))
+        assert np.array_equal(op_norm, batched_op_norms(rng, cell, n_runs))
+    # a (c_nu, SNR) of ap1_only cells alone draws nothing
+    run_sweep(dataclasses.replace(spec, schemes=("ap1_only",)), params)
+    assert draw.call_count == 8
 
 
 def test_run_sweep_row_grid(params):

@@ -8,6 +8,7 @@ from otasync.compensation import monte_carlo_delta, build_plan
 from otasync.config import default_params
 from otasync.rate import RateBreakdown, per_position_rates, rate_at_position, \
     spectral_efficiency
+from otasync.timeline import _assemble, build_conventional_slot, build_frame_schedule
 from tests.conftest import small_instance, traced_peak
 from tests.oracles import closed_form_powers, monte_carlo_rate_oracle, synthetic_delta
 
@@ -130,6 +131,33 @@ def test_spectral_efficiency_broken_position_count(params):
     assert union == 43  # 37 joint + 3 + 3 solo
     assert spectral_efficiency(plan, np.tile(rates, (10, 1)))[0] == \
         pytest.approx(union / 100, rel=1e-12)
+
+
+@pytest.mark.parametrize("F", [1, 2, 10])
+def test_schedule_term_of_breaking_the_tdd_flow(F, params):
+    # the schedule term, SE(broken schedule) - SE(every slot conventional with
+    # both arrays sending) at |E[Delta]| = 1: the broken slot trades 4 of the
+    # conventional slot's 41 joint positions for 6 single ones, so the term
+    # is (6 r_1 - 4 r_2) / (F tau_c), a small gain
+    p = dataclasses.replace(params, frame_len=F)
+    conv = build_conventional_slot(p)
+    plans = build_frame_schedule(p), _assemble(p, [np.stack((conv, conv))] * F, ())
+    ones = np.ones((2, F * p.tau_c), dtype=complex)
+    rates = [per_position_rates(p, plan, ones) for plan in plans]
+    se, conv_se = (spectral_efficiency(plan, r).mean() for plan, r in zip(plans, rates))
+    masks = [plan.data_mask()[:, :p.tau_c] for plan in plans]
+    joint = [int(m.all(axis=0).sum()) for m in masks]
+    single = [int((m.any(axis=0) & ~m.all(axis=0)).sum()) for m in masks]
+    assert (joint, single) == ([37, 41], [6, 0])
+    data = plans[0].data_mask()
+    at_joint = rates[0][:, data.all(axis=0)]
+    at_single = rates[0][:, data.any(axis=0) & ~data.all(axis=0)]
+    assert max(np.ptp(at_joint), np.ptp(at_single)) < 1e-12   # one rate per kind of position
+    r1, r2 = at_single[0, 0], at_joint[0, 0]
+    assert (r1, r2) == (pytest.approx(2.28652, abs=5e-6), pytest.approx(3.36585, abs=5e-6))
+    assert conv_se == pytest.approx(1.38000, abs=5e-6)
+    assert se - conv_se == pytest.approx((6 * r1 - 4 * r2) / (F * p.tau_c), rel=1e-9)
+    assert (se - conv_se) * F == pytest.approx(0.002558, abs=5e-7)
 
 
 def test_per_position_rates_layout(params):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, chunk_op_norms
+from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, draw_op_norms
 from otasync.config import default_params
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_engine.py"
@@ -41,8 +41,9 @@ def bench(monkeypatch):
 def test_bench_chunk_measure(bench):
     # measure times a kalman chunk twice and returns its (S, runs) Delta at the anchors
     geom = _cell_geometry(default_params(n_antennas=8), "kalman")
+    norms = draw_op_norms(geom.params, 1, 2 * CHUNK_SIZE)
     timing, delta = bench.measure(2, _simulate_chunk, lambda r: (
-        geom, r, CHUNK_SIZE, 1, chunk_op_norms(geom.params, 1, r, CHUNK_SIZE)))
+        geom, r, CHUNK_SIZE, 1, norms[r * CHUNK_SIZE:(r + 1) * CHUNK_SIZE]))
     assert len(timing["s_all"]) == 2 and timing["peak_mib"] > 0
     assert timing["s"] == pytest.approx(np.median(timing["s_all"]))
     mean_delta = delta.mean(axis=1)[geom.segment] * geom.weight
