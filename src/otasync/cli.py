@@ -7,6 +7,8 @@ I/O failure, simulation error).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -49,12 +51,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _claim(out_path):
+    """Check --out before any work runs: create the empty temp file, beside
+    the path's target (a symlink is followed), that _write renames onto it
+    once the output is complete. A missing directory, or a directory at the
+    path, raises an OSError that names the path. Returns the temp file's path,
+    or None for a path that exists and is no regular file, such as
+    /dev/stdout, which _write opens in place."""
+    if os.path.isdir(out_path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        return None
+    tmp = f"{os.path.realpath(out_path)}.{os.getpid()}.tmp"
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    return tmp
+
+
+def _write(text: str, out_path, tmp):
+    if not out_path:
         sys.stdout.write(text)
+        return
+    with open(tmp or out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if tmp:
+        os.replace(tmp, os.path.realpath(out_path))
 
 
 def _resolve_sweep(args, schemes) -> SweepSpec:
@@ -102,7 +125,9 @@ def cli_main(argv=None) -> int:
         print(f"otasync: cannot read config: {exc}", file=sys.stderr)
         return 2
 
+    tmp = None
     try:
+        tmp = _claim(args.out) if args.out else None
         # one parse for every mode: the sweep file's rule for its schemes line
         schemes = None if args.scheme is None else _SWEEP_KEYS["schemes"](args.scheme)
         if args.dump_plan or args.dump_trace:
@@ -111,17 +136,14 @@ def cli_main(argv=None) -> int:
                 raise ConfigError(f"{mode} takes one scheme, got {args.scheme!r}")
             (scheme,) = schemes or ("kalman",)
         if args.dump_plan:
-            _write(build_plan(params, scheme).dump_csv(), args.out)
-            return 0
-        if args.dump_trace:
+            text = build_plan(params, scheme).dump_csv()
+        elif args.dump_trace:
             seed = args.seed if args.seed is not None else 1
             n_frames = args.trace_frames if args.trace_frames is not None else 200
-            rows = run_phase_trace(params, n_frames, seed, scheme)
-            _write(dump_trace_csv(rows), args.out)
-            return 0
-        spec = _resolve_sweep(args, schemes)
-        rows = run_sweep(spec, params)
-        _write(emit_csv(rows), args.out)
+            text = dump_trace_csv(run_phase_trace(params, n_frames, seed, scheme))
+        else:
+            text = emit_csv(run_sweep(_resolve_sweep(args, schemes), params))
+        _write(text, args.out, tmp)
         return 0
     except ConfigError as exc:
         print(f"otasync: {exc}", file=sys.stderr)
@@ -132,6 +154,9 @@ def cli_main(argv=None) -> int:
     except Exception as exc:  # e.g. MemoryError allocating a chunk's draws
         print(f"otasync: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:   # a run that fails leaves the path as it was
+        if tmp and os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 def main() -> None:

@@ -102,7 +102,7 @@ def _cell_geometry(params: SystemParams, scheme: str,
     unless the caller passes it."""
     plan = build_plan(params, scheme) if plan is None else plan
     L, W = plan.n_samples, WARMUP_FRAMES
-    sync = np.array([sample for sample, _, _ in plan.sync_events], dtype=int)
+    sync = np.array(plan.sync_samples, dtype=int)
     # AP 1 sends a demod pilot in every slot of both schedules (AP 2's, if any,
     # at the same instant); it sets psi. Of the UE pilots, the chain reads the
     # representative UE's alone. Frame W-1 reads slot F's, which set the
@@ -282,7 +282,7 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     if master_seed < 0:
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
     plan = build_plan(params, scheme)
-    (i1, _, _), (i2, _, _) = plan.sync_events
+    i1, i2 = plan.sync_samples
     op_norm = float(draw_op_norms(params, master_seed, 1)[0])
     rng = np.random.default_rng(run_seed(master_seed, 0))
     model = derive_noise_model(params, op_norm)

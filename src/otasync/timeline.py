@@ -32,8 +32,9 @@ class Activity(IntEnum):
     IDLE = 7
 
 
-# labels during which an AP radiates downlink energy
-_TRANSMITTING = (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX)
+# by label code: whether an AP radiates downlink energy during that label
+_TRANSMITS = np.isin(np.arange(len(Activity)),
+                     (Activity.DL_DATA, Activity.DL_DEMOD_PILOT, Activity.SYNC_TX))
 
 
 def sync_instants(params: SystemParams):
@@ -59,9 +60,8 @@ def build_conventional_slot(params: SystemParams) -> np.ndarray:
     return labels
 
 
-def build_broken_slot(params: SystemParams):
-    """Labels of the broken slot, shape (2, tau_c), plus the two sync events
-    [(sample, tx_ap, rx_ap), ...] with slot-local 1-based sample indices.
+def build_broken_slot(params: SystemParams) -> np.ndarray:
+    """Labels of the broken slot, shape (2, tau_c).
 
     AP 1 keeps the conventional slot except that it receives at i1 (still in
     uplink) and transmits the sync signal at i2 (last downlink sample). AP 2
@@ -87,17 +87,17 @@ def build_broken_slot(params: SystemParams):
     ap2[i1 - 1] = Activity.SYNC_TX
     ap2[i2 - 1] = Activity.SYNC_RX
     ap2[i1 + g] = Activity.DL_DEMOD_PILOT
-
-    events = ((i1, 2, 1), (i2, 1, 2))
-    return np.stack([ap1, ap2]), events
+    return np.stack([ap1, ap2])
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Resolved per-sample activity of both APs over one frame.
+    """Resolved per-sample activity of both APs over one frame; the labels
+    are the schedule, and from_slots reads every other field from them.
 
     labels: (2, F*tau_c) Activity codes; a: (2, F*tau_c) downlink-transmission
-    indicators; sync_events: ((global_sample, tx_ap, rx_ap), ...);
+    indicators; sync_samples: the global 1-based samples where AP 1 receives,
+    then sends, a sync signal, (i1, i2), or () without a sync exchange;
     pilot_samples: (F, K) global index of UE k's pilot in each slot;
     demod_pilot_samples: (2, F) global demod-pilot index per AP (-1 if none).
     """
@@ -106,9 +106,29 @@ class SamplePlan:
     frame_len: int
     labels: np.ndarray
     a: np.ndarray
-    sync_events: tuple
+    sync_samples: tuple
     pilot_samples: np.ndarray
     demod_pilot_samples: np.ndarray
+
+    @classmethod
+    def from_slots(cls, slot_labels) -> SamplePlan:
+        """The plan of the frame whose F slots have these (2, tau_c) labels, in
+        order. UE k's pilot is AP 1's k-th UL_PILOT sample of each slot."""
+        slots = np.stack(slot_labels, axis=1)    # (2, F, tau_c)
+        _, F, c = slots.shape
+        labels = slots.reshape(2, F * c)
+
+        def at(activity):
+            """AP 1's 1-based samples of one activity (numpy compares a plain
+            int several times faster than an IntEnum member)."""
+            return np.flatnonzero(labels[0] == activity.value) + 1
+
+        hit = slots == Activity.DL_DEMOD_PILOT.value
+        demod = np.where(hit.any(axis=2), np.arange(F) * c + hit.argmax(axis=2) + 1, -1)
+        return cls(tau_c=c, frame_len=F, labels=labels, a=_TRANSMITS[labels],
+                   sync_samples=(*at(Activity.SYNC_RX).tolist(), *at(Activity.SYNC_TX).tolist()),
+                   pilot_samples=at(Activity.UL_PILOT).reshape(F, -1),
+                   demod_pilot_samples=demod)
 
     @property
     def n_samples(self) -> int:
@@ -127,24 +147,11 @@ class SamplePlan:
         return "\n".join(lines) + "\n"
 
 
-def _assemble(params: SystemParams, slot_labels, sync_events) -> SamplePlan:
-    F, c, K = params.frame_len, params.tau_c, params.n_ues
-    labels = np.concatenate(slot_labels, axis=1)
-    a = np.isin(labels, _TRANSMITTING)
-    pilots = np.arange(F)[:, None] * c + np.arange(1, K + 1)[None, :]
-    hit = labels.reshape(2, F, c) == Activity.DL_DEMOD_PILOT
-    demod = np.where(hit.any(axis=2), np.arange(F) * c + hit.argmax(axis=2) + 1, -1)
-    return SamplePlan(tau_c=c, frame_len=F, labels=labels, a=a,
-                      sync_events=tuple(sync_events), pilot_samples=pilots,
-                      demod_pilot_samples=demod)
-
-
 def build_frame_schedule(params: SystemParams) -> SamplePlan:
     """Synchronized flow: slot 1 broken, slots 2..F conventional."""
-    broken, events = build_broken_slot(params)
     conv = build_conventional_slot(params)
-    slot_labels = [broken] + [np.stack([conv, conv])] * (params.frame_len - 1)
-    return _assemble(params, slot_labels, events)
+    return SamplePlan.from_slots(
+        [build_broken_slot(params)] + [np.stack([conv, conv])] * (params.frame_len - 1))
 
 
 def build_ap1_only_schedule(params: SystemParams) -> SamplePlan:
@@ -152,5 +159,4 @@ def build_ap1_only_schedule(params: SystemParams) -> SamplePlan:
     no synchronization exchange."""
     conv = build_conventional_slot(params)
     idle = np.full(params.tau_c, Activity.IDLE, dtype=np.int8)
-    slot_labels = [np.stack([conv, idle])] * params.frame_len
-    return _assemble(params, slot_labels, ())
+    return SamplePlan.from_slots([np.stack([conv, idle])] * params.frame_len)

@@ -14,6 +14,9 @@ import pytest  # noqa: E402
 
 from otasync.config import default_params  # noqa: E402
 
+# sigma_nu^2 at the default parameters (test_config pins derive_sigma_nu to it)
+SIGMA_REF = 3.9478417604357436e-05
+
 
 @pytest.fixture
 def params():

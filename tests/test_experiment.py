@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 from unittest.mock import Mock
 
@@ -282,11 +283,13 @@ def test_cli_stdout_when_no_out(capsys):
 
 @pytest.mark.parametrize("exc", [MemoryError("cannot allocate G"), RuntimeError("boom")])
 def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
+    # a run that fails leaves the file at --out as it was, and no other file
     monkeypatch.setattr("otasync.cli.run_sweep", Mock(side_effect=exc))
     out = tmp_path / "out.csv"
+    out.write_text("earlier\n")
     assert cli_main(["--realizations", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"otasync: {type(exc).__name__}: {exc}\n"
-    assert not out.exists()
+    assert out.read_text() == "earlier\n" and list(tmp_path.iterdir()) == [out]
 
 
 def row(*argv, config=None, sweep=None, code=2, err, id=None):
@@ -351,9 +354,22 @@ CLI_REJECTS = [
     row("--realizations", "0", err="otasync: n_realizations must be an integer >= 1, got 0"),
     *[row(*argv, "--scheme", s, err=f"otasync: unknown scheme(s) {s.split(',')!r}" + UNKNOWN)
       for argv in (["--realizations", "10"], ["--fig2"]) for s in ("", ",")],
+    # an output path that cannot be written, found before any work in every mode
+    *[row(*argv, "--out", out, err=f"otasync: I/O failure: {why}: {out!r}")
+      for argv in (["--realizations", "30"], ["--dump-plan"], ["--dump-trace"])
+      for out, why in (("missing/x.csv", "[Errno 2] No such file or directory"),
+                       (".", "[Errno 21] Is a directory"))],
+    row("--sweep", "missing.cfg",
+        err="otasync: I/O failure: [Errno 2] No such file or directory: 'missing.cfg'"),
     # config files, exit 2
     row("--config", "missing.cfg",
         err="otasync: cannot read config: [Errno 2] No such file or directory: 'missing.cfg'"),
+    config("n_antennas 64", "line 1: expected key = value, got 'n_antennas 64'"),
+    config("tau_g = -1", "tau_g must be nonnegative, got -1"),
+    config("beta_ue = 0.1,0.2,0.3",
+           "beta_ue must be a scalar, 20 values, or a (10, 2) table, got shape (3,)"),
+    config("n_ues = 4\ntau_g = 3\ntau_c = 101",
+           "cannot split tau_c - tau_p - 2*tau_g = 91 into tau_u + tau_d"),
     config(b"n_ues = 4\xff\n", UTF8.format(9), id="config n_ues = 4 and byte 0xff"),
     config("n_antennae = 64", "line 1: unknown key 'n_antennae'"),
     config("rho_ue = fast", MALFORMED.format(1, "rho_ue", FLOAT.format("fast"))),
@@ -391,6 +407,8 @@ CLI_REJECTS = [
     row(config="n_ues = 1\ntau_c = 12\ntau_g = 2\ntau_u = 2",
         sweep="f_values = 1, 2\nschemes = ap1_only, kalman\nn_realizations = 20",
         err="otasync: cannot relocate 3 uplink samples: only 2 uplink data samples"),
+    row(config="n_ues = 1\ntau_c = 11\ntau_g = 2\ntau_u = 3\ntau_d = 3",
+        err="otasync: shifted downlink ends before the joint demodulation pilot sample"),
     # sweep files, exit 2
     sweep(b"f_values = 1\xff\n", UTF8.format(12), id="sweep f_values = 1 and byte 0xff"),
     sweep("frames = 1,2", "line 1: unknown key 'frames'"),
@@ -432,13 +450,14 @@ def test_cli_rejects(config_text, sweep_text, argv, code, err, tmp_path, monkeyp
         if text is not None:
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
             argv = [flag, name] + argv
-    assert cli_main(argv + ["--out", "out.csv"]) == code
+    inputs = sorted(tmp_path.iterdir())
+    assert cli_main(argv if "--out" in argv else argv + ["--out", "out.csv"]) == code
     cap = capsys.readouterr()
     if code == 2:
         assert cap.err == err.replace("{sweep}", "run.sweep") + "\n"
     else:   # argparse's usage lines, then the error line
         assert re.fullmatch("otasync: error: " + err, cap.err.splitlines()[-1])
-    assert not (tmp_path / "out.csv").exists() and cap.out == "" and not cells.called
+    assert sorted(tmp_path.iterdir()) == inputs and cap.out == "" and not cells.called
 
 
 def test_cli_dump_plan(tmp_path):
@@ -451,6 +470,13 @@ def test_cli_dump_plan(tmp_path):
     padded = tmp_path / "padded.csv"
     assert cli_main(["--dump-plan", "--scheme", "direct ", "--out", str(padded)]) == 0
     assert padded.read_text() == out.read_text()
+    # a symlink is written through, and a path that is no regular file in place
+    link = tmp_path / "link.csv"
+    link.symlink_to(padded)
+    assert cli_main(["--dump-plan", "--scheme", "ap1_only", "--out", str(link)]) == 0
+    assert link.is_symlink() and "IDLE" in padded.read_text()
+    assert cli_main(["--dump-plan", "--out", os.devnull]) == 0
+    assert sorted(tmp_path.iterdir()) == [link, padded, out]
 
 
 def test_cli_dump_trace(tmp_path):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from otasync.phase_noise import run_seed, wiener_values_at
+from tests.conftest import SIGMA_REF
 from tests.oracles import generate_trajectory
-
-SIGMA_REF = 3.9478417604357436e-05
 
 
 def test_zero_variance_is_constant():

@@ -8,7 +8,7 @@ from otasync.compensation import monte_carlo_delta, build_plan
 from otasync.config import default_params
 from otasync.rate import RateBreakdown, per_position_rates, rate_at_position, \
     spectral_efficiency
-from otasync.timeline import _assemble, build_conventional_slot, build_frame_schedule
+from otasync.timeline import SamplePlan, build_conventional_slot, build_frame_schedule
 from tests.conftest import small_instance, traced_peak
 from tests.oracles import closed_form_powers, monte_carlo_rate_oracle, synthetic_delta
 
@@ -141,7 +141,7 @@ def test_schedule_term_of_breaking_the_tdd_flow(F, params):
     # is (6 r_1 - 4 r_2) / (F tau_c), a small gain
     p = dataclasses.replace(params, frame_len=F)
     conv = build_conventional_slot(p)
-    plans = build_frame_schedule(p), _assemble(p, [np.stack((conv, conv))] * F, ())
+    plans = build_frame_schedule(p), SamplePlan.from_slots([np.stack((conv, conv))] * F)
     ones = np.ones((2, F * p.tau_c), dtype=complex)
     rates = [per_position_rates(p, plan, ones) for plan in plans]
     se, conv_se = (spectral_efficiency(plan, r).mean() for plan, r in zip(plans, rates))

@@ -3,6 +3,7 @@ import pytest
 
 from otasync.config import default_params
 from otasync.tracking import derive_noise_model
+from tests.conftest import SIGMA_REF
 from tests.oracles import channel_with_norm, generate_trajectory, inter_ap_channel, \
     measure_direction
 
@@ -67,9 +68,8 @@ def test_both_directions_same_mse_scaling():
 
 def test_combine_noiseless_wiener_paths():
     p = default_params()
-    sig2 = 3.9478417604357436e-05
-    nu1 = generate_trajectory(1, 100, sig2, initial_phase=0.0)
-    nu2 = generate_trajectory(2, 100, sig2, initial_phase=0.0)
+    nu1 = generate_trajectory(1, 100, SIGMA_REF, initial_phase=0.0)
+    nu2 = generate_trajectory(2, 100, SIGMA_REF, initial_phase=0.0)
     chan = channel_with_norm(np.random.default_rng(0), 8, 0.05)
     a21 = measure_direction(2, 52, chan, (nu1, nu2), p.rho_ap, _NoiselessRng())
     a12 = measure_direction(1, 97, chan, (nu1, nu2), p.rho_ap, _NoiselessRng())
@@ -82,9 +82,8 @@ def test_high_snr_consistency():
     norm_sq = 0.05
     rho = 1e6 / norm_sq
     chan = channel_with_norm(np.random.default_rng(5), 8, norm_sq)
-    sig2 = 3.9478417604357436e-05
     rng = np.random.default_rng(9)
-    nu1, nu2 = generate_trajectory(rng, 100, sig2, initial_phase=np.zeros((2, 2000)))
+    nu1, nu2 = generate_trajectory(rng, 100, SIGMA_REF, initial_phase=np.zeros((2, 2000)))
     a21 = measure_direction(2, 52, chan, (nu1, nu2), rho, rng)
     a12 = measure_direction(1, 97, chan, (nu1, nu2), rho, rng)
     errs = a12 - a21 - ((nu2[:, 51] + nu2[:, 96]) - (nu1[:, 51] + nu1[:, 96]))

@@ -22,10 +22,9 @@ def test_sync_instants_minimal_slot(tiny_params):
     A = Activity
     assert list(build_conventional_slot(tiny_params)) == \
         [A.UL_PILOT, A.UL_DATA, A.DL_DEMOD_PILOT, A.DL_DATA]
-    lab, events = build_broken_slot(tiny_params)
-    assert lab.tolist() == [[A.UL_PILOT, A.SYNC_RX, A.DL_DEMOD_PILOT, A.SYNC_TX],
-                            [A.UL_PILOT, A.SYNC_TX, A.DL_DEMOD_PILOT, A.SYNC_RX]]
-    assert events == ((2, 2, 1), (4, 1, 2))
+    assert build_broken_slot(tiny_params).tolist() == \
+        [[A.UL_PILOT, A.SYNC_RX, A.DL_DEMOD_PILOT, A.SYNC_TX],
+         [A.UL_PILOT, A.SYNC_TX, A.DL_DEMOD_PILOT, A.SYNC_RX]]
 
 
 def test_conventional_slot_over_valid_geometries():
@@ -43,16 +42,19 @@ def test_conventional_slot_over_valid_geometries():
 
 
 def test_sync_geometry_over_valid_geometries():
-    # C6 at every geometry: the sync events sit at i1 = tau_p + tau_u and
-    # i2 = i1 + tau_g + tau_d, and the broken slot overlaps one AP's downlink
-    # with the other's uplink at exactly one sample each way, at those events
+    # C6 at every geometry: AP 2 sends a sync signal to AP 1 at i1 = tau_p +
+    # tau_u and AP 1 one to AP 2 at i2 = i1 + tau_g + tau_d, and the broken
+    # slot overlaps one AP's downlink with the other's uplink at exactly one
+    # sample each way, at those instants
     for geometry in GEOMETRIES:
         with at_geometry(geometry):
             i1 = geometry.tau_p + geometry.tau_u
             i2 = i1 + geometry.tau_g + geometry.tau_d
             plan = build_frame_schedule(geometry)
-            assert plan.sync_events == ((i1, 2, 1), (i2, 1, 2))
+            assert plan.sync_samples == (i1, i2)
             broken = plan.labels[:, :geometry.tau_c]
+            assert broken[:, [i1 - 1, i2 - 1]].T.tolist() == \
+                [[Activity.SYNC_RX, Activity.SYNC_TX], [Activity.SYNC_TX, Activity.SYNC_RX]]
             ap1_ul, ap1_dl = np.isin(broken[0], UPLINK_SIDE), np.isin(broken[0], DOWNLINK_SIDE)
             ap2_ul, ap2_dl = np.isin(broken[1], UPLINK_SIDE), np.isin(broken[1], DOWNLINK_SIDE)
             assert np.array_equal(np.flatnonzero(ap2_dl & ap1_ul) + 1, [i1])
@@ -60,8 +62,7 @@ def test_sync_geometry_over_valid_geometries():
 
 
 def test_broken_slot_reference(params):
-    lab, events = build_broken_slot(params)
-    ap1, ap2 = lab
+    ap1, ap2 = build_broken_slot(params)
     # AP1: conventional except sync samples
     assert ap1[51] == Activity.SYNC_RX and ap1[96] == Activity.SYNC_TX
     conv = build_conventional_slot(params)
@@ -79,7 +80,6 @@ def test_broken_slot_reference(params):
     assert np.all(ap2[93:96] == Activity.GUARD)
     assert ap2[96] == Activity.SYNC_RX
     assert np.all(ap2[97:100] == Activity.UL_DATA)
-    assert events == ((52, 2, 1), (97, 1, 2))
 
 
 def test_broken_slot_too_small():
@@ -120,7 +120,7 @@ def test_frame_schedule_structure(params):
     for s in (1, 2):
         sl = slice(100 * s, 100 * (s + 1))
         assert np.array_equal(plan.labels[0, sl], plan.labels[1, sl])
-    assert plan.sync_events == ((52, 2, 1), (97, 1, 2))
+    assert plan.sync_samples == (52, 97)
     assert plan.pilot_samples[1, 4] == 105
     assert np.array_equal(plan.demod_pilot_samples[0], [56, 156, 256])
 
@@ -174,21 +174,25 @@ def test_ap1_only_schedule(params):
     plan = build_ap1_only_schedule(params)
     assert np.all(plan.labels[1] == Activity.IDLE)
     assert not plan.a[1].any()
-    assert plan.sync_events == ()
+    assert plan.sync_samples == ()
     assert np.count_nonzero(plan.labels[0] == Activity.DL_DATA) == 41
     assert plan.demod_pilot_samples[1, 0] == -1
 
 
 def test_demod_pilot_samples_over_valid_geometries():
     # both APs send their demod pilot at the same slot offset in every slot of
-    # the synced schedule; with AP 2 switched off it sends none
+    # the synced schedule; with AP 2 switched off it sends none. In both, UE
+    # k's uplink pilot is sample k of each slot
     for g in GEOMETRIES:
         with at_geometry(g):
             expect = np.arange(g.frame_len) * g.tau_c + g.tau_p + g.tau_u + g.tau_g + 1
-            synced = build_frame_schedule(g).demod_pilot_samples
-            ap1_only = build_ap1_only_schedule(g).demod_pilot_samples
-            assert np.array_equal(synced, [expect, expect])
-            assert np.array_equal(ap1_only, [expect, np.full_like(expect, -1)])
+            synced, ap1_only = build_frame_schedule(g), build_ap1_only_schedule(g)
+            assert np.array_equal(synced.demod_pilot_samples, [expect, expect])
+            assert np.array_equal(ap1_only.demod_pilot_samples,
+                                  [expect, np.full_like(expect, -1)])
+            pilots = np.arange(g.frame_len)[:, None] * g.tau_c + np.arange(1, g.n_ues + 1)
+            for plan in (synced, ap1_only):
+                assert np.array_equal(plan.pilot_samples, pilots)
 
 
 def test_plan_dump_csv(params):
