@@ -6,7 +6,8 @@ BLAS on one thread; write one JSON report with a section per measurement:
   (otasync.channel.batched_op_norms, the bidiagonal model: chi-square draws,
   then the top eigenvalue of B^T B), and that eigenvalue solve alone
   (otasync.channel.gram_top_eigenvalue) on chi squares drawn outside the
-  timed call. 76 runs is fig2-grid's tail chunk (1100 = 1024 + 76).
+  timed call (otasync.channel.bidiagonal_chi_squares). 76 runs is
+  fig2-grid's tail chunk (1100 = 1024 + 76).
 - chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (each run's
   Delta at each AP-2 segment's anchor) per synced scheme and F; the cell
   geometry and the chunk's op norms are made outside the timed call, as
@@ -50,7 +51,8 @@ os.environ.update(pinned_env(ROOT))   # before numpy loads BLAS; the presets' pr
 
 import numpy as np  # noqa: E402
 
-from otasync.channel import batched_op_norms, gram_top_eigenvalue  # noqa: E402
+from otasync.channel import batched_op_norms, bidiagonal_chi_squares, \
+    gram_top_eigenvalue  # noqa: E402
 from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, build_plan, \
     draw_op_norms, monte_carlo_delta  # noqa: E402
 from otasync.config import default_params  # noqa: E402
@@ -84,20 +86,13 @@ def measure(repeats, call, args_of):
     return dict(s=statistics.median(times), s_all=times, peak_mib=peak / 2**20), result
 
 
-def chi_squares(seed, N, n):
-    """The (diag_sq, super_sq) chi squares batched_op_norms draws for n runs."""
-    dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))
-    chi_sq = np.random.default_rng(seed).chisquare(dof[:, None], (2 * N - 1, n))
-    return chi_sq[:N], chi_sq[N:]
-
-
 def opnorm():
     for N, runs in OPNORM_CASES:
         params = default_params(n_antennas=N)
         timing, norms = measure(OPNORM_REPEATS, batched_op_norms, lambda r: (
             np.random.default_rng(SEED + r), params, runs))
-        solve, lam = measure(OPNORM_REPEATS, gram_top_eigenvalue,
-                             lambda r: chi_squares(SEED + r, N, runs))
+        solve, lam = measure(OPNORM_REPEATS, gram_top_eigenvalue, lambda r:
+                             bidiagonal_chi_squares(np.random.default_rng(SEED + r), N, runs))
         solve["mean_op_norm"] = float(np.sqrt(0.5 * params.beta_g * lam).mean())
         yield dict(N=N, runs=runs, bidiagonal=dict(timing, mean_op_norm=float(norms.mean())),
                    solve=solve)
@@ -108,7 +103,8 @@ def chunk():
     norms = draw_op_norms(default_params(), SEED, CHUNK_REPEATS * CHUNK_SIZE)
     for scheme in SCHEMES:
         for F in FRAME_LENGTHS:
-            geom = _cell_geometry(default_params(frame_len=F), scheme)
+            params = default_params(frame_len=F)
+            geom = _cell_geometry(params, scheme, build_plan(params, scheme))
             timing, delta = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
                 geom, r, CHUNK_SIZE, SEED, norms[r * CHUNK_SIZE:(r + 1) * CHUNK_SIZE]))
             # (S, runs) Delta at the anchors -> AP 2's E[Delta] per payload position

@@ -154,6 +154,14 @@ def gram_top_eigenvalue(diag_sq: np.ndarray, super_sq: np.ndarray) -> np.ndarray
     return np.ldexp(x, scale)
 
 
+def bidiagonal_chi_squares(rng: np.random.Generator, N: int, n: int):
+    """(diag_sq (N, n), super_sq (N - 1, n)) of n draws of B from one chisquare
+    call: B_ii^2 ~ chi^2_{2(N-i+1)} and B_i,i+1^2 ~ chi^2_{2(N-i)}, i = 1..N."""
+    dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))
+    chi_sq = rng.chisquare(dof[:, None], (2 * N - 1, n))
+    return chi_sq[:N], chi_sq[N:]
+
+
 def batched_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> np.ndarray:
     """Largest singular value of n independent draws of G with i.i.d.
     CN(0, beta_g) entries, shape (n,), drawn from the bidiagonal model.
@@ -162,7 +170,5 @@ def batched_op_norms(rng: np.random.Generator, params: SystemParams, n: int) -> 
     against the Sturm bisection it replaced (tests/oracles.py) and, in law,
     against SVDs of dense G draws.
     """
-    N = params.n_antennas
-    dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))
-    chi_sq = rng.chisquare(dof[:, None], (2 * N - 1, n))
-    return np.sqrt(0.5 * params.beta_g * gram_top_eigenvalue(chi_sq[:N], chi_sq[N:]))
+    lam = gram_top_eigenvalue(*bidiagonal_chi_squares(rng, params.n_antennas, n))
+    return np.sqrt(0.5 * params.beta_g * lam)

@@ -27,10 +27,10 @@ import numpy as np
 
 from .channel import batched_op_norms
 from .config import ConfigError, SystemParams, derive_sigma_nu
-from .phase_noise import run_seed, wiener_values_at
+from .phase_noise import wiener_values_at
 from .timeline import SamplePlan, build_ap1_only_schedule, build_frame_schedule
-from .tracking import derive_noise_model, kalman_gain, kalman_init, kalman_update, \
-    representative_ue
+from .tracking import check_variances, derive_noise_model, kalman_gain, kalman_init, \
+    kalman_update, representative_ue
 from .tracking import wrap  # noqa: F401  unused here; perfbench/tracer.py rebinds it by name
 
 SCHEMES = ("kalman", "direct", "ap1_only")
@@ -62,11 +62,9 @@ class DeltaStats:
 
 @dataclass(frozen=True)
 class _CellGeometry:
-    """The cell's one grid (the instants of frames W-1 and W the compensation
-    reads), the gaps both Wiener draws step by, the columns the chunk reads,
-    AP 1's exact table, one entry per AP-2 payload position (1-based frame
-    offset) in frame order, and the segments: runs of positions that share
-    everything their Delta reads on the grid."""
+    """AP 2's grid: the instants of frames W-1 and W the compensation reads, the gaps
+    both Wiener draws step by, the columns the chunk reads, one entry per AP-2 payload
+    position in frame order, and segments: runs of positions that share all they read."""
 
     params: SystemParams
     scheme: str
@@ -78,8 +76,7 @@ class _CellGeometry:
     # (2, F+1) columns of AP 1's demod pilot and the representative UE's pilot
     # that set psi: frame W-1's slot F (carried over), then frame W's slots
     psi_cols: np.ndarray
-    exact: np.ndarray        # (2, F*tau_c) E[Delta]: AP 1's row, zero in AP 2's
-    pos: np.ndarray          # (P,) frame offset
+    pos: np.ndarray          # (P,) 1-based frame offset
     segment: np.ndarray      # (P,) row of the position's segment
     weight: np.ndarray       # (P,) exp(-(pos - anchor offset) sigma_nu^2 / 2)
     # (S, 4) per segment: anchor (column of the last instant before it), column
@@ -96,11 +93,19 @@ def build_plan(params: SystemParams, scheme: str) -> SamplePlan:
     return build_frame_schedule(params)
 
 
-def _cell_geometry(params: SystemParams, scheme: str,
-                   plan: SamplePlan | None = None) -> _CellGeometry:
-    """The cell's geometry from its build_plan(params, scheme), built here
-    unless the caller passes it."""
-    plan = build_plan(params, scheme) if plan is None else plan
+def _ap1_row(params: SystemParams, plan: SamplePlan) -> np.ndarray:
+    """(2, F*tau_c) E[Delta], AP 2's row zero. AP 1's row is exact in every scheme:
+    e^(-(p-d) sigma_nu^2/2) e^(-ue_pilot_noise_var/2) at payload p, anchored at demod pilot d."""
+    pos = np.flatnonzero(plan.data_mask()[0]) + 1
+    demod = plan.demod_pilot_samples[0, (pos - 1) // plan.tau_c]
+    row = np.zeros((2, plan.n_samples), dtype=complex)
+    row[0, pos - 1] = np.exp(-(pos - demod) * derive_sigma_nu(params) / 2) \
+        * np.exp(-params.ue_pilot_noise_var / 2)
+    return row
+
+
+def _cell_geometry(params: SystemParams, scheme: str, plan: SamplePlan) -> _CellGeometry:
+    """AP 2's payload geometry in the cell with plan build_plan(params, scheme)."""
     L, W = plan.n_samples, WARMUP_FRAMES
     sync = np.array(plan.sync_samples, dtype=int)
     # AP 1 sends a demod pilot in every slot of both schedules (AP 2's, if any,
@@ -117,16 +122,11 @@ def _cell_geometry(params: SystemParams, scheme: str,
                            (W - 1) * L + instants))
     gaps = np.diff(path, prepend=1)
 
-    ap, idx = np.nonzero(plan.data_mask())
-    pos, slot = idx + 1, idx // params.tau_c   # 1-based offset, 0-based slot
+    pos = np.flatnonzero(plan.data_mask()[1]) + 1     # 1-based offset
+    slot = (pos - 1) // plan.tau_c
     anchor = np.searchsorted(instants, L + pos) - 1   # payload is never on the grid
     sigma_nu_sq = derive_sigma_nu(params)
     weight = np.exp(-(L + pos - instants[anchor]) * sigma_nu_sq / 2)
-    # AP 1 applies no tracker output, and its anchor is its slot's demod pilot,
-    # where psi was set: its Delta given the grid is the UE-pilot noise
-    exact = np.zeros((2, L), dtype=complex)
-    exact[0, pos[ap == 0] - 1] = weight[ap == 0] * np.exp(-params.ue_pilot_noise_var / 2)
-    pos, slot, anchor, weight = (x[ap == 1] for x in (pos, slot, anchor, weight))
 
     psi_cols = np.searchsorted(instants, psi_at)
     keys = np.stack((
@@ -137,8 +137,8 @@ def _cell_geometry(params: SystemParams, scheme: str,
     return _CellGeometry(
         params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, instants=instants,
         d_gaps=gaps[:-instants.size], gaps=gaps[-instants.size:],
-        sync_cols=np.searchsorted(instants, sync_at), psi_cols=psi_cols, exact=exact,
-        pos=pos, segment=np.cumsum(starts) - 1, weight=weight, segments=keys[:, starts].T)
+        sync_cols=np.searchsorted(instants, sync_at), psi_cols=psi_cols, pos=pos,
+        segment=np.cumsum(starts) - 1, weight=weight, segments=keys[:, starts].T)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +147,9 @@ def _cell_geometry(params: SystemParams, scheme: str,
 def draw_op_norms(params: SystemParams, seed: int, n_runs: int) -> np.ndarray:
     """The op norms of runs 0 .. n_runs-1, shape (n_runs,), read-only.
 
-    Chunk j's runs (CHUNK_SIZE each, the last one short) come from the
-    chunk's own child stream, SeedSequence(seed, spawn_key=(j, 0)) (the
-    first child of run_seed(seed, j), which feeds the rest of the chunk), so
-    the draw is a pure function of (N, beta_g, seed, n_runs).
+    Chunk j's runs (CHUNK_SIZE each, the last one short) come from
+    SeedSequence(seed, spawn_key=(j, 0)), the first child of the chunk's own
+    (j,), which no other draw reads: a pure function of (N, beta_g, seed, n_runs).
     """
     norms = np.empty(n_runs)
     for j, start in enumerate(range(0, n_runs, CHUNK_SIZE)):
@@ -191,7 +190,7 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     else.
     """
     p, W = geom.params, WARMUP_FRAMES
-    rng = np.random.default_rng(run_seed(master_seed, chunk_index))
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(chunk_index,)))
 
     # D at i1 and i2 of frames 0..W-2, then both paths on the cell's grid;
     # obs[f] = D(i1) + D(i2) + e_12 - e_21
@@ -232,28 +231,30 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
                       op_norms: np.ndarray | None = None):
     """Estimate E[Delta] at every frame position over independent runs.
 
-    AP 1's row is exact in the mean and in every group. If AP 2 sends
-    payload, each run draws its op norm and oscillator paths, runs
-    WARMUP_FRAMES frames to bring the tracker to steady state, then sums
-    AP 2's Delta over one measured frame; ap1_only draws nothing. Runs are
-    split into fixed-size chunks seeded from (master_seed, chunk index), each
-    reading its slice of op_norms, and summed in index order. The batch-mean
-    groups are consecutive runs. plan, build_plan(params, scheme), and
-    op_norms, draw_op_norms(params, master_seed, n_realizations), are made
-    here unless the caller passes them.
+    AP 1's row (_ap1_row) is exact in the mean and in every group. If AP 2
+    sends payload, each run draws its op norm and oscillator paths on the
+    cell's geometry, runs WARMUP_FRAMES frames to bring the tracker to steady
+    state, then sums AP 2's Delta over one measured frame; ap1_only builds and
+    draws nothing. Runs are split into fixed-size chunks seeded from
+    (master_seed, chunk index), each reading its slice of op_norms, and summed
+    in index order. The batch-mean groups are consecutive runs. plan,
+    build_plan(params, scheme), and op_norms, draw_op_norms(params,
+    master_seed, n_realizations), are made here unless the caller passes them.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    geom = _cell_geometry(params, scheme, plan)
+    plan = build_plan(params, scheme) if plan is None else plan
+    exact = _ap1_row(params, plan)
     n_groups = min(N_GROUPS, n_realizations)
     # run r is in group r * G // n, so group g starts at run ceil(g n / G)
     group_counts = np.diff(-(-np.arange(n_groups + 1) * n_realizations // n_groups))
 
-    group_sums = np.zeros((n_groups,) + geom.exact.shape, dtype=complex)
-    # only AP 2's half is drawn
-    starts = range(0, n_realizations, CHUNK_SIZE) if geom.pos.size else ()
-    if starts and op_norms is None:
-        op_norms = draw_op_norms(params, master_seed, n_realizations)
+    group_sums = np.zeros((n_groups,) + exact.shape, dtype=complex)
+    starts = range(0, n_realizations, CHUNK_SIZE) if plan.data_mask()[1].any() else ()
+    if starts:   # AP 2 sends payload: only its half is drawn
+        geom = _cell_geometry(params, scheme, plan)
+        if op_norms is None:
+            op_norms = draw_op_norms(params, master_seed, n_realizations)
     for j, start in enumerate(starts):
         g = np.arange(start, min(start + CHUNK_SIZE, n_realizations)) * n_groups // n_realizations
         delta = _simulate_chunk(geom, j, g.size, master_seed, op_norms[start:start + g.size])
@@ -261,8 +262,8 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
         part = np.add.reduceat(delta, np.flatnonzero(np.diff(g, prepend=-1)), axis=1).T
         group_sums[g[0]:g[0] + len(part), 1, geom.pos - 1] += \
             part[:, geom.segment] * geom.weight
-    return DeltaStats(mean_delta=geom.exact + group_sums.sum(axis=0) / n_realizations,
-                      group_means=geom.exact + group_sums / group_counts[:, None, None],
+    return DeltaStats(mean_delta=exact + group_sums.sum(axis=0) / n_realizations,
+                      group_means=exact + group_sums / group_counts[:, None, None],
                       group_counts=group_counts)
 
 
@@ -282,14 +283,14 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     if master_seed < 0:
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
     plan = build_plan(params, scheme)
-    i1, i2 = plan.sync_samples
+    check_variances(params)
     op_norm = float(draw_op_norms(params, master_seed, 1)[0])
-    rng = np.random.default_rng(run_seed(master_seed, 0))
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
     model = derive_noise_model(params, op_norm)
     # every value read is D = nu_2 - nu_1, at the representative UE's pilot,
     # i1 and i2, modulo 2 pi (see _simulate_chunk)
     pilot = plan.pilot_samples[0, representative_ue(params.n_ues) - 1]
-    at = (np.arange(n_frames)[:, None] * plan.n_samples + [pilot, i1, i2]).ravel()
+    at = (np.arange(n_frames)[:, None] * plan.n_samples + [pilot, *plan.sync_samples]).ravel()
     d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, 1), np.diff(at, prepend=1),
                          2 * derive_sigma_nu(params)).reshape(n_frames, 3)
     obs = d[:, 1] + d[:, 2] + _sync_errors(rng, op_norm, params.rho_ap, n_frames)

@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compensation import SCHEMES, build_plan, draw_op_norms, monte_carlo_delta
-from .config import ConfigError, SystemParams, derive_sigma_nu, read_key_values
+from .config import ConfigError, SystemParams, read_key_values
 from .rate import per_position_rates, spectral_efficiency
+from .tracking import check_variances
 
 
 def _integral(v) -> bool:
@@ -157,7 +158,7 @@ def run_sweep(spec: SweepSpec, params: SystemParams):
                     try:
                         cell = replace(params, frame_len=int(F), c_nu=float(c_nu)) \
                             .with_snr_ap_db(float(snr_db))
-                        derive_sigma_nu(cell)
+                        check_variances(cell)
                     except ConfigError as exc:
                         raise ConfigError(f"cell c_nu = {c_nu:g}, snr_ap_db = {snr_db:g}, "
                                           f"F = {F}: {exc}") from exc

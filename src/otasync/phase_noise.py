@@ -27,9 +27,3 @@ def wiener_values_at(rng: np.random.Generator, start_values: np.ndarray,
     inc = rng.standard_normal(start_values.shape + (gaps.size,)) * std
     return start_values[..., None] + np.cumsum(inc, axis=-1)
 
-
-def run_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Independent child seed for run/chunk `index`: documented splitting rule
-    SeedSequence(master_seed, spawn_key=(index,)).
-    """
-    return np.random.SeedSequence(master_seed, spawn_key=(index,))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemParams, derive_sigma_nu
+from .config import ConfigError, SystemParams, derive_sigma_nu
 from .timeline import sync_instants
 
 
@@ -38,6 +38,26 @@ def noise_coefficients(params: SystemParams):
     c_zeta = 8 * params.frame_len * params.tau_c - 4 * (i2 - k_rep)
     c_xi = 2 * (i1 - k_rep)
     return c_zeta, c_xi
+
+
+# the ceiling on every variance the engine forms, and the smallest
+# lambda_max(B^T B) (otasync.channel) it covers; README, "Variance ceiling"
+VARIANCE_MAX = 2.0 ** 1000
+LAMBDA_MIN = 2.0 ** -60
+
+
+def check_variances(params: SystemParams):
+    """ConfigError unless sigma_zeta^2, above every other drift variance the
+    engine forms, and the measurement variance 1/(rho_ap ||G||^2) at
+    ||G||^2 = beta_g LAMBDA_MIN / 2 are at most VARIANCE_MAX."""
+    c_zeta, _ = noise_coefficients(params)
+    sigma_zeta_sq = c_zeta * derive_sigma_nu(params)
+    if not sigma_zeta_sq <= VARIANCE_MAX:
+        raise ConfigError(f"sigma_zeta^2 = {c_zeta} sigma_nu^2 = {sigma_zeta_sq:.3g} exceeds "
+                          "the variance ceiling 2^1000")
+    if not params.rho_ap * params.beta_g >= 2 / (LAMBDA_MIN * VARIANCE_MAX):
+        raise ConfigError(f"rho_ap * beta_g = {params.rho_ap * params.beta_g:.3g} is below "
+                          "2^-939, where 1/(rho_ap ||G||^2) can exceed the variance ceiling 2^1000")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ on one core).
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from tests.oracles import channel_with_norm, closed_form_misses, csv_without_wal
 
 ACCEPT_SEED = 20250810
 N_REAL = 10_000
+# each preset row's (se_mean, se_stderr) at N_REAL runs, in row order; made by
+# running this module as a script (see the end)
+PINNED_PRESETS_PATH = Path(__file__).parent / "data" / "presets.npz"
 
 
 def _report(cid, name, ok, detail=""):
@@ -150,21 +154,37 @@ def test_criterion_07_determinism():
 
 # -- criteria 8-11: figure reproduction --------------------------------------
 
+def _preset_table():
+    """{(fig, scheme, snr or None, F): row} of both presets, in row order."""
+    p, table = default_params(), {}
+    for fig, sweep in (("fig2", fig2_sweep), ("fig3", fig3_sweep)):
+        for r in run_sweep(sweep(N_REAL, master_seed=ACCEPT_SEED), p):
+            snr = None if math.isnan(r.snr_ap_db) else r.snr_ap_db
+            table[(fig, r.scheme, snr, r.frame_len)] = r
+    return table
+
+
+def _preset_values(table, fig):
+    return np.array([(r.se_mean, r.se_stderr) for (f, *_), r in table.items() if f == fig])
+
+
 @pytest.fixture(scope="module")
 def fig_results():
     t0 = time.perf_counter()
-    p = default_params()
-    rows2 = run_sweep(fig2_sweep(N_REAL, master_seed=ACCEPT_SEED), p)
-    rows3 = run_sweep(fig3_sweep(N_REAL, master_seed=ACCEPT_SEED), p)
+    table = _preset_table()
     elapsed = time.perf_counter() - t0
-    table = {}
-    for fig, rows in (("fig2", rows2), ("fig3", rows3)):
-        for r in rows:
-            snr = None if math.isnan(r.snr_ap_db) else r.snr_ap_db
-            table[(fig, r.scheme, snr, r.frame_len)] = r
-    print(f"\n[figure sweeps: {len(rows2) + len(rows3)} cells, "
-          f"{N_REAL} realizations each, {elapsed:.0f}s]")
+    print(f"\n[figure sweeps: {len(table)} cells, {N_REAL} realizations each, {elapsed:.0f}s]")
     return table, elapsed
+
+
+def test_preset_outputs_match_stored_values(fig_results):
+    # every preset row's SE and stderr, so that a change meant to keep the
+    # outputs is checked without recomputing them by hand; the tolerance only
+    # absorbs last-bit differences between LAPACK/libm builds
+    stored = np.load(PINNED_PRESETS_PATH)
+    for fig in ("fig2", "fig3"):
+        assert np.allclose(_preset_values(fig_results[0], fig), stored[fig],
+                           rtol=0.0, atol=1e-12), fig
 
 
 def test_criterion_08_fig2_qualitative(fig_results):
@@ -246,3 +266,11 @@ def test_criterion_11_fig3_quantitative(fig_results):
     ok = abs(residual) <= 0.10
     _report("C11", "fig3 kalman -15dB F=1", ok,
             f"SE {got:.4f} vs 1.1931 (residual {residual:+.4f})")
+
+
+if __name__ == "__main__":
+    # Regenerate the stored preset values (only for a change that is meant to
+    # alter the outputs): python -m tests.test_acceptance
+    table = _preset_table()
+    np.savez_compressed(PINNED_PRESETS_PATH, **{fig: _preset_values(table, fig)
+                                                for fig in ("fig2", "fig3")})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otasync.channel import batched_op_norms, gram_top_eigenvalue
+from otasync.channel import batched_op_norms, bidiagonal_chi_squares, gram_top_eigenvalue
 from otasync.config import default_params
 from tests.conftest import small_instance, traced_peak
 from tests.oracles import complex_normal, dense_op_norms, draw_estimates, inter_ap_channel, \
@@ -107,14 +107,6 @@ def test_op_norm_concentration_near_mp_edge():
     assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
 
 
-def _bidiagonal_draws(seed, N, n):
-    # the chi-square draws batched_op_norms makes: B_ii^2 ~ chi^2_{2(N-i+1)},
-    # B_i,i+1^2 ~ chi^2_{2(N-i)}, i = 1..N, one column per run
-    dof = 2 * np.concatenate((np.arange(N, 0, -1), np.arange(N - 1, 0, -1)))
-    chi_sq = np.random.default_rng(seed).chisquare(dof[:, None], (2 * N - 1, n))
-    return chi_sq[:N], chi_sq[N:]
-
-
 def _dense_bidiagonal(diag_sq, super_sq):
     return np.diag(np.sqrt(diag_sq)) + np.diag(np.sqrt(super_sq), 1)
 
@@ -123,7 +115,7 @@ def _dense_bidiagonal(diag_sq, super_sq):
 def test_batched_op_norms_match_svd_of_same_bidiagonal(N):
     p = default_params(n_antennas=N, beta_g=1e-3)
     norms = batched_op_norms(np.random.default_rng(N), p, 32)
-    diag_sq, super_sq = _bidiagonal_draws(N, N, 32)
+    diag_sq, super_sq = bidiagonal_chi_squares(np.random.default_rng(N), N, 32)
     for r in range(32):
         s = np.linalg.svd(_dense_bidiagonal(diag_sq[:, r], super_sq[:, r]), compute_uv=False)[0]
         assert norms[r] == pytest.approx(np.sqrt(p.beta_g / 2) * s, rel=1e-12)
@@ -169,7 +161,7 @@ def test_gram_top_eigenvalue_degenerate_bidiagonals(b_diag, b_super):
 def test_gram_top_eigenvalue_batch_matches_column_calls(b_diag, b_super):
     # pivmin is set per matrix, so a column's eigenvalue does not depend on its
     # batch-mates: here a degenerate case, chi draws and one draw scaled by 1e150
-    diag_sq, super_sq = _bidiagonal_draws(len(b_diag), len(b_diag), 4)
+    diag_sq, super_sq = bidiagonal_chi_squares(np.random.default_rng(len(b_diag)), len(b_diag), 4)
     diag_sq[:, 1] *= 1e150
     super_sq[:, 1] *= 1e150
     diag_sq = np.column_stack((np.square(b_diag), diag_sq))
@@ -183,7 +175,7 @@ def test_gram_top_eigenvalue_batch_matches_column_calls(b_diag, b_super):
 def test_gram_top_eigenvalue_matches_sturm_bisection(N):
     # every column of 2**14 chi draws agrees with plain bisection, whose own
     # error is below 2**-52 relative
-    diag_sq, super_sq = _bidiagonal_draws(100 + N, N, 2**14)
+    diag_sq, super_sq = bidiagonal_chi_squares(np.random.default_rng(100 + N), N, 2**14)
     lam = gram_top_eigenvalue(diag_sq, super_sq)
     ref = sturm_top_eigenvalue(diag_sq, super_sq)
     assert np.max(np.abs(lam - ref) / ref) <= 1e-13

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from otasync import compensation
-from otasync.compensation import CHUNK_SIZE, WARMUP_FRAMES, _cell_geometry, _sync_errors, \
-    build_plan, draw_op_norms, monte_carlo_delta, run_phase_trace
+from otasync.compensation import CHUNK_SIZE, WARMUP_FRAMES, _ap1_row, _cell_geometry, \
+    _sync_errors, build_plan, draw_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
@@ -210,7 +210,7 @@ def test_carried_over_psi_matches_reference_chain_position_by_position(frame_len
     # per-run values, within 4 standard errors in each component; at 10x the
     # default c_nu a psi from the measured frame's slot F misses by 7-12
     p = dataclasses.replace(params, frame_len=frame_len, c_nu=5e-17)
-    geom = _cell_geometry(p, "kalman")
+    geom = _cell_geometry(p, "kalman", build_plan(p, "kalman"))
     carried = geom.pos[geom.segments[geom.segment, 3] == 0] - 1
     assert carried.size == p.tau_g
     runs = reference_delta(p, "kalman", 600, 0)[:, 1, carried]
@@ -223,33 +223,20 @@ def test_carried_over_psi_matches_reference_chain_position_by_position(frame_len
         assert np.all(np.abs(z) <= 4), z
 
 
-def test_ap1_only_shared_mean_is_the_anchor_weight(params):
-    # without UE-pilot noise, psi cancels AP 1's phase at the demod pilot, the
-    # anchor of every payload sample of its slot: each run contributes exactly
-    # exp(-(p - d) sigma^2 / 2), so no run-to-run spread is left
-    p = dataclasses.replace(params, frame_len=3, c_nu=5e-15)
-    plan = build_plan(p, "ap1_only")
-    pos = np.flatnonzero(plan.data_mask()[0]) + 1
-    demod = plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
-    expect = np.exp(-(pos - demod) * derive_sigma_nu(p) / 2)
-    assert expect.min() < 0.5
-    stats = monte_carlo_delta(p, "ap1_only", 300, 21)
-    assert np.allclose(stats.mean_delta[0, pos - 1], expect, rtol=1e-12, atol=0.0)
-    assert run_cell(p, "ap1_only", 300, 21)[1] == 0.0
-
-
 def test_anchor_follows_every_instant_the_compensation_reads():
     # the conditional mean rests on this: the increment from a position's
     # anchor to the position is independent of everything its Delta reads,
-    # which the engine takes from the position's row of AP 2's segment table
+    # which the engine takes from the position's row of AP 2's segment table;
+    # AP 1's exact row is checked at a drift where its weights matter (below
+    # 0.5 at the widest downlinks)
     for p, scheme in product(GEOMETRIES, ("kalman", "ap1_only")):
         with at_geometry(p, scheme):
-            _check_anchor(p, scheme)
+            _check_anchor(dataclasses.replace(p, c_nu=5e-15), scheme)
 
 
 def _check_anchor(p, scheme):
-    geom = _cell_geometry(p, scheme)
     plan = build_plan(p, scheme)
+    geom = _cell_geometry(p, scheme, plan)
     L, W = plan.n_samples, WARMUP_FRAMES
     sync = np.array(plan.sync_samples, dtype=int)
     pilots = np.stack((plan.demod_pilot_samples[0],
@@ -286,30 +273,31 @@ def _check_anchor(p, scheme):
     assert np.array_equal(np.unique(geom.segment), np.arange(len(geom.segments)))
     assert np.all(np.diff(geom.segment) >= 0) and np.diff(geom.segments, axis=0).any(axis=1).all()
     # AP 1's exact row rests on its payload following its slot's demod pilot
-    # with no grid instant in between: its E[Delta] is the drift since that pilot
+    # with no grid instant in between: its E[Delta] is the drift since its
+    # anchor on the grid
     pos = np.flatnonzero(plan.data_mask()[0]) + 1
+    anchor = np.searchsorted(geom.instants, L + pos) - 1
     demod = plan.demod_pilot_samples[0, (pos - 1) // p.tau_c]
-    assert np.array_equal(np.searchsorted(geom.instants, L + pos) - 1,
-                          np.searchsorted(geom.instants, L + demod))
+    assert np.array_equal(geom.instants[anchor], L + demod)
     expect = np.zeros(plan.n_samples)
-    expect[pos - 1] = np.exp(-(pos - demod) * derive_sigma_nu(p) / 2)
-    assert np.array_equal(geom.exact, expect.astype(complex) * [[1], [0]])
+    expect[pos - 1] = np.exp(-(L + pos - geom.instants[anchor]) * derive_sigma_nu(p) / 2)
+    assert np.array_equal(_ap1_row(p, plan), expect.astype(complex) * [[1], [0]])
 
 
 @pytest.mark.parametrize("scheme, noise", [("ap1_only", 0.04), ("kalman", 0.0)])
 def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_params,
                                                    monkeypatch):
-    # ap1_only, and a synced cell whose AP 2 sends no payload: no chunk, no
-    # op norm, no path
-    spies = {name: Mock(wraps=getattr(compensation, name))
-             for name in ("_simulate_chunk", "wiener_values_at", "draw_op_norms")}
+    # ap1_only, and a synced cell whose AP 2 sends no payload: no geometry,
+    # no chunk, no op norm, no path
+    spies = {name: Mock(wraps=getattr(compensation, name)) for name in (
+        "_cell_geometry", "_simulate_chunk", "wiener_values_at", "draw_op_norms")}
     for name, spy in spies.items():
         monkeypatch.setattr(compensation, name, spy)
     p = dataclasses.replace(params if scheme == "ap1_only" else tiny_params,
                             ue_pilot_noise_var=noise)
     stats = monte_carlo_delta(p, scheme, 3 * CHUNK_SIZE, 41)
     assert not any(spy.called for spy in spies.values())
-    exact = _cell_geometry(p, scheme).exact
+    exact = _ap1_row(p, build_plan(p, scheme))
     assert np.array_equal(stats.mean_delta, exact)
     assert all(np.array_equal(group, exact) for group in stats.group_means)
 

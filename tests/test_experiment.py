@@ -321,6 +321,18 @@ NONFINITE = {"beta_ue": "beta_ue entries must be positive and finite",
              "ue_pilot_noise_var": "ue_pilot_noise_var must be nonnegative and finite"}
 SIGMA = "sigma_nu^2 is not finite for f_c={}, c_nu={}"
 CELL = "otasync: cell c_nu = {}, snr_ap_db = {}, F = 1: "
+CEILING = "the variance ceiling 2^1000"
+MEAS_VAR = "rho_ap * beta_g = {} is below 2^-939, where 1/(rho_ap ||G||^2) can exceed " + CEILING
+ZETA = "sigma_zeta^2 = 432 sigma_nu^2 = inf exceeds " + CEILING
+# derived variances past the ceiling, each as (config, sweep lines, cell,
+# message, trace config, trace message): an SNR whose beta_g is subnormal,
+# and a c_nu whose sigma_nu^2 is finite but sigma_zeta^2 is not
+OVERFLOWS = [
+    (None, "snr_ap_db = -15, -3200", ("5e-18", -3200), MEAS_VAR.format("9.88e-321"),
+     "beta_g = -3200 dB", MEAS_VAR.format("2e-318")),
+    ("f_c = 1\nf_s = 1", "c_nu_values = 5e-18, 1e305", ("1e+305", -15), ZETA,
+     "f_c = 1\nf_s = 1\nc_nu = 1e305", ZETA),
+]
 
 CLI_REJECTS = [
     # usage errors, exit 1: err is a pattern for the last stderr line after
@@ -436,6 +448,14 @@ CLI_REJECTS = [
         ("snr_ap_db = -15, 4000", ("5e-18", 4000), "4000 dB is out of range"),
         ("snr_ap_db = -15, -4000", ("5e-18", -4000), "beta_g must be positive and finite, got 0.0"),
         ("c_nu_values = 5e-18, 1e300", ("1e+300", -15), SIGMA.format(2e9, "1e+300")))],
+    # a derived variance past the ceiling, found before any cell in every
+    # scheme (README, "Variance ceiling")
+    *[row(config=config, sweep=f"f_values = 1\n{lines}\nschemes = {schemes}",
+          err=CELL.format(*at) + message)
+      for config, lines, at, message, _, _ in OVERFLOWS
+      for schemes in ("kalman", "direct, ap1_only")],
+    *[row("--dump-trace", "--scheme", scheme, config=config, err="otasync: " + message)
+      for _, _, _, _, config, message in OVERFLOWS for scheme in ("kalman", "direct")],
 ]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otasync.phase_noise import run_seed, wiener_values_at
+from otasync.phase_noise import wiener_values_at
 from tests.conftest import SIGMA_REF
 from tests.oracles import generate_trajectory
 
@@ -49,18 +49,11 @@ def test_variance_linear_in_lag():
 
 def test_independent_streams_uncorrelated():
     n = 10**6
-    a = generate_trajectory(run_seed(99, 0), n, SIGMA_REF)
-    b = generate_trajectory(run_seed(99, 1), n, SIGMA_REF)
+    a = generate_trajectory(np.random.SeedSequence(99, spawn_key=(0,)), n, SIGMA_REF)
+    b = generate_trajectory(np.random.SeedSequence(99, spawn_key=(1,)), n, SIGMA_REF)
     da, db = np.diff(a), np.diff(b)
     corr = np.corrcoef(da, db)[0, 1]
     assert abs(corr) < 0.01
-
-
-def test_run_seed_reproducible_and_distinct():
-    s0 = run_seed(5, 0).generate_state(2)
-    assert np.array_equal(s0, run_seed(5, 0).generate_state(2))
-    assert not np.array_equal(s0, run_seed(5, 1).generate_state(2))
-    assert not np.array_equal(s0, run_seed(6, 0).generate_state(2))
 
 
 def test_sparse_sampling_matches_dense_law():
