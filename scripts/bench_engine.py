@@ -11,14 +11,18 @@ BLAS on one thread; write one JSON report with a section per measurement:
 - chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (each run's
   Delta at each AP-2 segment's anchor) per synced scheme and F; the cell
   geometry and the chunk's op norms are made outside the timed call, as
-  monte_carlo_delta makes them, and so is its batch-mean reduction. ap1_only
-  has no chunk: its table is exact.
-- rate: one cell's rate stage, spectral_efficiency(per_position_rates(...))
-  on the mean and group-mean E[Delta] tables of RATE_RUNS runs (made outside
-  the timed call), for default and heterogeneous beta_ue/eta.
+  monte_carlo_delta makes them, and so are its run sums and cross products.
+  ap1_only has no chunk: its table is exact.
+- rate: one cell's rate stage on the E[Delta] table of RATE_RUNS runs (made
+  outside the timed call): spectral_efficiency(per_position_rates(...)) and,
+  where AP 2's segments are drawn, se_gradient for the delta-method stderr,
+  for default and heterogeneous beta_ue/eta.
 - presets: `otasync --fig2` and `--fig3` at PRESET_RUNS runs per cell, each
   in a fresh process and its own directory, alternating; per run the process
-  wall time and the CSV's wall_time_s summed, in all and per scheme.
+  wall time and the CSV's wall_time_s summed, in all and per scheme, and per
+  scheme the sum over cells of se_stderr^2 x wall_time_s: the cell time a
+  stderr of 1 would take, which divided by TARGET_STDERR^2 is the time to
+  reach TARGET_STDERR (also recorded per cell).
 
 A layer's timing is the median of its section's repeats; one more call
 records the tracemalloc peak. The report names the host and the tree it
@@ -56,7 +60,7 @@ from otasync.channel import batched_op_norms, bidiagonal_chi_squares, \
 from otasync.compensation import CHUNK_SIZE, _cell_geometry, _simulate_chunk, build_plan, \
     draw_op_norms, monte_carlo_delta  # noqa: E402
 from otasync.config import default_params  # noqa: E402
-from otasync.rate import per_position_rates, spectral_efficiency  # noqa: E402
+from otasync.rate import per_position_rates, se_gradient, spectral_efficiency  # noqa: E402
 
 SEED = 1
 OPNORM_CASES = ((64, 76), (64, 1024), (128, 1024), (256, 1024), (512, 1024))
@@ -64,6 +68,7 @@ OPNORM_REPEATS = 7
 SCHEMES, FRAME_LENGTHS, CHUNK_REPEATS = ("kalman", "direct"), (1, 10), 5
 RATE_SCHEMES, RATE_RUNS, RATE_REPEATS = ("kalman", "ap1_only"), 1024, 15
 PRESETS, PRESET_RUNS, PRESET_REPEATS = ("--fig2", "--fig3"), 10_000, 3
+TARGET_STDERR = 1e-3
 
 
 def measure(repeats, call, args_of):
@@ -131,12 +136,14 @@ def rate():
                 params = make(frame_len=F)
                 plan = build_plan(params, scheme)
                 stats = monte_carlo_delta(params, scheme, RATE_RUNS, SEED)
-                tables = np.concatenate((stats.mean_delta[None], stats.group_means))
-                timing, se = measure(RATE_REPEATS, lambda: spectral_efficiency(
-                    plan, per_position_rates(params, plan, tables)), lambda r: ())
-                yield dict(params=name, scheme=scheme, F=F, tables=len(tables),
+                table, drawn = stats.mean_delta, stats.cov.size > 0
+                timing, (se, grad) = measure(RATE_REPEATS, lambda: (
+                    spectral_efficiency(plan, per_position_rates(params, plan, table)),
+                    se_gradient(params, plan, table) if drawn else None), lambda r: ())
+                yield dict(params=name, scheme=scheme, F=F, segments=len(stats.cov) // 2,
                            payload_columns=int(plan.data_mask().any(axis=0).sum()),
-                           **timing, se_mean=float(se[0].mean()))
+                           **timing, se_mean=float(se.mean()),
+                           max_abs_gradient=float(np.abs(grad).max()) if drawn else 0.0)
 
 
 def presets():
@@ -150,13 +157,18 @@ def presets():
                 wall = perf_counter() - t0
                 with open(Path(tmp) / "cells.csv", newline="") as fh:
                     cells = list(csv.DictReader(fh))
-            by_scheme = {}
+            by_scheme, unit_by_scheme, target_s = {}, {}, {}
             for cell in cells:
-                by_scheme[cell["scheme"]] = by_scheme.get(cell["scheme"], 0.0) \
-                    + float(cell["wall_time_s"])
+                scheme, cell_s = cell["scheme"], float(cell["wall_time_s"])
+                unit = float(cell["se_stderr"]) ** 2 * cell_s
+                by_scheme[scheme] = by_scheme.get(scheme, 0.0) + cell_s
+                unit_by_scheme[scheme] = unit_by_scheme.get(scheme, 0.0) + unit
+                target_s["/".join((scheme, cell["frame_len"], cell["snr_ap_db"]))] = \
+                    unit / TARGET_STDERR ** 2
             yield dict(preset=preset.lstrip("-"), repeat=repeat, runs=PRESET_RUNS,
                        cells=len(cells), wall_s=wall, cell_s=sum(by_scheme.values()),
-                       cell_s_by_scheme=by_scheme)
+                       cell_s_by_scheme=by_scheme, stderr_sq_cell_s_by_scheme=unit_by_scheme,
+                       target_stderr=TARGET_STDERR, target_s_by_cell=target_s)
 
 
 SECTIONS = dict(opnorm=opnorm, chunk=chunk, rate=rate, presets=presets)

@@ -37,7 +37,6 @@ SCHEMES = ("kalman", "direct", "ap1_only")
 
 WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation (>= 2)
 CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: part of the RNG stream)
-N_GROUPS = 10            # batch-mean groups for standard errors
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,18 @@ class DeltaStats:
     representative UE floor(K/2), whose pilot instant stands in for every UE.
 
     mean_delta: (2, F*tau_c) complex, zero at positions where the AP sends no
-    payload data; group_means: (G, 2, F*tau_c) batch means for standard-error
-    estimates over groups of consecutive runs, of group_counts runs each: of
-    n runs, G = min(N_GROUPS, n) and run r is in group r * G // n. AP 1's row
-    is exact; a one-run group's |mean| is the position's weight.
+    payload data; AP 1's row is exact. AP 2's payload column cols[p] reads
+    segment[p]'s mean of n_runs runs times weight[p]; cov is the per-run
+    covariance (n - 1 in the denominator, NaN for one run) of [Re; Im] of the
+    S segment values. A cell that draws nothing has S = 0 and no columns.
     """
 
     mean_delta: np.ndarray
-    group_means: np.ndarray
-    group_counts: np.ndarray
+    n_runs: int
+    cov: np.ndarray
+    cols: np.ndarray
+    segment: np.ndarray
+    weight: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -231,40 +233,45 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
                       op_norms: np.ndarray | None = None):
     """Estimate E[Delta] at every frame position over independent runs.
 
-    AP 1's row (_ap1_row) is exact in the mean and in every group. If AP 2
-    sends payload, each run draws its op norm and oscillator paths on the
-    cell's geometry, runs WARMUP_FRAMES frames to bring the tracker to steady
-    state, then sums AP 2's Delta over one measured frame; ap1_only builds and
-    draws nothing. Runs are split into fixed-size chunks seeded from
-    (master_seed, chunk index), each reading its slice of op_norms, and summed
-    in index order. The batch-mean groups are consecutive runs. plan,
-    build_plan(params, scheme), and op_norms, draw_op_norms(params,
-    master_seed, n_realizations), are made here unless the caller passes them.
+    AP 1's row (_ap1_row) is exact. If AP 2 sends payload, each run draws its
+    op norm and oscillator paths on the cell's geometry, runs WARMUP_FRAMES
+    frames to bring the tracker to steady state, then reads AP 2's Delta at
+    each segment of one measured frame; ap1_only builds and draws nothing.
+    Runs are split into fixed-size chunks seeded from (master_seed, chunk
+    index), each reading its slice of op_norms, and summed in index order,
+    with their cross products for the covariance. plan, build_plan(params,
+    scheme), and op_norms, draw_op_norms(params, master_seed,
+    n_realizations), are made here unless the caller passes them.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     plan = build_plan(params, scheme) if plan is None else plan
-    exact = _ap1_row(params, plan)
-    n_groups = min(N_GROUPS, n_realizations)
-    # run r is in group r * G // n, so group g starts at run ceil(g n / G)
-    group_counts = np.diff(-(-np.arange(n_groups + 1) * n_realizations // n_groups))
-
-    group_sums = np.zeros((n_groups,) + exact.shape, dtype=complex)
-    starts = range(0, n_realizations, CHUNK_SIZE) if plan.data_mask()[1].any() else ()
-    if starts:   # AP 2 sends payload: only its half is drawn
-        geom = _cell_geometry(params, scheme, plan)
-        if op_norms is None:
-            op_norms = draw_op_norms(params, master_seed, n_realizations)
-    for j, start in enumerate(starts):
-        g = np.arange(start, min(start + CHUNK_SIZE, n_realizations)) * n_groups // n_realizations
-        delta = _simulate_chunk(geom, j, g.size, master_seed, op_norms[start:start + g.size])
-        # (groups of this chunk, S): the runs' sum per group and segment
-        part = np.add.reduceat(delta, np.flatnonzero(np.diff(g, prepend=-1)), axis=1).T
-        group_sums[g[0]:g[0] + len(part), 1, geom.pos - 1] += \
-            part[:, geom.segment] * geom.weight
-    return DeltaStats(mean_delta=exact + group_sums.sum(axis=0) / n_realizations,
-                      group_means=exact + group_sums / group_counts[:, None, None],
-                      group_counts=group_counts)
+    mean_delta = _ap1_row(params, plan)
+    if not plan.data_mask()[1].any():   # only AP 2's half is drawn
+        none = np.zeros(0, dtype=int)
+        return DeltaStats(mean_delta=mean_delta, n_runs=n_realizations, cov=np.zeros((0, 0)),
+                          cols=none, segment=none, weight=np.zeros(0))
+    geom = _cell_geometry(params, scheme, plan)
+    if op_norms is None:
+        op_norms = draw_op_norms(params, master_seed, n_realizations)
+    S = len(geom.segments)
+    run_sum, cross = np.zeros(S, dtype=complex), np.zeros((2 * S, 2 * S))
+    for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
+        n = min(CHUNK_SIZE, n_realizations - start)
+        delta = _simulate_chunk(geom, j, n, master_seed, op_norms[start:start + n])
+        run_sum += delta.sum(axis=1)
+        x = np.concatenate((delta.real, delta.imag))
+        if j == 0:   # cross products about run 0's values keep cancellation small
+            shift = x[:, :1].copy()
+        x -= shift
+        cross += x @ x.T
+    mean = run_sum / n_realizations
+    mean_delta[1, geom.pos - 1] = mean[geom.segment] * geom.weight
+    d = np.concatenate((mean.real, mean.imag)) - shift[:, 0]
+    cov = (cross - n_realizations * np.outer(d, d)) / (n_realizations - 1) \
+        if n_realizations > 1 else np.full_like(cross, np.nan)
+    return DeltaStats(mean_delta=mean_delta, n_runs=n_realizations, cov=cov, cols=geom.pos - 1,
+                      segment=geom.segment, weight=geom.weight)
 
 
 def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .compensation import SCHEMES, build_plan, draw_op_norms, monte_carlo_delta
 from .config import ConfigError, SystemParams, read_key_values
-from .rate import per_position_rates, spectral_efficiency
+from .rate import per_position_rates, se_gradient, spectral_efficiency
 from .tracking import check_variances
 
 
@@ -119,21 +119,22 @@ def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int, 
              op_norms: np.ndarray | None = None):
     """One sweep cell: Delta statistics -> rate table -> average per-UE SE.
 
-    Returns (se_mean, se_stderr); the stderr comes from batch means over
-    groups of consecutive runs (NaN below 2 runs per group, whose |E[Delta]|
-    is fixed by the position). The overall mean and the group means go
-    through the rate table as one stack; op_norms goes to monte_carlo_delta."""
+    Returns (se_mean, se_stderr). Runs are i.i.d., so the stderr is the delta
+    method's sqrt(h^T cov h / n), h the SE's gradient with respect to [Re; Im]
+    of AP 2's segment means (AP 1's row is exact): exactly 0 where nothing is
+    drawn, NaN for one run of a cell that draws. op_norms goes to
+    monte_carlo_delta."""
     plan = build_plan(params, scheme)
     stats = monte_carlo_delta(params, scheme, n_realizations, seed, plan=plan, op_norms=op_norms)
-    tables = np.concatenate((stats.mean_delta[None], stats.group_means))
-    se_all = spectral_efficiency(plan, per_position_rates(params, plan, tables)).mean(axis=-1)
-    se, se_groups = float(se_all[0]), se_all[1:]
-    if stats.group_counts.min() >= 2:
-        # spread about one group's value: exactly 0 when every group agrees
-        stderr = float(np.std(se_groups - se_groups[0], ddof=1) / math.sqrt(len(se_groups)))
-    else:
-        stderr = float("nan")
-    return se, stderr
+    se = float(spectral_efficiency(plan, per_position_rates(params, plan, stats.mean_delta)).mean())
+    if not stats.cov.size:
+        return se, 0.0
+    # E[Delta] at AP 2's column p is weight[p] times its segment's mean
+    g = se_gradient(params, plan, stats.mean_delta)[1, stats.cols] * stats.weight
+    h = np.concatenate([np.bincount(stats.segment, part, len(stats.cov) // 2)
+                        for part in (g.real, g.imag)])
+    # h^T cov h >= 0 but for rounding, as when every run reads the same values
+    return se, float(np.sqrt(np.maximum(h @ stats.cov @ h, 0.0) / stats.n_runs))
 
 
 def run_sweep(spec: SweepSpec, params: SystemParams):

@@ -1,11 +1,11 @@
-"""Closed-form achievable downlink rate per frame position and the per-UE
-spectral efficiency, evaluated on whole tables: every UE and position at
-once, for any stack of E[Delta] tables (for instance the overall mean and the
-batch-group means).
+"""Closed-form achievable downlink rate per frame position, the per-UE
+spectral efficiency and its gradient, evaluated on whole tables: every UE and
+position at once, for an E[Delta] table or any stack of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +16,8 @@ from .timeline import SamplePlan
 
 @dataclass(frozen=True)
 class RateBreakdown:
-    """Signal and noise powers of the effective SINR and the resulting rate,
+    """Signal and noise powers of the effective SINR, the resulting rate and
+    signal = sum_l a sqrt(N rho eta gamma) E[Delta] (|signal|^2 = ds_power),
     each of shape (..., K, n).
 
     bu_power keeps only the estimate-uncertainty part N gamma (1 - |E[Delta]|^2);
@@ -29,6 +30,7 @@ class RateBreakdown:
     bu_power: np.ndarray
     ui_power: np.ndarray
     rate_bits: np.ndarray
+    signal: np.ndarray
 
 
 def rate_at_position(params: SystemParams, a, mean_delta) -> RateBreakdown:
@@ -51,10 +53,11 @@ def rate_at_position(params: SystemParams, a, mean_delta) -> RateBreakdown:
     unc, ui_per_ue = params.rate_constants()
     amp = np.sqrt(unc)
     ui = ui_per_ue @ a
-    ds = (amp @ d.real) ** 2 + (amp @ d.imag) ** 2
+    s = amp @ d.real + 1j * (amp @ d.imag)
+    ds = s.real ** 2 + s.imag ** 2
     bu = unc @ u
     return RateBreakdown(ds_power=ds, bu_power=bu, ui_power=np.broadcast_to(ui, ds.shape),
-                         rate_bits=np.log2(1.0 + ds / (bu + ui + 1.0)))
+                         rate_bits=np.log2(1.0 + ds / (bu + ui + 1.0)), signal=s)
 
 
 def per_position_rates(params: SystemParams, plan: SamplePlan, mean_delta) -> np.ndarray:
@@ -71,6 +74,24 @@ def per_position_rates(params: SystemParams, plan: SamplePlan, mean_delta) -> np
     rates = np.zeros(payload.shape[:-1] + (plan.n_samples,))
     rates[..., cols] = payload
     return rates
+
+
+def se_gradient(params: SystemParams, plan: SamplePlan, mean_delta) -> np.ndarray:
+    """(2, F*tau_c) dSE/dRe E[Delta] + j dSE/dIm E[Delta] of the UE-averaged SE
+    of a (2, F*tau_c) table, computed at payload columns only: the mean over UEs
+    k and positions of 2 a_l (amp_kl s_k / tot_k - unc_kl d_l (1/tot_k -
+    1/den_k)) / ln 2, with s the signal, den = bu + ui + 1 and tot = den + ds."""
+    mask = plan.data_mask()
+    cols = np.flatnonzero(mask.any(axis=0))
+    table = np.asarray(mean_delta)[:, cols]
+    b = rate_at_position(params, mask[:, cols], table)
+    den = b.bu_power + b.ui_power + 1.0
+    tot = den + b.ds_power
+    unc = params.rate_constants()[0]
+    grad = np.zeros((2, plan.n_samples), dtype=complex)
+    grad[:, cols] = (np.sqrt(unc).T @ (b.signal / tot) - table * (unc.T @ (1 / tot - 1 / den))) \
+        * mask[:, cols] * (2 / (len(unc) * plan.n_samples * math.log(2)))
+    return grad
 
 
 def spectral_efficiency(plan: SamplePlan, rates) -> np.ndarray:

@@ -5,6 +5,7 @@ contained in the process drift), absorbed into the closed-form gain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,19 @@ VARIANCE_MAX = 2.0 ** 1000
 LAMBDA_MIN = 2.0 ** -60
 
 
+def lambda_cap(n_antennas: int) -> float:
+    """4 N^2 + 3000 ln 2, which lambda_max(B^T B) exceeds with probability
+    below 2^-1000 per draw: lambda_max <= tr(B^T B) ~ chi^2_k, k = 2 N^2, and
+    P(chi^2_k >= 2k + 3t) <= P(chi^2_k >= k + 2 sqrt(k t) + 2t) <= e^-t
+    (Laurent and Massart, Ann. Statist. 28, 2000) at t = 1000 ln 2."""
+    return 4.0 * n_antennas * n_antennas + 3000 * math.log(2)
+
+
 def check_variances(params: SystemParams):
     """ConfigError unless sigma_zeta^2, above every other drift variance the
     engine forms, and the measurement variance 1/(rho_ap ||G||^2) at
-    ||G||^2 = beta_g LAMBDA_MIN / 2 are at most VARIANCE_MAX."""
+    ||G||^2 = beta_g LAMBDA_MIN / 2 are at most VARIANCE_MAX, and so are
+    ||G||^2 and rho_ap ||G||^2 at lambda = lambda_cap(N)."""
     c_zeta, _ = noise_coefficients(params)
     sigma_zeta_sq = c_zeta * derive_sigma_nu(params)
     if not sigma_zeta_sq <= VARIANCE_MAX:
@@ -58,6 +68,10 @@ def check_variances(params: SystemParams):
     if not params.rho_ap * params.beta_g >= 2 / (LAMBDA_MIN * VARIANCE_MAX):
         raise ConfigError(f"rho_ap * beta_g = {params.rho_ap * params.beta_g:.3g} is below "
                           "2^-939, where 1/(rho_ap ||G||^2) can exceed the variance ceiling 2^1000")
+    if not max(0.5, params.rho_ap) * params.beta_g * lambda_cap(params.n_antennas) <= VARIANCE_MAX:
+        raise ConfigError(f"beta_g = {params.beta_g:.3g} and rho_ap = {params.rho_ap:.3g} at "
+                          f"N = {params.n_antennas}: ||G||^2 or rho_ap ||G||^2 can exceed the "
+                          "variance ceiling 2^1000")
 
 
 @dataclass(frozen=True)

@@ -215,11 +215,14 @@ def test_carried_over_psi_matches_reference_chain_position_by_position(frame_len
     assert carried.size == p.tau_g
     runs = reference_delta(p, "kalman", 600, 0)[:, 1, carried]
     eng = monte_carlo_delta(p, "kalman", 8192, 7)
-    for part in (np.real, np.imag):
-        ref, groups = part(runs), part(eng.group_means[:, 1, carried])
-        se = np.hypot(ref.std(axis=0, ddof=1) / np.sqrt(len(ref)),
-                      groups.std(axis=0, ddof=1) / np.sqrt(len(groups)))
-        z = (part(eng.mean_delta[1, carried]) - ref.mean(axis=0)) / se
+    # the engine's standard error: segment variance x weight^2 / n per position
+    at = np.isin(eng.cols, carried)
+    S = len(eng.cov) // 2
+    for part, offset in ((np.real, 0), (np.imag, S)):
+        var = eng.cov.diagonal()[offset + eng.segment[at]] * eng.weight[at] ** 2
+        se = np.hypot(part(runs).std(axis=0, ddof=1) / np.sqrt(len(runs)),
+                      np.sqrt(var / eng.n_runs))
+        z = (part(eng.mean_delta[1, carried]) - part(runs).mean(axis=0)) / se
         assert np.all(np.abs(z) <= 4), z
 
 
@@ -299,14 +302,16 @@ def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_pa
     assert not any(spy.called for spy in spies.values())
     exact = _ap1_row(p, build_plan(p, scheme))
     assert np.array_equal(stats.mean_delta, exact)
-    assert all(np.array_equal(group, exact) for group in stats.group_means)
+    assert stats.cov.shape == (0, 0) and stats.cols.size == 0
 
 
-def test_group_bookkeeping_is_independent_of_the_run_count(params):
+def test_ap1_only_cell_memory_is_independent_of_the_run_count(params):
     # an ap1_only cell draws nothing, so it holds nothing per run either
     stats, peak = traced_peak(monte_carlo_delta, params, "ap1_only", 10**7, 3)
-    assert peak < 2**20
-    assert stats.group_counts.sum() == 10**7 and np.ptp(stats.group_counts) == 0
+    assert peak < 2**20 and stats.n_runs == 10**7
+    assert all(np.size(v) <= stats.mean_delta.size for v in vars(stats).values())
+    (se, stderr), peak = traced_peak(run_cell, params, "ap1_only", 10**7, 3)
+    assert peak < 2**20 and stderr == 0.0
 
 
 def test_oracles_share_no_code_with_the_engine():

@@ -10,10 +10,11 @@ import pytest
 from otasync import compensation, experiment
 from otasync.cli import cli_main
 from otasync.channel import batched_op_norms
-from otasync.compensation import CHUNK_SIZE, N_GROUPS, monte_carlo_delta
+from otasync.compensation import CHUNK_SIZE, build_plan, monte_carlo_delta
 from otasync.config import ConfigError, default_params, dump_config
 from otasync.experiment import ResultRow, SweepSpec, cell_seed, emit_csv, fig2_sweep, \
     fig3_sweep, parse_sweep, run_cell, run_sweep
+from otasync.rate import se_gradient
 from tests.oracles import csv_without_wall_time, parse_result_csv
 
 QUICK = SweepSpec(f_values=(1, 2), schemes=("kalman", "direct", "ap1_only"),
@@ -189,56 +190,54 @@ def test_run_cell_builds_one_plan(scheme, params, monkeypatch):
     assert sum(build.call_count for build in builds.values()) == 1
 
 
-@pytest.mark.parametrize("scheme, n", [("ap1_only", 2), ("ap1_only", 500), ("ap1_only", 1100),
-                                       ("kalman", 1100)], ids=["2", "500", "1100", "kalman-1100"])
-def test_stderr_groups_are_consecutive_runs(scheme, n, params, monkeypatch):
-    # min(10, n) groups of consecutive runs, sizes differing by at most one,
-    # so the stderr is finite below one chunk (1024 runs); with one run per
-    # group it is NaN, as every group's |E[Delta]| is the position's weight
+def test_covariance_matches_per_run_values(params, monkeypatch):
+    # the per-run covariance of [Re; Im] of AP 2's segment values, by hand
+    # from the chunks' own values; 1100 runs straddle the chunk boundary at
+    # run 1024
     simulate = compensation._simulate_chunk
     spy = Mock(wraps=simulate)
     monkeypatch.setattr(compensation, "_simulate_chunk", spy)
-    stats = monte_carlo_delta(params, scheme, n, 8)
-    n_groups = len(stats.group_counts)
-    assert stats.group_counts.sum() == n and n_groups == min(10, n)
-    assert np.ptp(stats.group_counts) <= 1
-    weighted = np.tensordot(stats.group_counts, stats.group_means, axes=1) / n
-    assert np.allclose(weighted, stats.mean_delta, rtol=0.0, atol=1e-12)
-    assert spy.called == (scheme == "kalman")
-    if spy.called:
-        # group g holds runs ceil(g n / G) .. ceil((g + 1) n / G) - 1; at 1100
-        # runs group 9 straddles the chunk boundary at run 1024
-        geom = spy.call_args.args[0]
-        delta = np.concatenate([simulate(*call.args) for call in spy.call_args_list], axis=1)
-        bounds = -(-np.arange(n_groups + 1) * n // n_groups)
-        for g in range(n_groups):
-            expect = delta[:, bounds[g]:bounds[g + 1]].mean(axis=1)[geom.segment] * geom.weight
-            assert np.allclose(stats.group_means[g, 1, geom.pos - 1], expect,
-                               rtol=0.0, atol=1e-12)
-    se, stderr = run_cell(params, scheme, n, 8)
-    if n < 2 * N_GROUPS:
-        assert math.isnan(stderr)
-    else:
-        assert math.isfinite(stderr) and 0 <= stderr < 0.1
+    n = 1100
+    stats = monte_carlo_delta(params, "kalman", n, 8)
+    assert spy.call_count == 2
+    geom = spy.call_args.args[0]
+    delta = np.concatenate([simulate(*call.args) for call in spy.call_args_list], axis=1)
+    assert delta.shape == (len(geom.segments), n) and stats.n_runs == n
+    assert np.allclose(stats.cov, np.cov(np.concatenate((delta.real, delta.imag))),
+                       rtol=1e-9, atol=1e-15)
+    assert np.allclose(stats.mean_delta[1, geom.pos - 1], delta.mean(axis=1)[geom.segment]
+                       * geom.weight, rtol=0.0, atol=1e-12)
+    # the map from segments to AP 2's positions is the geometry's
+    assert np.array_equal(stats.cols, geom.pos - 1)
+    assert np.array_equal(stats.segment, geom.segment)
+    assert np.array_equal(stats.weight, geom.weight)
+    # and the stderr is the spread of each run's SE, linearized at the mean
+    grad = se_gradient(params, build_plan(params, "kalman"), stats.mean_delta)[1, geom.pos - 1]
+    per_run = (np.conj(grad) * delta[geom.segment].T * geom.weight).real.sum(axis=1)
+    assert run_cell(params, "kalman", n, 8)[1] == pytest.approx(
+        per_run.std(ddof=1) / math.sqrt(n), rel=1e-9)
+
+
+def test_stderr_needs_two_runs_where_the_cell_draws(params):
+    # one run has no spread to read: NaN, with no warning; two runs do
+    assert math.isnan(run_cell(params, "kalman", 1, 8)[1])
+    assert 0 < run_cell(params, "kalman", 2, 8)[1] < 0.5
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.04])
 def test_ap1_only_stderr_is_exactly_zero(noise, params):
-    # AP 1's table is exact, so every batch-mean group agrees bit for bit;
-    # below 20 runs a group holds one run and the stderr stays NaN
+    # AP 1's table is exact and AP 2 draws nothing, at any run count
     p = dataclasses.replace(params, ue_pilot_noise_var=noise)
-    for n in (20, 1100):
+    for n in (1, 20, 1100):
         rows = run_sweep(SweepSpec(f_values=tuple(range(1, 11)), schemes=("ap1_only",),
                                    n_realizations=n, master_seed=5), p)
         assert [r.se_stderr for r in rows] == [0.0] * 10
-    assert all(math.isnan(r.se_stderr) for r in run_sweep(
-        SweepSpec(f_values=(1, 10), schemes=("ap1_only",), n_realizations=19), p))
 
 
 @pytest.mark.parametrize("scheme, snr_db, frame_len", [("kalman", -15.0, 2),
                                                        ("direct", -20.0, 1)])
 def test_stderr_is_calibrated(scheme, snr_db, frame_len):
-    # the batch-means stderr against the spread of se_mean over 40 seeds; the
+    # the delta-method stderr against the spread of se_mean over 40 seeds; the
     # sd of 40 draws is itself uncertain by about 11%, hence the wide band
     p = default_params(frame_len=frame_len).with_snr_ap_db(snr_db)
     cells = np.array([run_cell(p, scheme, 1100, seed) for seed in range(9000, 9040)])
@@ -324,14 +323,18 @@ CELL = "otasync: cell c_nu = {}, snr_ap_db = {}, F = 1: "
 CEILING = "the variance ceiling 2^1000"
 MEAS_VAR = "rho_ap * beta_g = {} is below 2^-939, where 1/(rho_ap ||G||^2) can exceed " + CEILING
 ZETA = "sigma_zeta^2 = 432 sigma_nu^2 = inf exceeds " + CEILING
+UPPER = "beta_g = {} and rho_ap = 200 at N = {}: ||G||^2 or rho_ap ||G||^2 can exceed " + CEILING
 # derived variances past the ceiling, each as (config, sweep lines, cell,
-# message, trace config, trace message): an SNR whose beta_g is subnormal,
-# and a c_nu whose sigma_nu^2 is finite but sigma_zeta^2 is not
+# message, trace config, trace message): an SNR whose beta_g is subnormal, a
+# c_nu whose sigma_nu^2 is finite but sigma_zeta^2 is not, and a beta_g whose
+# ||G||^2 (in the trace) or rho_ap ||G||^2 (in the sweep) can overflow
 OVERFLOWS = [
     (None, "snr_ap_db = -15, -3200", ("5e-18", -3200), MEAS_VAR.format("9.88e-321"),
      "beta_g = -3200 dB", MEAS_VAR.format("2e-318")),
     ("f_c = 1\nf_s = 1", "c_nu_values = 5e-18, 1e305", ("1e+305", -15), ZETA,
      "f_c = 1\nf_s = 1\nc_nu = 1e305", ZETA),
+    ("n_antennas = 128", "snr_ap_db = -15, 3080", ("5e-18", 3080), UPPER.format("5e+305", 128),
+     "beta_g = 1e308", UPPER.format("1e+308", 64)),
 ]
 
 CLI_REJECTS = [

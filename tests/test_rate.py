@@ -6,7 +6,7 @@ import pytest
 
 from otasync.compensation import monte_carlo_delta, build_plan
 from otasync.config import default_params
-from otasync.rate import RateBreakdown, per_position_rates, rate_at_position, \
+from otasync.rate import RateBreakdown, per_position_rates, rate_at_position, se_gradient, \
     spectral_efficiency
 from otasync.timeline import SamplePlan, build_conventional_slot, build_frame_schedule
 from tests.conftest import small_instance, traced_peak
@@ -17,7 +17,8 @@ def _at(params, k, a, mean_delta) -> RateBreakdown:
     """Breakdown for UE k (1-based) at one position with indicators a."""
     b = rate_at_position(params, np.reshape(a, (2, 1)), np.reshape(mean_delta, (2, 1)))
     return RateBreakdown(*(float(x[k - 1, 0]) for x in
-                           (b.ds_power, b.bu_power, b.ui_power, b.rate_bits)))
+                           (b.ds_power, b.bu_power, b.ui_power, b.rate_bits)),
+                         signal=complex(b.signal[k - 1, 0]))
 
 
 def test_rate_zero_when_no_ap_transmits(params):
@@ -180,8 +181,7 @@ def test_per_position_rates_match_scalar_oracle(scheme, make_params):
     # is exactly 0 elsewhere
     p = dataclasses.replace(make_params(), frame_len=2)
     plan = build_plan(p, scheme)
-    stats = monte_carlo_delta(p, scheme, 40, 9)
-    tables = np.concatenate((stats.mean_delta[None], stats.group_means[:2]))
+    tables = np.stack([monte_carlo_delta(p, scheme, 40, seed).mean_delta for seed in (9, 10)])
     rates = per_position_rates(p, plan, tables)
     mask = plan.data_mask()
     expect = np.zeros_like(rates)
@@ -208,15 +208,42 @@ def test_rate_tables_reject_a_mis_shaped_input(params):
 
 
 def test_rate_stage_memory_is_bounded():
-    # an 11-table stack at F=10, K=10 peaks within 4x the full-width float64
-    # rate table (3.36 MiB)
+    # one table's rate stage at F=10, K=10 peaks within 4x the full-width
+    # float64 rate table (313 KiB)
     p = default_params(frame_len=10)
     plan = build_plan(p, "kalman")
-    stats = monte_carlo_delta(p, "kalman", 20, 4)
-    tables = np.concatenate((stats.mean_delta[None], stats.group_means))
-    assert tables.shape == (11, 2, 1000)
-    _, peak = traced_peak(lambda: spectral_efficiency(plan, per_position_rates(p, plan, tables)))
-    assert peak <= 4 * 11 * p.n_ues * plan.n_samples * 8
+    table = monte_carlo_delta(p, "kalman", 20, 4).mean_delta
+    _, peak = traced_peak(lambda: spectral_efficiency(plan, per_position_rates(p, plan, table)))
+    assert peak <= 4 * p.n_ues * plan.n_samples * 8
+
+
+@pytest.mark.parametrize("frame_len", [1, 2, 10])
+@pytest.mark.parametrize("scheme", ["kalman", "direct"])
+@pytest.mark.parametrize("make_params", [default_params, _hetero_params],
+                         ids=["default", "hetero"])
+def test_se_gradient_matches_central_differences(make_params, scheme, frame_len):
+    # d SE / d Re E[Delta] + j d SE / d Im E[Delta] of a real table, at
+    # columns drawn from both rows, against central differences of the rate
+    # stage; exactly 0 off each AP's payload
+    p = dataclasses.replace(make_params(), frame_len=frame_len)
+    plan = build_plan(p, scheme)
+    table = monte_carlo_delta(p, scheme, 300, 5).mean_delta
+    grad = se_gradient(p, plan, table)
+    assert grad.shape == table.shape and np.all(grad[~plan.data_mask()] == 0)
+
+    def se(t):
+        return spectral_efficiency(plan, per_position_rates(p, plan, t)).mean()
+
+    h, tol = 1e-6, 1e-6 * np.abs(grad).max()
+    rng = np.random.default_rng(frame_len)
+    for row in (0, 1):
+        for col in (*rng.choice(plan.n_samples, 12, replace=False),
+                    *np.flatnonzero(plan.data_mask()[row])[[0, -1]]):
+            for unit, part in ((1, np.real), (1j, np.imag)):
+                step = np.zeros_like(table)
+                step[row, col] = h * unit
+                diff = (se(table + step) - se(table - step)) / (2 * h)
+                assert abs(diff - part(grad[row, col])) <= tol, (row, col, unit)
 
 
 def test_synthetic_delta_moments():

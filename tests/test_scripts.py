@@ -80,8 +80,11 @@ def test_bench_rate_report(report):
     columns = [("kalman", 1, 43), ("kalman", 10, 412), ("ap1_only", 1, 41), ("ap1_only", 10, 410)]
     assert [(r["params"], r["scheme"], r["F"], r["payload_columns"]) for r in report["rate"]] == \
         [(name, *c) for name in ("default", "hetero") for c in columns]
+    # one table, and its gradient where AP 2's S = F + 1 segments are drawn
     for r in report["rate"]:
-        assert r["tables"] == 11 and 0 < r["se_mean"] < 10
+        drawn = r["scheme"] == "kalman"
+        assert r["segments"] == (r["F"] + 1 if drawn else 0) and 0 < r["se_mean"] < 10
+        assert (0 < r["max_abs_gradient"] < 1) if drawn else (r["max_abs_gradient"] == 0.0)
 
 
 def test_bench_presets_report(report):
@@ -92,3 +95,11 @@ def test_bench_presets_report(report):
         assert r["cells"] == 50 and set(r["cell_s_by_scheme"]) == {"kalman", "direct", "ap1_only"}
         assert r["cell_s"] == pytest.approx(sum(r["cell_s_by_scheme"].values()))
         assert 0 < r["cell_s"] < r["wall_s"]
+        # stderr^2 x cell time per scheme, and each cell's time to the target
+        # stderr, which sum to it: 0 for ap1_only, whose table is exact
+        units, target_s = r["stderr_sq_cell_s_by_scheme"], r["target_s_by_cell"]
+        assert set(units) == set(r["cell_s_by_scheme"]) and len(target_s) == 50
+        for scheme, unit in units.items():
+            cells = [s for key, s in target_s.items() if key.startswith(scheme + "/")]
+            assert sum(cells) * r["target_stderr"] ** 2 == pytest.approx(unit)
+            assert (unit > 0) if scheme != "ap1_only" else (unit == 0.0)
