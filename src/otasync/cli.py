@@ -124,6 +124,9 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"otasync: cannot read config: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # e.g. MemoryError allocating its (K, 2) tables
+        print(f"otasync: cannot load config: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
     tmp = None
     try:

@@ -21,6 +21,7 @@ only AP 2's is drawn. Tests check it against a slow full-chain reference.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,10 @@ from .channel import batched_op_norms
 from .config import ConfigError, SystemParams, derive_sigma_nu
 from .phase_noise import wiener_values_at
 from .timeline import SamplePlan, build_ap1_only_schedule, build_frame_schedule
-from .tracking import check_variances, derive_noise_model, kalman_gain, kalman_init, \
-    kalman_update, representative_ue
-from .tracking import wrap  # noqa: F401  unused here; perfbench/tracer.py rebinds it by name
+from .tracking import TRACKERS, check_variances, derive_noise_model, representative_ue, track
+from .tracking import kalman_gain, wrap  # noqa: F401  perfbench/tracer.py rebinds them by name
 
-SCHEMES = ("kalman", "direct", "ap1_only")
+SCHEMES = TRACKERS + ("ap1_only",)
 
 WARMUP_FRAMES = 20       # tracker transient discarded before Delta accumulation (>= 2)
 CHUNK_SIZE = 1024        # runs per vectorized chunk (fixed: part of the RNG stream)
@@ -162,17 +162,21 @@ def draw_op_norms(params: SystemParams, seed: int, n_runs: int) -> np.ndarray:
     return norms
 
 
-def _sync_errors(rng, op_norm, rho_ap, n_frames):
-    """e_12 - e_21 per frame, shape (n_frames,) + op_norm's shape: the errors
-    of the two directions of the sync measurement. Each direction measures
-    angle(sqrt(rho) ||G||^2 e^{j alpha} + ||G|| CN(0, 1)), the exact 1-D
-    projection of the matched filter; CN(0, 1) is invariant under rotation,
-    so that is alpha + arctan2(b, sqrt(2 rho) ||G|| + a) modulo 2 pi, with
-    a, b i.i.d. N(0, 1) and independent of alpha."""
-    a, b = rng.standard_normal((2, 2, n_frames) + np.shape(op_norm))
+def _measurements(rng, d_sync, op_norm, rho_ap):
+    """Each frame's sync measurement D(i1) + D(i2) + e_12 - e_21, shape
+    (n_frames,) + op_norm's shape, from D = nu_2 - nu_1 at (i1, i2), d_sync of
+    shape op_norm's shape + (n_frames, 2), and the errors of the two directions,
+    drawn here: each measures angle(sqrt(rho) ||G||^2 e^{j alpha} + ||G||
+    CN(0, 1)), the exact 1-D projection of the matched filter; CN(0, 1) is
+    invariant under rotation, so that is alpha + arctan2(b, sqrt(2 rho) ||G||
+    + a) modulo 2 pi, with a, b i.i.d. N(0, 1) and independent of alpha."""
+    obs = np.moveaxis(d_sync.sum(axis=-1), -1, 0)
+    a, b = rng.standard_normal((2, 2, len(obs)) + np.shape(op_norm))
     a += np.sqrt(2 * rho_ap) * op_norm
     err = np.arctan2(b, a, out=a)
-    return err[1] - err[0]
+    err[1] -= err[0]
+    obs += err[1]
+    return obs
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
@@ -194,24 +198,16 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     p, W = geom.params, WARMUP_FRAMES
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(chunk_index,)))
 
-    # D at i1 and i2 of frames 0..W-2, then both paths on the cell's grid;
-    # obs[f] = D(i1) + D(i2) + e_12 - e_21
+    # D at i1 and i2 of frames 0..W-2, then both paths on the cell's grid
     d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, n_runs), geom.d_gaps,
                          2 * geom.sigma_nu_sq)
     nu = wiener_values_at(rng, np.stack((np.zeros(n_runs), d[:, -1])), geom.gaps,
                           geom.sigma_nu_sq)
     d = np.concatenate((d, (nu[1] - nu[0])[:, geom.sync_cols]), axis=1)
-    obs = d.reshape(n_runs, W + 1, 2).sum(axis=2).T \
-        + _sync_errors(rng, op_norm, p.rho_ap, W + 1)
-
-    if geom.scheme == "kalman":
-        model = derive_noise_model(p, op_norm)
-        state = kalman_init(obs[0], model)
-        for f in range(1, W + 1):
-            prev, state = state, kalman_update(state, obs[f], model)
-        theta = np.stack((prev.alpha_hat, state.alpha_hat))
-    else:    # direct: a fresh filter start each frame passes obs through
-        theta = obs[W - 1:]
+    obs = _measurements(rng, d.reshape(n_runs, W + 1, 2), op_norm, p.rho_ap)
+    # tracker outputs of frames W-1 and W
+    theta = np.stack([s.alpha_hat for s in deque(
+        track(obs, derive_noise_model(p, op_norm), geom.scheme), maxlen=2)])
     # psi by slot: row 0 carried over from frame W-1's slot F, rows 1..F set in frame W
     nu1, nu2 = nu[0].T, nu[1].T
     pilot, krep = geom.psi_cols
@@ -282,9 +278,8 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     alpha_true): the raw combined measurement, the tracker output, its model
     variance and gain, and the true inter-array phase difference at i2.
     """
-    traceable = ("kalman", "direct")
-    if scheme not in traceable:
-        raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {traceable}")
+    if scheme not in TRACKERS:
+        raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {TRACKERS}")
     if n_frames < 1:
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
     if master_seed < 0:
@@ -293,26 +288,16 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
     check_variances(params)
     op_norm = float(draw_op_norms(params, master_seed, 1)[0])
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
-    model = derive_noise_model(params, op_norm)
     # every value read is D = nu_2 - nu_1, at the representative UE's pilot,
     # i1 and i2, modulo 2 pi (see _simulate_chunk)
     pilot = plan.pilot_samples[0, representative_ue(params.n_ues) - 1]
     at = (np.arange(n_frames)[:, None] * plan.n_samples + [pilot, *plan.sync_samples]).ravel()
     d = wiener_values_at(rng, rng.uniform(-np.pi, np.pi, 1), np.diff(at, prepend=1),
                          2 * derive_sigma_nu(params)).reshape(n_frames, 3)
-    obs = d[:, 1] + d[:, 2] + _sync_errors(rng, op_norm, params.rho_ap, n_frames)
-
-    state = None
-    rows = []
-    for f in range(n_frames):
-        fresh = f == 0 or scheme == "direct"
-        prev, state = state, kalman_init(obs[f], model) if fresh \
-            else kalman_update(state, obs[f], model)
-        kappa = 1.0 if fresh else kalman_gain(prev.p_var, model)
-        rows.append(dict(n=f + 1, obs=float(obs[f]), alpha_hat=float(state.alpha_hat),
-                         p_var=float(state.p_var), kappa=float(kappa),
-                         alpha_true=float(d[f, 2] + d[f, 0])))
-    return rows
+    obs = _measurements(rng, d[:, 1:], op_norm, params.rho_ap)
+    return [dict(n=f + 1, obs=float(obs[f]), alpha_hat=float(s.alpha_hat), p_var=float(s.p_var),
+                 kappa=float(s.kappa), alpha_true=float(d[f, 2] + d[f, 0]))
+            for f, s in enumerate(track(obs, derive_noise_model(params, op_norm), scheme))]
 
 
 def dump_trace_csv(rows) -> str:

@@ -128,6 +128,10 @@ def _check_counts(fields):
             raise ConfigError(f"{name} must be a positive integer, got {fields[name]}")
     if fields["tau_g"] < 0:
         raise ConfigError(f"tau_g must be nonnegative, got {fields['tau_g']}")
+    # each count sizes an array or indexes samples
+    for name in ("n_antennas", "n_ues", "tau_c", "tau_u", "tau_g", "tau_d", "frame_len"):
+        if fields[name] > np.iinfo(np.intp).max:
+            raise ConfigError(f"{name} exceeds the largest array index {np.iinfo(np.intp).max}")
 
 
 def _as_table(value, n_ues: int, name: str) -> np.ndarray:

@@ -13,6 +13,8 @@ import numpy as np
 from .config import ConfigError, SystemParams, derive_sigma_nu
 from .timeline import sync_instants
 
+TRACKERS = ("kalman", "direct")   # the schemes that track the sync measurements
+
 
 def wrap(angle):
     """Map to [-pi, pi): ((angle + pi) mod 2pi) - pi. Accepts scalars/arrays."""
@@ -104,11 +106,12 @@ def derive_noise_model(params: SystemParams, op_norm) -> NoiseModel:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Tracker output and its model variance: scalars for one run, or arrays
-    with one entry per run."""
+    """Tracker output, its model variance and the gain that formed it (1 at a
+    fresh start): scalars for one run, or arrays with one entry per run."""
 
     alpha_hat: float | np.ndarray
     p_var: float | np.ndarray
+    kappa: float | np.ndarray = 1.0
 
 
 def kalman_init(first_obs, model: NoiseModel) -> KalmanState:
@@ -129,4 +132,16 @@ def kalman_update(state: KalmanState, obs, model: NoiseModel) -> KalmanState:
     kappa = kalman_gain(state.p_var, model)
     alpha_hat = state.alpha_hat + kappa * wrap(obs - state.alpha_hat)
     p_var = state.p_var - kappa * (state.p_var + model.sigma_xi_sq) + model.sigma_zeta_sq
-    return KalmanState(alpha_hat=alpha_hat, p_var=p_var)
+    return KalmanState(alpha_hat=alpha_hat, p_var=p_var, kappa=kappa)
+
+
+def track(obs, model: NoiseModel, scheme: str):
+    """Run scheme's tracker over obs, one measurement per frame along the
+    first axis, and yield each frame's KalmanState. kalman starts from the
+    first measurement and updates on each later one; direct starts afresh in
+    every frame, so its output is that frame's measurement, with gain 1."""
+    state = None
+    for row in obs:
+        state = kalman_init(row, model) if state is None or scheme == "direct" \
+            else kalman_update(state, row, model)
+        yield state

@@ -9,7 +9,7 @@ import pytest
 
 from otasync import compensation
 from otasync.compensation import CHUNK_SIZE, WARMUP_FRAMES, _ap1_row, _cell_geometry, \
-    _sync_errors, build_plan, draw_op_norms, monte_carlo_delta, run_phase_trace
+    _measurements, build_plan, draw_op_norms, monte_carlo_delta, run_phase_trace
 from otasync.config import default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
@@ -138,7 +138,8 @@ def test_alpha_free_sync_error_has_the_projection_law(snr_ap_db):
     proj = np.angle(np.sqrt(p.rho_ap) * op_norm**2 * np.exp(1j * alpha)
                     + complex_normal(rng, (2, n), op_norm**2)) - alpha
     ref = wrap(proj[1] - proj[0])
-    eng = wrap(_sync_errors(np.random.default_rng(62), np.full(n, op_norm), p.rho_ap, 1)[0])
+    eng = wrap(_measurements(np.random.default_rng(62), np.zeros((n, 1, 2)), np.full(n, op_norm),
+                             p.rho_ap)[0])   # D = 0: the measurement is e_12 - e_21
     assert ks_distance(ref, eng) < 1.949 * np.sqrt(2 / n)
     cos_ref, cos_eng = np.cos(ref), np.cos(eng)
     assert abs(cos_ref.mean() - cos_eng.mean()) < 3 * np.sqrt((cos_ref.var() + cos_eng.var()) / n)

@@ -291,6 +291,17 @@ def test_cli_runtime_failure_exits_2(exc, tmp_path, monkeypatch, capsys):
     assert out.read_text() == "earlier\n" and list(tmp_path.iterdir()) == [out]
 
 
+def test_cli_config_past_memory_exits_2(tmp_path, capsys):
+    # 2^58 UEs pass every count check, but their (K, 2) tables need 4 EiB, past
+    # any address space, so the allocation fails at once: one line, no traceback
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(f"n_ues = {2**58}\ntau_c = {2**58 + 100}\n")
+    assert cli_main(["--config", str(cfg), "--dump-plan", "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"otasync: cannot load config: \w*MemoryError: [^\n]*\n", err)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def row(*argv, config=None, sweep=None, code=2, err, id=None):
     """One bad input: config and sweep texts (bytes need an id), flags, exit code, stderr."""
     if id is None:
@@ -315,6 +326,7 @@ FLOAT = "could not convert string to float: {!r}"
 INT = "invalid literal for int() with base 10: {!r}"
 UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
 NOT_FILLED = "slot does not fill exactly: tau_p + tau_u + tau_d + 2*tau_g = {} != tau_c = 100"
+INDEX_MAX = np.iinfo(np.intp).max
 NONFINITE = {"beta_ue": "beta_ue entries must be positive and finite",
              "eta": "eta entries must be nonnegative and finite",
              "ue_pilot_noise_var": "ue_pilot_noise_var must be nonnegative and finite"}
@@ -393,6 +405,11 @@ CLI_REJECTS = [
       for key in ("rho_ue", "rho_ap", "beta_g", "beta_ue")],
     config("tau_c = 100dB", MALFORMED.format(1, "tau_c", "'tau_c' does not accept a dB value")),
     *[config(f"n_ues = {k}", f"n_ues must be a positive integer, got {k}") for k in (0, -2)],
+    # a count past the largest array index, which would size an array or index samples
+    *[row(mode, config=f"{key} = {10 ** exp}", id=f"config {key} = 10^{exp} {mode}",
+          err=f"otasync: invalid config: {key} exceeds the largest array index {INDEX_MAX}")
+      for key, exp, mode in (("n_antennas", 400, "--dump-trace"), ("n_ues", 400, "--dump-plan"),
+                             ("tau_c", 30, "--dump-plan"), ("frame_len", 400, "--dump-trace"))],
     config("tau_u = 45\ntau_d = 45", NOT_FILLED.format(106)),
     config("tau_u = 42\ntau_d = 41", NOT_FILLED.format(99)),
     *[config(f"{key} = {bad}", NONFINITE[key]) for key in NONFINITE for bad in ("nan", "inf")],

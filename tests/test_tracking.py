@@ -5,7 +5,7 @@ import pytest
 
 from otasync.config import default_params
 from otasync.tracking import KalmanState, NoiseModel, derive_noise_model, kalman_gain, \
-    kalman_init, kalman_update, noise_coefficients, representative_ue, wrap
+    kalman_init, kalman_update, noise_coefficients, representative_ue, track, wrap
 from tests.conftest import SIGMA_REF
 
 
@@ -91,6 +91,7 @@ def test_kalman_per_run_arrays_match_scalar_steps():
     state = kalman_init(obs[0], model)
     for row in obs[1:]:
         state = kalman_update(state, row, model)
+    kalman = list(track(obs, model, "kalman"))
     for r in range(6):
         one = derive_noise_model(p, float(op_norm[r]))
         ref = kalman_init(float(obs[0, r]), one)
@@ -98,6 +99,21 @@ def test_kalman_per_run_arrays_match_scalar_steps():
             ref = kalman_update(ref, float(row[r]), one)
         assert state.alpha_hat[r] == ref.alpha_hat
         assert state.p_var[r] == ref.p_var
+        # track runs the same recursion on one run as on many
+        assert [(s.alpha_hat, s.p_var, s.kappa) for s in track(obs[:, r], one, "kalman")] \
+            == [(s.alpha_hat[r], s.p_var[r], np.broadcast_to(s.kappa, 6)[r]) for s in kalman]
+    # track's kalman ends at the loop's state, and each frame's gain is
+    # kalman_gain of the previous frame's variance (1 at the start)
+    assert np.array_equal(kalman[-1].alpha_hat, state.alpha_hat)
+    assert np.array_equal(kalman[-1].p_var, state.p_var)
+    assert kalman[0].kappa == 1.0
+    for prev, cur in zip(kalman, kalman[1:]):
+        assert np.array_equal(cur.kappa, kalman_gain(prev.p_var, model))
+    # direct passes every measurement through, with gain 1
+    direct = list(track(obs, model, "direct"))
+    assert len(direct) == len(obs)
+    for row, s in zip(obs, direct):
+        assert np.array_equal(s.alpha_hat, row) and s.kappa == 1.0
     with pytest.raises(ValueError):
         derive_noise_model(p, np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
