@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from .compensation import SCHEMES, build_plan, dump_trace_csv, run_phase_trace
 from .config import ConfigError, default_params, load_config_file
-from .experiment import _SWEEP_KEYS, DEFAULT_SWEEP, SweepSpec, emit_csv, fig2_sweep, \
-    fig3_sweep, parse_sweep, run_sweep
+from .experiment import _SWEEP_KEYS, DEFAULT_SWEEP, FIG2, FIG3, SweepSpec, emit_csv, \
+    parse_sweep, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,9 +82,9 @@ def _write(text: str, out_path, tmp):
 
 def _resolve_sweep(args, schemes) -> SweepSpec:
     if args.fig2:
-        spec = fig2_sweep()
+        spec = FIG2
     elif args.fig3:
-        spec = fig3_sweep()
+        spec = FIG3
     elif args.sweep:
         try:
             with open(args.sweep, "r", encoding="utf-8") as fh:

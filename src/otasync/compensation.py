@@ -270,8 +270,7 @@ def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
                       segment=geom.segment, weight=geom.weight)
 
 
-def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
-                    scheme: str = "kalman"):
+def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int, scheme: str):
     """Single-run per-frame tracker diagnostics.
 
     Returns a list of dicts with keys (n, obs, alpha_hat, p_var, kappa,
@@ -282,6 +281,8 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int,
         raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {TRACKERS}")
     if n_frames < 1:
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
+    if n_frames > np.iinfo(np.intp).max:
+        raise ConfigError(f"trace needs at most {np.iinfo(np.intp).max} frames, got {n_frames}")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
     plan = build_plan(params, scheme)

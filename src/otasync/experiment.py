@@ -56,22 +56,18 @@ class SweepSpec:
             bad = [v for v in (values if isinstance(values, tuple) else (values,)) if not ok(v)]
             if bad:
                 raise ConfigError(f"{key} must be {rule}, got {', '.join(map(str, bad))}")
+        if self.n_realizations > np.iinfo(np.intp).max:   # it sizes the op-norm draws
+            raise ConfigError("n_realizations exceeds the largest array index "
+                              f"{np.iinfo(np.intp).max}")
 
 
 DEFAULT_SWEEP = SweepSpec(f_values=(1, 2, 3), n_realizations=500)
 
 
-def fig2_sweep(n_realizations: int = 10_000, master_seed: int = 1) -> SweepSpec:
-    """Frame-length sweep for the better oscillator (c_nu = 5e-18) at
-    inter-array SNRs of -15 and -20 dB, all three schemes."""
-    return SweepSpec(f_values=tuple(range(1, 11)), schemes=SCHEMES,
-                     snr_ap_db=(-15.0, -20.0), c_nu_values=(5e-18,),
-                     n_realizations=n_realizations, master_seed=master_seed)
-
-
-def fig3_sweep(n_realizations: int = 10_000, master_seed: int = 1) -> SweepSpec:
-    """Same sweep with the lower-quality oscillator (c_nu = 1.58e-17)."""
-    return replace(fig2_sweep(n_realizations, master_seed), c_nu_values=(1.58e-17,))
+# the paper's frame-length sweeps, all three schemes at inter-array SNRs of
+# -15 and -20 dB: the better oscillator (c_nu = 5e-18), then the lower-quality one
+FIG2 = SweepSpec(f_values=tuple(range(1, 11)), snr_ap_db=(-15.0, -20.0), n_realizations=10_000)
+FIG3 = replace(FIG2, c_nu_values=(1.58e-17,))
 
 
 _SWEEP_KEYS = {

@@ -139,9 +139,14 @@ def track(obs, model: NoiseModel, scheme: str):
     """Run scheme's tracker over obs, one measurement per frame along the
     first axis, and yield each frame's KalmanState. kalman starts from the
     first measurement and updates on each later one; direct starts afresh in
-    every frame, so its output is that frame's measurement, with gain 1."""
+    every frame, so its output is that frame's measurement, with gain 1 and
+    kalman_init's variance, which is the same in every frame of one call."""
     state = None
     for row in obs:
-        state = kalman_init(row, model) if state is None or scheme == "direct" \
-            else kalman_update(state, row, model)
+        if state is None:
+            state = kalman_init(row, model)
+        elif scheme == "direct":
+            state = KalmanState(alpha_hat=row, p_var=state.p_var)
+        else:
+            state = kalman_update(state, row, model)
         yield state

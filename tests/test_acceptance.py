@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from otasync.config import default_params
-from otasync.experiment import emit_csv, fig2_sweep, fig3_sweep, run_cell, run_sweep, \
-    SweepSpec
+from otasync.experiment import FIG2, FIG3, emit_csv, run_cell, run_sweep, SweepSpec
 from otasync.timeline import Activity, build_frame_schedule, sync_instants
 from otasync.tracking import NoiseModel, kalman_gain, kalman_update, KalmanState, \
     noise_coefficients, wrap
@@ -157,8 +156,9 @@ def test_criterion_07_determinism():
 def _preset_table():
     """{(fig, scheme, snr or None, F): row} of both presets, in row order."""
     p, table = default_params(), {}
-    for fig, sweep in (("fig2", fig2_sweep), ("fig3", fig3_sweep)):
-        for r in run_sweep(sweep(N_REAL, master_seed=ACCEPT_SEED), p):
+    for fig, spec in (("fig2", FIG2), ("fig3", FIG3)):
+        spec = dataclasses.replace(spec, n_realizations=N_REAL, master_seed=ACCEPT_SEED)
+        for r in run_sweep(spec, p):
             snr = None if math.isnan(r.snr_ap_db) else r.snr_ap_db
             table[(fig, r.scheme, snr, r.frame_len)] = r
     return table

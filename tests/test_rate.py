@@ -85,7 +85,7 @@ def _hetero_params():
 @pytest.mark.parametrize("make_params", [default_params, _hetero_params],
                          ids=["default", "hetero"])
 def test_rate_table_matches_scalar_reference(make_params):
-    # every (stack, k, position) of the vectorized table against the scalar
+    # every (table, k, position) of the vectorized tables against the scalar
     # per-UE loop; positions cover both APs, each AP alone and no AP
     p = make_params()
     rng = np.random.default_rng(32)
@@ -95,16 +95,16 @@ def test_rate_table_matches_scalar_reference(make_params):
     mod = rng.uniform(0.0, 1.0, (3, 2, n))
     mod[0, :, 4] = 1.0
     mean_delta = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, 2, n)))
-    b = rate_at_position(p, a, mean_delta)
-    assert b.ds_power.shape == (3, p.n_ues, n)
-    for s in range(3):
+    for table in mean_delta:
+        b = rate_at_position(p, a, table)
+        assert b.ds_power.shape == b.ui_power.shape == (p.n_ues, n)
         for k in range(1, p.n_ues + 1):
             for pos in range(n):
-                ds, bu, ui = closed_form_powers(p, k, a[:, pos], mean_delta[s, :, pos])
-                np.testing.assert_allclose(b.ds_power[s, k - 1, pos], ds, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(b.bu_power[s, k - 1, pos] + b.ui_power[s, k - 1, pos],
+                ds, bu, ui = closed_form_powers(p, k, a[:, pos], table[:, pos])
+                np.testing.assert_allclose(b.ds_power[k - 1, pos], ds, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(b.bu_power[k - 1, pos] + b.ui_power[k - 1, pos],
                                            bu + ui, rtol=1e-12, atol=0)
-    assert np.all(b.rate_bits[:, :, ~a.any(axis=0)] == 0.0)
+        assert np.all(b.rate_bits[:, ~a.any(axis=0)] == 0.0)
 
 
 def test_spectral_efficiency_zero(params):
@@ -176,29 +176,29 @@ def test_per_position_rates_layout(params):
                          ids=["default", "hetero"])
 @pytest.mark.parametrize("scheme", ["kalman", "ap1_only"])
 def test_per_position_rates_match_scalar_oracle(scheme, make_params):
-    # every (stack, k, position) of real F=2 plans and tables against the
+    # every (table, k, position) of real F=2 plans and tables against the
     # scalar closed form; the table is computed at payload columns only and
     # is exactly 0 elsewhere
     p = dataclasses.replace(make_params(), frame_len=2)
     plan = build_plan(p, scheme)
-    tables = np.stack([monte_carlo_delta(p, scheme, 40, seed).mean_delta for seed in (9, 10)])
-    rates = per_position_rates(p, plan, tables)
     mask = plan.data_mask()
-    expect = np.zeros_like(rates)
-    for s in range(len(tables)):
+    for seed in (9, 10):
+        table = monte_carlo_delta(p, scheme, 40, seed).mean_delta
+        rates = per_position_rates(p, plan, table)
+        expect = np.zeros_like(rates)
         for k in range(1, p.n_ues + 1):
             for pos in np.flatnonzero(mask.any(axis=0)):
-                ds, bu, ui = closed_form_powers(p, k, mask[:, pos], tables[s, :, pos])
-                expect[s, k - 1, pos] = math.log2(1.0 + ds / (bu + ui + 1.0))
-    np.testing.assert_allclose(rates, expect, rtol=1e-12, atol=0)
-    assert np.all(rates[..., ~mask.any(axis=0)] == 0.0)
+                ds, bu, ui = closed_form_powers(p, k, mask[:, pos], table[:, pos])
+                expect[k - 1, pos] = math.log2(1.0 + ds / (bu + ui + 1.0))
+        np.testing.assert_allclose(rates, expect, rtol=1e-12, atol=0)
+        assert np.all(rates[:, ~mask.any(axis=0)] == 0.0)
 
 
 def test_rate_tables_reject_a_mis_shaped_input(params):
     plan = build_plan(params, "kalman")
-    for width in (plan.n_samples + 1, plan.n_samples - 1):
+    for shape in ((2, plan.n_samples + 1), (2, plan.n_samples - 1), (3, 2, plan.n_samples)):
         with pytest.raises(ValueError, match="E\\[Delta\\]"):
-            per_position_rates(params, plan, np.ones((3, 2, width), dtype=complex))
+            per_position_rates(params, plan, np.ones(shape, dtype=complex))
     with pytest.raises(ValueError):
         per_position_rates(params, plan, np.ones(plan.n_samples, dtype=complex))
     for a in (np.ones((2, 5), dtype=bool), np.ones((1, 4), dtype=bool),

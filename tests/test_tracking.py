@@ -109,11 +109,12 @@ def test_kalman_per_run_arrays_match_scalar_steps():
     assert kalman[0].kappa == 1.0
     for prev, cur in zip(kalman, kalman[1:]):
         assert np.array_equal(cur.kappa, kalman_gain(prev.p_var, model))
-    # direct passes every measurement through, with gain 1
+    # direct passes every measurement through, with gain 1 and kalman_init's variance
     direct = list(track(obs, model, "direct"))
     assert len(direct) == len(obs)
     for row, s in zip(obs, direct):
         assert np.array_equal(s.alpha_hat, row) and s.kappa == 1.0
+        assert np.array_equal(s.p_var, kalman_init(row, model).p_var)
     with pytest.raises(ValueError):
         derive_noise_model(p, np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
