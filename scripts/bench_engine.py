@@ -9,8 +9,10 @@ BLAS on one thread; write one JSON report with a section per measurement:
   timed call (otasync.channel.bidiagonal_chi_squares). 76 runs is
   fig2-grid's tail chunk (1100 = 1024 + 76).
 - chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (each run's
-  Delta at each AP-2 segment's anchor) per synced scheme and F; the cell
-  geometry and the chunk's op norms are made outside the timed call, as
+  Delta at each AP-2 segment's anchor) per F and per group of CHUNK_GROUPS:
+  each synced scheme alone, then kalman and direct together, which draw the
+  chunk once and track it twice, as a sweep runs them; the cell geometry
+  and the chunk's op norms are made outside the timed call, as
   monte_carlo_delta makes them, and so are its run sums and cross products.
   ap1_only has no chunk: its table is exact.
 - rate: one cell's rate stage on the E[Delta] table of RATE_RUNS runs (made
@@ -22,7 +24,10 @@ BLAS on one thread; write one JSON report with a section per measurement:
   wall time and the CSV's wall_time_s summed, in all and per scheme, and per
   scheme the sum over cells of se_stderr^2 x wall_time_s: the cell time a
   stderr of 1 would take, which divided by TARGET_STDERR^2 is the time to
-  reach TARGET_STDERR (also recorded per cell).
+  reach TARGET_STDERR (also recorded per cell). kalman and direct of one
+  (c_nu, SNR, F) run as one group, whose wall time the CSV splits evenly
+  between them, so their per-scheme times are halves of shared work; kalman,
+  the first synced scheme, also carries each (c_nu, SNR)'s op-norm draw.
 
 A layer's timing is the median of its section's repeats; one more call
 records the tracemalloc peak. The report names the host and the tree it
@@ -65,7 +70,8 @@ from otasync.rate import per_position_rates, se_gradient, spectral_efficiency  #
 SEED = 1
 OPNORM_CASES = ((64, 76), (64, 1024), (128, 1024), (256, 1024), (512, 1024))
 OPNORM_REPEATS = 7
-SCHEMES, FRAME_LENGTHS, CHUNK_REPEATS = ("kalman", "direct"), (1, 10), 5
+CHUNK_GROUPS = (("kalman",), ("direct",), ("kalman", "direct"))
+FRAME_LENGTHS, CHUNK_REPEATS = (1, 10), 5
 RATE_SCHEMES, RATE_RUNS, RATE_REPEATS = ("kalman", "ap1_only"), 1024, 15
 PRESETS, PRESET_RUNS, PRESET_REPEATS = ("--fig2", "--fig3"), 10_000, 3
 TARGET_STDERR = 1e-3
@@ -106,19 +112,19 @@ def opnorm():
 def chunk():
     # repeat r runs chunk r on its slice of one draw; F changes no op norm
     norms = draw_op_norms(default_params(), SEED, CHUNK_REPEATS * CHUNK_SIZE)
-    for scheme in SCHEMES:
+    for schemes in CHUNK_GROUPS:
         for F in FRAME_LENGTHS:
             params = default_params(frame_len=F)
-            geom = _cell_geometry(params, scheme, build_plan(params, scheme))
-            timing, delta = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
-                geom, r, CHUNK_SIZE, SEED, norms[r * CHUNK_SIZE:(r + 1) * CHUNK_SIZE]))
-            # (S, runs) Delta at the anchors -> AP 2's E[Delta] per payload position
-            mean_delta = delta.mean(axis=1)[geom.segment] * geom.weight
+            geom = _cell_geometry(params, build_plan(params, schemes[0]))
+            timing, deltas = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
+                geom, r, CHUNK_SIZE, SEED, norms[r * CHUNK_SIZE:(r + 1) * CHUNK_SIZE], schemes))
+            # per scheme, (S, runs) Delta at the anchors -> AP 2's E[Delta] per payload position
+            mean_abs_delta = [float(np.abs(delta.mean(axis=1)[geom.segment] * geom.weight).mean())
+                              for delta in deltas]
             # the grid holds frames W-1 and W from frame W-1's start: count frame W's
-            yield dict(scheme=scheme, F=F, runs=CHUNK_SIZE,
+            yield dict(schemes=list(schemes), F=F, runs=CHUNK_SIZE,
                        grid_columns=int((geom.instants > F * geom.params.tau_c).sum()),
-                       segments=len(geom.segments), **timing,
-                       mean_abs_delta=float(np.abs(mean_delta).mean()))
+                       segments=len(geom.segments), **timing, mean_abs_delta=mean_abs_delta)
 
 
 def hetero_params(**overrides):
@@ -135,7 +141,7 @@ def rate():
             for F in FRAME_LENGTHS:
                 params = make(frame_len=F)
                 plan = build_plan(params, scheme)
-                stats = monte_carlo_delta(params, scheme, RATE_RUNS, SEED)
+                (stats,) = monte_carlo_delta(params, (scheme,), RATE_RUNS, SEED)
                 table, drawn = stats.mean_delta, stats.cov.size > 0
                 timing, (se, grad) = measure(RATE_REPEATS, lambda: (
                     spectral_efficiency(plan, per_position_rates(params, plan, table)),

@@ -69,7 +69,6 @@ class _CellGeometry:
     position in frame order, and segments: runs of positions that share all they read."""
 
     params: SystemParams
-    scheme: str
     sigma_nu_sq: float
     instants: np.ndarray     # (n,) increasing offsets from frame W-1's start
     d_gaps: np.ndarray       # gaps of D at i1 and i2 of frames 0..W-2, from sample 1
@@ -106,8 +105,9 @@ def _ap1_row(params: SystemParams, plan: SamplePlan) -> np.ndarray:
     return row
 
 
-def _cell_geometry(params: SystemParams, scheme: str, plan: SamplePlan) -> _CellGeometry:
-    """AP 2's payload geometry in the cell with plan build_plan(params, scheme)."""
+def _cell_geometry(params: SystemParams, plan: SamplePlan) -> _CellGeometry:
+    """AP 2's payload geometry in the cell with plan build_plan(params, scheme)
+    of a synced scheme: the same for every tracker."""
     L, W = plan.n_samples, WARMUP_FRAMES
     sync = np.array(plan.sync_samples, dtype=int)
     # AP 1 sends a demod pilot in every slot of both schedules (AP 2's, if any,
@@ -137,7 +137,7 @@ def _cell_geometry(params: SystemParams, scheme: str, plan: SamplePlan) -> _Cell
         pos > sync.max(initial=0), slot + (pos > plan.demod_pilot_samples[1, slot])))
     starts = np.any(np.diff(keys, axis=1, prepend=-1) != 0, axis=0)
     return _CellGeometry(
-        params=params, scheme=scheme, sigma_nu_sq=sigma_nu_sq, instants=instants,
+        params=params, sigma_nu_sq=sigma_nu_sq, instants=instants,
         d_gaps=gaps[:-instants.size], gaps=gaps[-instants.size:],
         sync_cols=np.searchsorted(instants, sync_at), psi_cols=psi_cols, pos=pos,
         segment=np.cumsum(starts) - 1, weight=weight, segments=keys[:, starts].T)
@@ -180,11 +180,12 @@ def _measurements(rng, d_sync, op_norm, rho_ap):
 
 
 def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
-                    master_seed: int, op_norm):
-    """One vectorized chunk of runs of a synced scheme: WARMUP_FRAMES frames
-    to bring the tracker to steady state, then the measured frame, with the
-    runs' op norms. Returns (S, n_runs): each run's Delta at each AP-2
-    segment's anchor; times a position's weight, that is its Delta.
+                    master_seed: int, op_norm, trackers):
+    """One vectorized chunk of runs, drawn once for all the synced schemes in
+    trackers: WARMUP_FRAMES frames to bring each tracker to steady state, then
+    the measured frame, with the runs' op norms. Returns one (S, n_runs) array
+    per tracker, in order: each run's Delta at each AP-2 segment's anchor;
+    times a position's weight, that is its Delta.
 
     Every output is invariant to a common shift of both oscillator phases and
     to a 2 pi shift of either, and reads the frame's measurement modulo 2 pi
@@ -193,7 +194,7 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     uniform on the circle. Frames W-1 and W start both paths from (0, D) at
     frame W-2's i2 and read them on the cell's grid: frame W-1 sets the
     carried-over psi and the previous tracker output, frame W everything
-    else.
+    else. Nothing drawn depends on the tracker.
     """
     p, W = geom.params, WARMUP_FRAMES
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(chunk_index,)))
@@ -205,9 +206,6 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                           geom.sigma_nu_sq)
     d = np.concatenate((d, (nu[1] - nu[0])[:, geom.sync_cols]), axis=1)
     obs = _measurements(rng, d.reshape(n_runs, W + 1, 2), op_norm, p.rho_ap)
-    # tracker outputs of frames W-1 and W
-    theta = np.stack([s.alpha_hat for s in deque(
-        track(obs, derive_noise_model(p, op_norm), geom.scheme), maxlen=2)])
     # psi by slot: row 0 carried over from frame W-1's slot F, rows 1..F set in frame W
     nu1, nu2 = nu[0].T, nu[1].T
     pilot, krep = geom.psi_cols
@@ -215,59 +213,91 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     if p.ue_pilot_noise_var:
         psi += rng.standard_normal(psi.shape) * np.sqrt(p.ue_pilot_noise_var)
 
+    # each segment's phase is theta + psi - nu, the psi and nu terms gathered
+    # once for every tracker
     anchor, krep_col, tracker, psi_slot = geom.segments.T
-    ph = theta[tracker] + psi[psi_slot] - (nu2[anchor] + nu2[krep_col])
-    return np.exp(1j * ph)
+    psi_at, nu_at = psi[psi_slot], nu2[anchor] + nu2[krep_col]
+    model = derive_noise_model(p, op_norm)
+    deltas = []
+    for scheme in trackers:
+        # tracker outputs of frames W-1 and W
+        theta = np.stack([s.alpha_hat for s in deque(track(obs, model, scheme), maxlen=2)])
+        deltas.append(np.exp(1j * (theta[tracker] + psi_at - nu_at)))
+    return deltas
 
 
 def _chunk_task(args):   # unused here; perfbench/tracer.py rebinds it by name
     return _simulate_chunk(*args)
 
 
-def monte_carlo_delta(params: SystemParams, scheme: str, n_realizations: int,
+def _check_group(schemes):
+    """ConfigError unless schemes run on one plan: synced schemes only, or
+    ap1_only alone."""
+    unknown = [s for s in schemes if s not in SCHEMES]
+    if unknown:
+        raise ConfigError(f"unknown scheme(s) {unknown}; expected subset of {SCHEMES}")
+    if not schemes or ("ap1_only" in schemes and len(schemes) > 1):
+        raise ConfigError(f"schemes {schemes} share no plan: run synced schemes "
+                          "together and ap1_only alone")
+
+
+def monte_carlo_delta(params: SystemParams, schemes: tuple, n_realizations: int,
                       master_seed: int, *, plan: SamplePlan | None = None,
                       op_norms: np.ndarray | None = None):
-    """Estimate E[Delta] at every frame position over independent runs.
+    """Estimate E[Delta] at every frame position over independent runs, for
+    each scheme of schemes, which share one plan (_check_group). Returns one
+    DeltaStats per scheme, in order.
 
     AP 1's row (_ap1_row) is exact. If AP 2 sends payload, each run draws its
     op norm and oscillator paths on the cell's geometry, runs WARMUP_FRAMES
-    frames to bring the tracker to steady state, then reads AP 2's Delta at
+    frames to bring each tracker to steady state, then reads AP 2's Delta at
     each segment of one measured frame; ap1_only builds and draws nothing.
     Runs are split into fixed-size chunks seeded from (master_seed, chunk
-    index), each reading its slice of op_norms, and summed in index order,
-    with their cross products for the covariance. plan, build_plan(params,
-    scheme), and op_norms, draw_op_norms(params, master_seed,
-    n_realizations), are made here unless the caller passes them.
+    index), each reading its slice of op_norms and drawn once for every
+    scheme, and summed in index order per scheme, with their cross products
+    for the covariance. plan, build_plan(params, schemes[0]), and op_norms,
+    draw_op_norms(params, master_seed, n_realizations), are made here unless
+    the caller passes them.
     """
+    _check_group(schemes)
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    plan = build_plan(params, scheme) if plan is None else plan
-    mean_delta = _ap1_row(params, plan)
+    plan = build_plan(params, schemes[0]) if plan is None else plan
     if not plan.data_mask()[1].any():   # only AP 2's half is drawn
         none = np.zeros(0, dtype=int)
-        return DeltaStats(mean_delta=mean_delta, n_runs=n_realizations, cov=np.zeros((0, 0)),
-                          cols=none, segment=none, weight=np.zeros(0))
-    geom = _cell_geometry(params, scheme, plan)
+        return tuple(DeltaStats(mean_delta=_ap1_row(params, plan), n_runs=n_realizations,
+                                cov=np.zeros((0, 0)), cols=none, segment=none,
+                                weight=np.zeros(0)) for _ in schemes)
+    geom = _cell_geometry(params, plan)
     if op_norms is None:
         op_norms = draw_op_norms(params, master_seed, n_realizations)
+    # per scheme: run sums, and cross products about run 0's values, which keep
+    # cancellation small
     S = len(geom.segments)
-    run_sum, cross = np.zeros(S, dtype=complex), np.zeros((2 * S, 2 * S))
+    run_sum = np.zeros((len(schemes), S), dtype=complex)
+    shift = np.zeros((len(schemes), 2 * S, 1))
+    cross = np.zeros((len(schemes), 2 * S, 2 * S))
     for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
         n = min(CHUNK_SIZE, n_realizations - start)
-        delta = _simulate_chunk(geom, j, n, master_seed, op_norms[start:start + n])
-        run_sum += delta.sum(axis=1)
-        x = np.concatenate((delta.real, delta.imag))
-        if j == 0:   # cross products about run 0's values keep cancellation small
-            shift = x[:, :1].copy()
-        x -= shift
-        cross += x @ x.T
-    mean = run_sum / n_realizations
-    mean_delta[1, geom.pos - 1] = mean[geom.segment] * geom.weight
-    d = np.concatenate((mean.real, mean.imag)) - shift[:, 0]
-    cov = (cross - n_realizations * np.outer(d, d)) / (n_realizations - 1) \
-        if n_realizations > 1 else np.full_like(cross, np.nan)
-    return DeltaStats(mean_delta=mean_delta, n_runs=n_realizations, cov=cov, cols=geom.pos - 1,
-                      segment=geom.segment, weight=geom.weight)
+        deltas = _simulate_chunk(geom, j, n, master_seed, op_norms[start:start + n], schemes)
+        for k, delta in enumerate(deltas):
+            run_sum[k] += delta.sum(axis=1)
+            x = np.concatenate((delta.real, delta.imag))
+            if j == 0:
+                shift[k] = x[:, :1]
+            x -= shift[k]
+            cross[k] += x @ x.T
+    out = []
+    for k in range(len(schemes)):
+        mean = run_sum[k] / n_realizations
+        mean_delta = _ap1_row(params, plan)
+        mean_delta[1, geom.pos - 1] = mean[geom.segment] * geom.weight
+        d = np.concatenate((mean.real, mean.imag)) - shift[k, :, 0]
+        cov = (cross[k] - n_realizations * np.outer(d, d)) / (n_realizations - 1) \
+            if n_realizations > 1 else np.full_like(cross[k], np.nan)
+        out.append(DeltaStats(mean_delta=mean_delta, n_runs=n_realizations, cov=cov,
+                              cols=geom.pos - 1, segment=geom.segment, weight=geom.weight))
+    return tuple(out)
 
 
 def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int, scheme: str):
@@ -281,8 +311,9 @@ def run_phase_trace(params: SystemParams, n_frames: int, master_seed: int, schem
         raise ConfigError(f"cannot trace scheme {scheme!r}; expected one of {TRACKERS}")
     if n_frames < 1:
         raise ConfigError(f"trace needs at least one frame, got {n_frames}")
-    if n_frames > np.iinfo(np.intp).max:
-        raise ConfigError(f"trace needs at most {np.iinfo(np.intp).max} frames, got {n_frames}")
+    most = np.iinfo(np.intp).max // 24   # the bytes of the frames' (n_frames, 3) instants
+    if n_frames > most:
+        raise ConfigError(f"trace needs at most {most} frames, got {n_frames}")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed}")
     plan = build_plan(params, scheme)

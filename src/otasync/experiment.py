@@ -56,9 +56,10 @@ class SweepSpec:
             bad = [v for v in (values if isinstance(values, tuple) else (values,)) if not ok(v)]
             if bad:
                 raise ConfigError(f"{key} must be {rule}, got {', '.join(map(str, bad))}")
-        if self.n_realizations > np.iinfo(np.intp).max:   # it sizes the op-norm draws
-            raise ConfigError("n_realizations exceeds the largest array index "
-                              f"{np.iinfo(np.intp).max}")
+        most = np.iinfo(np.intp).max // 8   # it sizes the float64 op-norm draws
+        if self.n_realizations > most:
+            raise ConfigError(f"n_realizations exceeds the largest array index {most} "
+                              "of its 8-byte op norms")
 
 
 DEFAULT_SWEEP = SweepSpec(f_values=(1, 2, 3), n_realizations=500)
@@ -111,26 +112,32 @@ def cell_seed(master_seed: int, i_cnu: int, i_snr: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_cell(params: SystemParams, scheme: str, n_realizations: int, seed: int, *,
+def run_cell(params: SystemParams, schemes: tuple, n_realizations: int, seed: int, *,
              op_norms: np.ndarray | None = None):
-    """One sweep cell: Delta statistics -> rate table -> average per-UE SE.
+    """The sweep cells of schemes, which share one plan, at one (c_nu, SNR,
+    F): Delta statistics -> rate table -> average per-UE SE.
 
-    Returns (se_mean, se_stderr). Runs are i.i.d., so the stderr is the delta
-    method's sqrt(h^T cov h / n), h the SE's gradient with respect to [Re; Im]
-    of AP 2's segment means (AP 1's row is exact): exactly 0 where nothing is
-    drawn, NaN for one run of a cell that draws. op_norms goes to
-    monte_carlo_delta."""
-    plan = build_plan(params, scheme)
-    stats = monte_carlo_delta(params, scheme, n_realizations, seed, plan=plan, op_norms=op_norms)
-    se = float(spectral_efficiency(plan, per_position_rates(params, plan, stats.mean_delta)).mean())
-    if not stats.cov.size:
-        return se, 0.0
-    # E[Delta] at AP 2's column p is weight[p] times its segment's mean
-    g = se_gradient(params, plan, stats.mean_delta)[1, stats.cols] * stats.weight
-    h = np.concatenate([np.bincount(stats.segment, part, len(stats.cov) // 2)
-                        for part in (g.real, g.imag)])
-    # h^T cov h >= 0 but for rounding, as when every run reads the same values
-    return se, float(np.sqrt(np.maximum(h @ stats.cov @ h, 0.0) / stats.n_runs))
+    Returns one (se_mean, se_stderr) per scheme, in order. Runs are i.i.d.,
+    so the stderr is the delta method's sqrt(h^T cov h / n), h the SE's
+    gradient with respect to [Re; Im] of AP 2's segment means (AP 1's row is
+    exact): exactly 0 where nothing is drawn, NaN for one run of a cell that
+    draws. op_norms goes to monte_carlo_delta."""
+    plan = build_plan(params, schemes[0])
+    results = []
+    for stats in monte_carlo_delta(params, schemes, n_realizations, seed, plan=plan,
+                                   op_norms=op_norms):
+        se = float(spectral_efficiency(
+            plan, per_position_rates(params, plan, stats.mean_delta)).mean())
+        if not stats.cov.size:
+            results.append((se, 0.0))
+            continue
+        # E[Delta] at AP 2's column p is weight[p] times its segment's mean
+        g = se_gradient(params, plan, stats.mean_delta)[1, stats.cols] * stats.weight
+        h = np.concatenate([np.bincount(stats.segment, part, len(stats.cov) // 2)
+                            for part in (g.real, g.imag)])
+        # h^T cov h >= 0 but for rounding, as when every run reads the same values
+        results.append((se, float(np.sqrt(np.maximum(h @ stats.cov @ h, 0.0) / stats.n_runs))))
+    return results
 
 
 def run_sweep(spec: SweepSpec, params: SystemParams):
@@ -139,38 +146,55 @@ def run_sweep(spec: SweepSpec, params: SystemParams):
     and each scheme's plan, are built and checked before the first cell runs.
 
     ap1_only does not depend on the inter-array SNR, so it is evaluated once
-    per (c_nu, F) and reported with snr_ap_db = NaN. Each (c_nu, SNR)'s op
-    norms are drawn once, in the wall time of its first synced cell.
+    per (c_nu, F) and reported with snr_ap_db = NaN. The synced schemes of one
+    (c_nu, SNR, F) run as one group on the same chunks (run_cell), and each
+    reports an even share of the group's wall time. Each (c_nu, SNR)'s op
+    norms are drawn once, in the wall time of its first synced cell: the
+    first synced scheme's at the first F.
     """
     for scheme in spec.schemes:   # the slot checks read neither F, c_nu nor the SNR
         build_plan(params, scheme)
-    cells = []
+    blocks = []   # per (c_nu, SNR): its seed, SNR, schemes and each F's params
     for i_cnu, c_nu in enumerate(spec.c_nu_values):
         for i_snr, snr_db in enumerate(spec.snr_ap_db):
-            seed = cell_seed(spec.master_seed, i_cnu, i_snr)
-            for scheme in spec.schemes:
-                if scheme == "ap1_only" and i_snr > 0:
-                    continue
-                for F in spec.f_values:
-                    try:
-                        cell = replace(params, frame_len=int(F), c_nu=float(c_nu)) \
-                            .with_snr_ap_db(float(snr_db))
-                        check_variances(cell)
-                    except ConfigError as exc:
-                        raise ConfigError(f"cell c_nu = {c_nu:g}, snr_ap_db = {snr_db:g}, "
-                                          f"F = {F}: {exc}") from exc
-                    snr = float("nan") if scheme == "ap1_only" else float(snr_db)
-                    cells.append((cell, scheme, seed, snr))
-    rows, drawn = [], {}   # the current (c_nu, SNR)'s op norms only
-    for cell, scheme, seed, snr in cells:
-        t0 = time.perf_counter()
-        if scheme != "ap1_only" and seed not in drawn:
-            drawn = {seed: draw_op_norms(cell, seed, spec.n_realizations)}
-        se, stderr = run_cell(cell, scheme, spec.n_realizations, seed, op_norms=drawn.get(seed))
-        rows.append(ResultRow(
-            scheme=scheme, frame_len=cell.frame_len, snr_ap_db=snr, c_nu=cell.c_nu,
-            se_mean=se, se_stderr=stderr, n_realizations=spec.n_realizations,
-            wall_time_s=time.perf_counter() - t0))
+            schemes = tuple(s for s in spec.schemes if s != "ap1_only" or i_snr == 0)
+            if not schemes:
+                continue
+            cells = []
+            for F in spec.f_values:
+                try:
+                    cell = replace(params, frame_len=int(F), c_nu=float(c_nu)) \
+                        .with_snr_ap_db(float(snr_db))
+                    check_variances(cell)
+                except ConfigError as exc:
+                    raise ConfigError(f"cell c_nu = {c_nu:g}, snr_ap_db = {snr_db:g}, "
+                                      f"F = {F}: {exc}") from exc
+                cells.append(cell)
+            blocks.append((cell_seed(spec.master_seed, i_cnu, i_snr), float(snr_db), schemes,
+                           cells))
+    rows = []
+    for seed, snr_db, schemes, cells in blocks:
+        # the groups that share a plan: the synced schemes, then ap1_only
+        groups = [g for g in (tuple(s for s in schemes if s != "ap1_only"),
+                              tuple(s for s in schemes if s == "ap1_only")) if g]
+        by_scheme = {s: [] for s in schemes}
+        drawn = None   # the current (c_nu, SNR)'s op norms only
+        for cell in cells:
+            for group in groups:
+                t0 = time.perf_counter()
+                if group[0] != "ap1_only" and drawn is None:
+                    drawn = draw_op_norms(cell, seed, spec.n_realizations)
+                t1 = time.perf_counter()
+                results = run_cell(cell, group, spec.n_realizations, seed, op_norms=drawn)
+                wall = [(time.perf_counter() - t1) / len(group)] * len(group)
+                wall[0] += t1 - t0   # the op-norm draw stays in its first synced cell
+                for scheme, (se, stderr), w in zip(group, results, wall):
+                    by_scheme[scheme].append(ResultRow(
+                        scheme=scheme, frame_len=cell.frame_len,
+                        snr_ap_db=float("nan") if scheme == "ap1_only" else snr_db,
+                        c_nu=cell.c_nu, se_mean=se, se_stderr=stderr,
+                        n_realizations=spec.n_realizations, wall_time_s=w))
+        rows += [row for scheme in schemes for row in by_scheme[scheme]]
     return rows
 
 

@@ -223,7 +223,7 @@ def test_criterion_09_fig2_quantitative(fig_results):
     p = dataclasses.replace(default_params().with_snr_ap_db(-15.0), frame_len=2,
                             ue_pilot_noise_var=0.01)
     from otasync.experiment import cell_seed
-    se_noisy, _ = run_cell(p, "kalman", 2000, cell_seed(ACCEPT_SEED, 0, 0))
+    [(se_noisy, _)] = run_cell(p, ("kalman",), 2000, cell_seed(ACCEPT_SEED, 0, 0))
     ok = abs(residual) <= 0.10
     _report("C9", "fig2 kalman -15dB F=2", ok,
             f"SE {got:.4f} vs 1.2517 (residual {residual:+.4f}); with UE-pilot "

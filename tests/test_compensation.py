@@ -10,7 +10,7 @@ import pytest
 from otasync import compensation
 from otasync.compensation import CHUNK_SIZE, WARMUP_FRAMES, _ap1_row, _cell_geometry, \
     _measurements, build_plan, draw_op_norms, monte_carlo_delta, run_phase_trace
-from otasync.config import default_params, derive_sigma_nu
+from otasync.config import ConfigError, default_params, derive_sigma_nu
 from otasync.experiment import run_cell
 from otasync.rate import per_position_rates, spectral_efficiency
 from otasync.tracking import representative_ue, wrap
@@ -92,7 +92,7 @@ def test_uncompensated_mean_matches_gaussian_characteristic_function():
 def test_zero_noise_gives_unit_means(params):
     # no oscillator drift and a near-noiseless inter-array link
     p = dataclasses.replace(params, c_nu=0.0, beta_g=1e6 / params.rho_ap)
-    stats = monte_carlo_delta(p, "kalman", 200, 5)
+    (stats,) = monte_carlo_delta(p, ("kalman",), 200, 5)
     mask = np.abs(stats.mean_delta) > 0
     assert mask.any()
     assert np.allclose(np.abs(stats.mean_delta[mask]), 1.0, atol=5e-3)
@@ -106,8 +106,27 @@ def test_a_synced_chunk_draws_its_paths_in_two_calls(scheme, params, monkeypatch
     monkeypatch.setattr(compensation, "wiener_values_at", draw)
     for F in (1, 2, 10):
         draw.reset_mock()
-        monte_carlo_delta(dataclasses.replace(params, frame_len=F), scheme, 100, 35)
+        monte_carlo_delta(dataclasses.replace(params, frame_len=F), (scheme,), 100, 35)
         assert 1 <= draw.call_count <= 2
+
+
+@pytest.mark.parametrize("frame_len, noise", [(1, 0.0), (10, 0.0), (1, 0.04), (10, 0.04)])
+def test_a_group_gives_each_scheme_the_bits_it_gets_alone(frame_len, noise, params):
+    # kalman and direct of one cell draw each chunk once and track it twice:
+    # in either order, each scheme's statistics are its one-scheme call's
+    p = dataclasses.replace(params, frame_len=frame_len, ue_pilot_noise_var=noise)
+    alone = {s: monte_carlo_delta(p, (s,), 1100, 23)[0] for s in ("kalman", "direct")}
+    for group in (("kalman", "direct"), ("direct", "kalman")):
+        for scheme, stats in zip(group, monte_carlo_delta(p, group, 1100, 23), strict=True):
+            assert np.array_equal(stats.mean_delta, alone[scheme].mean_delta)
+            assert np.array_equal(stats.cov, alone[scheme].cov)
+
+
+@pytest.mark.parametrize("schemes", [("kalman", "ap1_only"), ("ap1_only", "direct"), ()])
+def test_a_group_runs_on_one_plan(schemes, params):
+    # synced schemes together, ap1_only alone
+    with pytest.raises(ConfigError, match="share no plan"):
+        monte_carlo_delta(params, schemes, 10, 0)
 
 
 @pytest.mark.parametrize("snr_ap_db", [-15.0, -20.0])
@@ -133,8 +152,8 @@ def test_alpha_free_sync_error_has_the_projection_law(snr_ap_db):
 
 
 def test_monte_carlo_convergence_with_more_runs(params):
-    a = monte_carlo_delta(params, "direct", 1000, 13)
-    b = monte_carlo_delta(params, "direct", 2000, 13)
+    (a,) = monte_carlo_delta(params, ("direct",), 1000, 13)
+    (b,) = monte_carlo_delta(params, ("direct",), 2000, 13)
     mask = np.abs(b.mean_delta) > 0
     assert np.max(np.abs(a.mean_delta[mask] - b.mean_delta[mask])) <= 3.0 / np.sqrt(1000)
 
@@ -143,7 +162,7 @@ def test_mean_modulus_decays_with_hold_age(params):
     # positions served with the previous frame's tracker output (slot 1) have
     # strictly older compensation than slots 2..F of the same frame
     p = dataclasses.replace(params, frame_len=3)
-    stats = monte_carlo_delta(p, "kalman", 4000, 17)
+    (stats,) = monte_carlo_delta(p, ("kalman",), 4000, 17)
     a2 = np.abs(stats.mean_delta[1])
     slot1 = a2[:100][a2[:100] > 0]
     slot2 = a2[100:200][a2[100:200] > 0]
@@ -158,8 +177,8 @@ def test_kalman_beats_direct_when_measurements_noisy(params):
     target_norm_sq = 1.0 / (params.rho_ap * 10 * sigma_zeta_sq)
     beta_g = target_norm_sq / (4 * params.n_antennas)  # MP edge: ||G||^2 ~ 4 N beta_g
     p = dataclasses.replace(params, beta_g=beta_g)
-    k = monte_carlo_delta(p, "kalman", 4000, 18)
-    d = monte_carlo_delta(p, "direct", 4000, 18)
+    (k,) = monte_carlo_delta(p, ("kalman",), 4000, 18)
+    (d,) = monte_carlo_delta(p, ("direct",), 4000, 18)
     mask = np.abs(k.mean_delta[1]) > 0
     assert np.abs(k.mean_delta[1, mask]).mean() > np.abs(d.mean_delta[1, mask]).mean()
 
@@ -176,7 +195,7 @@ def test_engine_matches_reference_chain(scheme, frame_len, params):
     # operation-level tracker/compensation, event by event
     p = dataclasses.replace(params, frame_len=frame_len)
     ref = reference_delta(p, scheme, 1200, 900).mean(axis=0)
-    eng = monte_carlo_delta(p, scheme, 4096, 901)
+    (eng,) = monte_carlo_delta(p, (scheme,), 4096, 901)
     mask = np.abs(eng.mean_delta) > 0
     assert np.array_equal(mask, np.abs(ref) > 0)
     diff = np.abs(eng.mean_delta[mask] - ref[mask])
@@ -197,11 +216,11 @@ def test_carried_over_psi_matches_reference_chain_position_by_position(frame_len
     # per-run values, within 4 standard errors in each component; at 10x the
     # default c_nu a psi from the measured frame's slot F misses by 7-12
     p = dataclasses.replace(params, frame_len=frame_len, c_nu=5e-17)
-    geom = _cell_geometry(p, "kalman", build_plan(p, "kalman"))
+    geom = _cell_geometry(p, build_plan(p, "kalman"))
     carried = geom.pos[geom.segments[geom.segment, 3] == 0] - 1
     assert carried.size == p.tau_g
     runs = reference_delta(p, "kalman", 600, 0)[:, 1, carried]
-    eng = monte_carlo_delta(p, "kalman", 8192, 7)
+    (eng,) = monte_carlo_delta(p, ("kalman",), 8192, 7)
     # the engine's standard error: segment variance x weight^2 / n per position
     at = np.isin(eng.cols, carried)
     S = len(eng.cov) // 2
@@ -226,7 +245,7 @@ def test_anchor_follows_every_instant_the_compensation_reads():
 
 def _check_anchor(p, scheme):
     plan = build_plan(p, scheme)
-    geom = _cell_geometry(p, scheme, plan)
+    geom = _cell_geometry(p, plan)
     L, W = plan.n_samples, WARMUP_FRAMES
     sync = np.array(plan.sync_samples, dtype=int)
     pilots = np.stack((plan.demod_pilot_samples[0],
@@ -285,7 +304,7 @@ def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_pa
         monkeypatch.setattr(compensation, name, spy)
     p = dataclasses.replace(params if scheme == "ap1_only" else tiny_params,
                             ue_pilot_noise_var=noise)
-    stats = monte_carlo_delta(p, scheme, 3 * CHUNK_SIZE, 41)
+    (stats,) = monte_carlo_delta(p, (scheme,), 3 * CHUNK_SIZE, 41)
     assert not any(spy.called for spy in spies.values())
     exact = _ap1_row(p, build_plan(p, scheme))
     assert np.array_equal(stats.mean_delta, exact)
@@ -294,10 +313,10 @@ def test_a_cell_without_ap2_payload_draws_nothing(scheme, noise, params, tiny_pa
 
 def test_ap1_only_cell_memory_is_independent_of_the_run_count(params):
     # an ap1_only cell draws nothing, so it holds nothing per run either
-    stats, peak = traced_peak(monte_carlo_delta, params, "ap1_only", 10**7, 3)
+    (stats,), peak = traced_peak(monte_carlo_delta, params, ("ap1_only",), 10**7, 3)
     assert peak < 2**20 and stats.n_runs == 10**7
     assert all(np.size(v) <= stats.mean_delta.size for v in vars(stats).values())
-    (se, stderr), peak = traced_peak(run_cell, params, "ap1_only", 10**7, 3)
+    [(se, stderr)], peak = traced_peak(run_cell, params, ("ap1_only",), 10**7, 3)
     assert peak < 2**20 and stderr == 0.0
 
 
@@ -331,7 +350,7 @@ def test_exact_ap1_row_matches_reference_chain_with_ue_pilot_noise(scheme, param
     # each component (the real part resolves the noise factor exp(-0.02))
     p = dataclasses.replace(params, frame_len=2, n_antennas=8, ue_pilot_noise_var=0.04)
     runs = reference_delta(p, scheme, 400, 500)[:, 0]
-    eng = monte_carlo_delta(p, scheme, 100, 901).mean_delta[0]
+    eng = monte_carlo_delta(p, (scheme,), 100, 901)[0].mean_delta[0]
     mask = eng != 0
     assert np.array_equal(mask, runs.mean(axis=0) != 0) and mask.sum() > 80
     for part in (np.real, np.imag):
@@ -344,8 +363,8 @@ def test_exact_ap1_row_matches_reference_chain_with_ue_pilot_noise(scheme, param
 @pytest.mark.parametrize("scheme", ["ap1_only", "kalman"])
 def test_ue_pilot_noise_flag_degrades_mean(scheme, params):
     noisy = dataclasses.replace(params, ue_pilot_noise_var=0.04)
-    clean_stats = monte_carlo_delta(params, scheme, 2000, 19)
-    noisy_stats = monte_carlo_delta(noisy, scheme, 2000, 19)
+    (clean_stats,) = monte_carlo_delta(params, (scheme,), 2000, 19)
+    (noisy_stats,) = monte_carlo_delta(noisy, (scheme,), 2000, 19)
     mask = np.abs(clean_stats.mean_delta[0]) > 0
     clean_mean = np.abs(clean_stats.mean_delta[0, mask]).mean()
     noisy_mean = np.abs(noisy_stats.mean_delta[0, mask]).mean()
@@ -357,16 +376,16 @@ def test_ue_pilot_noise_flag_degrades_mean(scheme, params):
 def test_cell_with_few_payload_positions(scheme, n_positions, tiny_params):
     # tau_c = 4 leaves the synced schedules no payload sample and ap1_only one
     assert build_plan(tiny_params, scheme).data_mask().sum() == n_positions
-    stats = monte_carlo_delta(tiny_params, scheme, 50, 3)
+    (stats,) = monte_carlo_delta(tiny_params, (scheme,), 50, 3)
     assert np.count_nonzero(stats.mean_delta) == n_positions
-    se, _ = run_cell(tiny_params, scheme, 50, 3)
+    [(se, _)] = run_cell(tiny_params, (scheme,), 50, 3)
     assert (se > 0) == (n_positions > 0)
 
 
 def _pinned_mean(params, name):
     scheme, overrides = PINNED_CELLS[name]
     p = dataclasses.replace(params, **overrides)
-    return monte_carlo_delta(p, scheme, CHUNK_SIZE + 100, 4242).mean_delta
+    return monte_carlo_delta(p, (scheme,), CHUNK_SIZE + 100, 4242)[0].mean_delta
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CELLS))
@@ -391,9 +410,9 @@ def test_phase_trace_matches_stored_values(name, params):
 
 def test_invalid_scheme(params):
     with pytest.raises(ValueError):
-        monte_carlo_delta(params, "zero_forcing", 10, 0)
+        monte_carlo_delta(params, ("zero_forcing",), 10, 0)
     with pytest.raises(ValueError):
-        monte_carlo_delta(params, "kalman", 0, 0)
+        monte_carlo_delta(params, ("kalman",), 0, 0)
 
 
 def test_plan_is_keyword_only(params):
@@ -401,9 +420,9 @@ def test_plan_is_keyword_only(params):
     # argument as a worker count
     plan = build_plan(params, "kalman")
     with pytest.raises(TypeError):
-        monte_carlo_delta(params, "kalman", 10, 0, plan)
+        monte_carlo_delta(params, ("kalman",), 10, 0, plan)
     with pytest.raises(TypeError):
-        monte_carlo_delta(params, "kalman", 10, 0, draw_op_norms(params, 0, 10))
+        monte_carlo_delta(params, ("kalman",), 10, 0, draw_op_norms(params, 0, 10))
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ def test_parse_sweep_roundtrip():
 
 def test_op_norms_are_shared_across_frame_length_and_scheme(params, monkeypatch):
     # one seed per (c_nu, SNR), whatever the scheme and F, a different one for
-    # each; every synced cell of one (c_nu, SNR) runs on the same read-only op
+    # each; the synced schemes of one (c_nu, SNR, F) run as one group on the
+    # same chunks, and every group of one (c_nu, SNR) on the same read-only op
     # norms (common random numbers), each chunk's drawn once from its own child
     # stream; ap1_only cells start no chunk, as AP 1's table is exact
     cells = Mock(wraps=experiment.run_cell)
@@ -69,22 +70,23 @@ def test_op_norms_are_shared_across_frame_length_and_scheme(params, monkeypatch)
     assert [call.args[2] for call in draw.call_args_list] == [CHUNK_SIZE, 10] * 4
     seeds, shared = {}, {}
     for call in cells.call_args_list:
-        cell, scheme, _, seed = call.args
+        cell, schemes, _, seed = call.args
         seeds.setdefault((cell.c_nu, cell.beta_g), set()).add(seed)
-        if scheme != "ap1_only":
+        if schemes != ("ap1_only",):
+            assert schemes == ("kalman", "direct")
             norms = shared.setdefault((cell.c_nu, cell.beta_g), call.kwargs["op_norms"])
             assert call.kwargs["op_norms"] is norms and not norms.flags.writeable
     assert [len(s) for s in seeds.values()] == [1] * 4 and len(shared) == 4
     union = set.union(*seeds.values())
     assert len(union) == 4 and union == {cell_seed(3, i, j) for i in (0, 1) for j in (0, 1)}
-    # two chunks per synced cell, in sweep order, each on its slice of the
-    # cell's op norms: a fresh draw of its size from its chunk's child stream
-    synced = [call for call in cells.call_args_list if call.args[1] != "ap1_only"]
-    assert len(simulate.call_args_list) == 2 * len(synced)
+    # two chunks per synced group, in sweep order, each on its slice of the
+    # group's op norms: a fresh draw of its size from its chunk's child stream
+    synced = [call for call in cells.call_args_list if call.args[1] != ("ap1_only",)]
+    assert len(synced) == 8 and len(simulate.call_args_list) == 2 * len(synced)
     for k, call in enumerate(simulate.call_args_list):
-        geom, j, n_runs, seed, op_norm = call.args
-        cell, scheme, _, expect_seed = synced[k // 2].args
-        assert (geom.params, geom.scheme, seed, j) == (cell, scheme, expect_seed, k % 2)
+        geom, j, n_runs, seed, op_norm, trackers = call.args
+        cell, schemes, _, expect_seed = synced[k // 2].args
+        assert (geom.params, trackers, seed, j) == (cell, schemes, expect_seed, k % 2)
         assert op_norm.base is synced[k // 2].kwargs["op_norms"]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j, 0)))
         assert np.array_equal(op_norm, batched_op_norms(rng, cell, n_runs))
@@ -157,7 +159,7 @@ def test_run_cell_builds_one_plan(scheme, params, monkeypatch):
               for name in ("build_frame_schedule", "build_ap1_only_schedule")}
     for name, build in builds.items():
         monkeypatch.setattr(compensation, name, build)
-    run_cell(params, scheme, 30, 4)
+    run_cell(params, (scheme,), 30, 4)
     assert sum(build.call_count for build in builds.values()) == 1
 
 
@@ -169,10 +171,10 @@ def test_covariance_matches_per_run_values(params, monkeypatch):
     spy = Mock(wraps=simulate)
     monkeypatch.setattr(compensation, "_simulate_chunk", spy)
     n = 1100
-    stats = monte_carlo_delta(params, "kalman", n, 8)
+    (stats,) = monte_carlo_delta(params, ("kalman",), n, 8)
     assert spy.call_count == 2
     geom = spy.call_args.args[0]
-    delta = np.concatenate([simulate(*call.args) for call in spy.call_args_list], axis=1)
+    delta = np.concatenate([simulate(*call.args)[0] for call in spy.call_args_list], axis=1)
     assert delta.shape == (len(geom.segments), n) and stats.n_runs == n
     assert np.allclose(stats.cov, np.cov(np.concatenate((delta.real, delta.imag))),
                        rtol=1e-9, atol=1e-15)
@@ -185,14 +187,14 @@ def test_covariance_matches_per_run_values(params, monkeypatch):
     # and the stderr is the spread of each run's SE, linearized at the mean
     grad = se_gradient(params, build_plan(params, "kalman"), stats.mean_delta)[1, geom.pos - 1]
     per_run = (np.conj(grad) * delta[geom.segment].T * geom.weight).real.sum(axis=1)
-    assert run_cell(params, "kalman", n, 8)[1] == pytest.approx(
+    assert run_cell(params, ("kalman",), n, 8)[0][1] == pytest.approx(
         per_run.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
 
 def test_stderr_needs_two_runs_where_the_cell_draws(params):
     # one run has no spread to read: NaN, with no warning; two runs do
-    assert math.isnan(run_cell(params, "kalman", 1, 8)[1])
-    assert 0 < run_cell(params, "kalman", 2, 8)[1] < 0.5
+    assert math.isnan(run_cell(params, ("kalman",), 1, 8)[0][1])
+    assert 0 < run_cell(params, ("kalman",), 2, 8)[0][1] < 0.5
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.04])
@@ -211,7 +213,7 @@ def test_stderr_is_calibrated(scheme, snr_db, frame_len):
     # the delta-method stderr against the spread of se_mean over 40 seeds; the
     # sd of 40 draws is itself uncertain by about 11%, hence the wide band
     p = default_params(frame_len=frame_len).with_snr_ap_db(snr_db)
-    cells = np.array([run_cell(p, scheme, 1100, seed) for seed in range(9000, 9040)])
+    cells = np.array([run_cell(p, (scheme,), 1100, seed)[0] for seed in range(9000, 9040)])
     ratio = cells[:, 1].mean() / cells[:, 0].std(ddof=1)
     assert 2 / 3 <= ratio <= 3 / 2, ratio
 
@@ -273,6 +275,15 @@ def test_cli_config_past_memory_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_cli_run_count_past_memory_exits_2(tmp_path, capsys):
+    # 2^58 runs pass the count check, but their op norms need 2 EiB, past any
+    # address space, so the allocation fails at once: one line, no traceback
+    out = tmp_path / "r.csv"
+    assert cli_main(["--realizations", str(2**58), "--scheme", "kalman", "--out", str(out)]) == 2
+    assert re.fullmatch(r"otasync: MemoryError: [^\n]*\n", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def row(*argv, config=None, sweep=None, code=2, err, id=None):
     """One bad input: config and sweep texts (bytes need an id), flags, exit code, stderr."""
     if id is None:
@@ -298,6 +309,8 @@ INT = "invalid literal for int() with base 10: {!r}"
 UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
 NOT_FILLED = "slot does not fill exactly: tau_p + tau_u + tau_d + 2*tau_g = {} != tau_c = 100"
 INDEX_MAX = np.iinfo(np.intp).max
+RUNS_MAX = f"n_realizations exceeds the largest array index {INDEX_MAX // 8} of its 8-byte " \
+    "op norms"
 NONFINITE = {"beta_ue": "beta_ue entries must be positive and finite",
              "eta": "eta entries must be nonnegative and finite",
              "ue_pilot_noise_var": "ue_pilot_noise_var must be nonnegative and finite"}
@@ -350,11 +363,14 @@ CLI_REJECTS = [
     *[row(*argv, "--seed", "-1", err="otasync: " + SEED + "-1")
       for argv in (["--dump-trace"], ["--realizations", "10"])],
     row("--realizations", "0", err="otasync: n_realizations must be an integer >= 1, got 0"),
-    # a count past the largest array index, which would size the runs' or frames' draws
-    row("--realizations", str(10 ** 30), id="--realizations 10^30",
-        err=f"otasync: n_realizations exceeds the largest array index {INDEX_MAX}"),
-    row("--dump-trace", "--trace-frames", str(10 ** 30), id="--dump-trace --trace-frames 10^30",
-        err=f"otasync: trace needs at most {INDEX_MAX} frames, got {10 ** 30}"),
+    # a count whose largest array would pass numpy's size limit: 8 bytes per
+    # run (the op norms), 3 x 8 per frame (the trace's instants)
+    row("--realizations", str(10 ** 30), id="--realizations 10^30", err="otasync: " + RUNS_MAX),
+    row("--realizations", str(2 ** 62), "--scheme", "kalman",
+        id="--realizations 2^62 --scheme kalman", err="otasync: " + RUNS_MAX),
+    *[row("--dump-trace", "--trace-frames", str(n), id=f"--dump-trace --trace-frames {exp}",
+          err=f"otasync: trace needs at most {INDEX_MAX // 24} frames, got {n}")
+      for n, exp in ((10 ** 30, "10^30"), (2 ** 62, "2^62"))],
     *[row(*argv, "--scheme", s, err=f"otasync: unknown scheme(s) {s.split(',')!r}" + UNKNOWN)
       for argv in (["--realizations", "10"], ["--fig2"]) for s in ("", ",")],
     # an output path that cannot be written, found before any work in every mode
@@ -428,8 +444,7 @@ CLI_REJECTS = [
     sweep("f_values = 1\nmaster_seed = -3", SEED + "-3"),
     sweep("schemes = zf\nf_values = 1", "unknown scheme(s) ['zf']" + UNKNOWN),
     sweep("f_values = 1\nn_workers = 0", "n_workers must be an integer >= 1, got 0"),
-    sweep(f"f_values = 1\nschemes = kalman\nn_realizations = {10 ** 30}",
-          f"n_realizations exceeds the largest array index {INDEX_MAX}",
+    sweep(f"f_values = 1\nschemes = kalman\nn_realizations = {10 ** 30}", RUNS_MAX,
           id="sweep n_realizations = 10^30"),
     *[sweep(text, "f_values must be positive, got " + bad)
       for text, bad in (("f_values = 1, 2, 3, 0", "0"), ("f_values = -1, 2", "-1"))],

@@ -162,7 +162,7 @@ def test_schedule_term_of_breaking_the_tdd_flow(F, params):
 
 
 def test_per_position_rates_layout(params):
-    stats = monte_carlo_delta(params, "kalman", 300, 3)
+    (stats,) = monte_carlo_delta(params, ("kalman",), 300, 3)
     plan = build_plan(params, "kalman")
     rates = per_position_rates(params, plan, stats.mean_delta)
     assert rates.shape == (10, 100)
@@ -183,7 +183,7 @@ def test_per_position_rates_match_scalar_oracle(scheme, make_params):
     plan = build_plan(p, scheme)
     mask = plan.data_mask()
     for seed in (9, 10):
-        table = monte_carlo_delta(p, scheme, 40, seed).mean_delta
+        table = monte_carlo_delta(p, (scheme,), 40, seed)[0].mean_delta
         rates = per_position_rates(p, plan, table)
         expect = np.zeros_like(rates)
         for k in range(1, p.n_ues + 1):
@@ -212,7 +212,7 @@ def test_rate_stage_memory_is_bounded():
     # float64 rate table (313 KiB)
     p = default_params(frame_len=10)
     plan = build_plan(p, "kalman")
-    table = monte_carlo_delta(p, "kalman", 20, 4).mean_delta
+    table = monte_carlo_delta(p, ("kalman",), 20, 4)[0].mean_delta
     _, peak = traced_peak(lambda: spectral_efficiency(plan, per_position_rates(p, plan, table)))
     assert peak <= 4 * p.n_ues * plan.n_samples * 8
 
@@ -227,7 +227,7 @@ def test_se_gradient_matches_central_differences(make_params, scheme, frame_len)
     # stage; exactly 0 off each AP's payload
     p = dataclasses.replace(make_params(), frame_len=frame_len)
     plan = build_plan(p, scheme)
-    table = monte_carlo_delta(p, scheme, 300, 5).mean_delta
+    table = monte_carlo_delta(p, (scheme,), 300, 5)[0].mean_delta
     grad = se_gradient(p, plan, table)
     assert grad.shape == table.shape and np.all(grad[~plan.data_mask()] == 0)
 

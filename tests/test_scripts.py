@@ -53,9 +53,11 @@ def test_bench_chunk_measure(report):
             + [(r, 2) for r in report["chunk"] + report["rate"]]:
         assert len(timing["s_all"]) == repeats and timing["peak_mib"] > 0
         assert timing["s"] == statistics.median(timing["s_all"])
-    # measure returns the last chunk's (S, runs) Delta at the anchors
+    # measure returns the last chunk's (S, runs) Delta at the anchors, per scheme
     for r in report["chunk"]:
-        assert r["runs"] == CHUNK_SIZE and r["segments"] > 0 and 0 < r["mean_abs_delta"] <= 1
+        assert r["runs"] == CHUNK_SIZE and r["segments"] > 0
+        assert len(r["mean_abs_delta"]) == len(r["schemes"])
+        assert all(0 < m <= 1 for m in r["mean_abs_delta"])
 
 
 def test_bench_opnorm_report(report):
@@ -69,10 +71,12 @@ def test_bench_opnorm_report(report):
 
 
 def test_bench_chunk_report(report):
-    # grid_columns counts the measured frame's instants: AP 1's demod pilot
-    # and the representative UE's pilot in each slot, plus i1 and i2
-    assert [(r["scheme"], r["F"], r["grid_columns"]) for r in report["chunk"]] == \
-        [("kalman", 1, 4), ("kalman", 10, 22), ("direct", 1, 4), ("direct", 10, 22)]
+    # each synced scheme alone, then both on one draw; grid_columns counts
+    # the measured frame's instants: AP 1's demod pilot and the
+    # representative UE's pilot in each slot, plus i1 and i2
+    assert [(r["schemes"], r["F"], r["grid_columns"]) for r in report["chunk"]] == \
+        [(schemes, F, columns) for schemes in (["kalman"], ["direct"], ["kalman", "direct"])
+         for F, columns in ((1, 4), (10, 22))]
 
 
 def test_bench_rate_report(report):
