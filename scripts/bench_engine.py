@@ -9,7 +9,7 @@ BLAS on one thread; write one JSON report with a section per measurement:
   timed call (otasync.channel.bidiagonal_chi_squares). 76 runs is
   fig2-grid's tail chunk (1100 = 1024 + 76).
 - chunk: one CHUNK_SIZE-run otasync.compensation._simulate_chunk (each run's
-  Delta at each AP-2 segment's anchor) per F and per group of CHUNK_GROUPS:
+  Re Delta at each AP-2 segment's anchor) per F and per group of CHUNK_GROUPS:
   each synced scheme alone, then kalman and direct together, which draw the
   chunk once and track it twice, as a sweep runs them; the cell geometry
   and the chunk's op norms are made outside the timed call, as
@@ -118,7 +118,7 @@ def chunk():
             geom = _cell_geometry(params, build_plan(params, schemes[0]))
             timing, deltas = measure(CHUNK_REPEATS, _simulate_chunk, lambda r: (
                 geom, r, CHUNK_SIZE, SEED, norms[r * CHUNK_SIZE:(r + 1) * CHUNK_SIZE], schemes))
-            # per scheme, (S, runs) Delta at the anchors -> AP 2's E[Delta] per payload position
+            # per scheme, (S, runs) Re Delta at the anchors -> AP 2's E[Delta] per payload position
             mean_abs_delta = [float(np.abs(delta.mean(axis=1)[geom.segment] * geom.weight).mean())
                               for delta in deltas]
             # the grid holds frames W-1 and W from frame W-1's start: count frame W's
@@ -146,7 +146,7 @@ def rate():
                 timing, (se, grad) = measure(RATE_REPEATS, lambda: (
                     spectral_efficiency(plan, per_position_rates(params, plan, table)),
                     se_gradient(params, plan, table) if drawn else None), lambda r: ())
-                yield dict(params=name, scheme=scheme, F=F, segments=len(stats.cov) // 2,
+                yield dict(params=name, scheme=scheme, F=F, segments=len(stats.cov),
                            payload_columns=int(plan.data_mask().any(axis=0).sum()),
                            **timing, se_mean=float(se.mean()),
                            max_abs_gradient=float(np.abs(grad).max()) if drawn else 0.0)

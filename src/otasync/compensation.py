@@ -44,11 +44,12 @@ class DeltaStats:
     """Monte Carlo averages of Delta per (AP, frame position) for the
     representative UE floor(K/2), whose pilot instant stands in for every UE.
 
-    mean_delta: (2, F*tau_c) complex, zero at positions where the AP sends no
-    payload data; AP 1's row is exact. AP 2's payload column cols[p] reads
-    segment[p]'s mean of n_runs runs times weight[p]; cov is the per-run
-    covariance (n - 1 in the denominator, NaN for one run) of [Re; Im] of the
-    S segment values. A cell that draws nothing has S = 0 and no columns.
+    mean_delta: (2, F*tau_c) real (E[sin] = 0 by symmetry: README, "Why
+    E[Delta] is real"), zero where the AP sends no payload; AP 1's row is
+    exact. AP 2's payload column cols[p] reads segment[p]'s mean of n_runs
+    runs times weight[p]; cov is the (S, S) per-run covariance (n - 1 in the
+    denominator, NaN for one run) of the S segment values. A cell that draws
+    nothing has S = 0 and no columns.
     """
 
     mean_delta: np.ndarray
@@ -99,7 +100,7 @@ def _ap1_row(params: SystemParams, plan: SamplePlan) -> np.ndarray:
     e^(-(p-d) sigma_nu^2/2) e^(-ue_pilot_noise_var/2) at payload p, anchored at demod pilot d."""
     pos = np.flatnonzero(plan.data_mask()[0]) + 1
     demod = plan.demod_pilot_samples[0, (pos - 1) // plan.tau_c]
-    row = np.zeros((2, plan.n_samples), dtype=complex)
+    row = np.zeros((2, plan.n_samples))
     row[0, pos - 1] = np.exp(-(pos - demod) * derive_sigma_nu(params) / 2) \
         * np.exp(-params.ue_pilot_noise_var / 2)
     return row
@@ -183,9 +184,9 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
                     master_seed: int, op_norm, trackers):
     """One vectorized chunk of runs, drawn once for all the synced schemes in
     trackers: WARMUP_FRAMES frames to bring each tracker to steady state, then
-    the measured frame, with the runs' op norms. Returns one (S, n_runs) array
-    per tracker, in order: each run's Delta at each AP-2 segment's anchor;
-    times a position's weight, that is its Delta.
+    the measured frame, with the runs' op norms. Returns one real (S, n_runs)
+    array per tracker, in order: each run's Re Delta, the cos of its phase, at
+    each AP-2 segment's anchor; times a position's weight, that is its Re Delta.
 
     Every output is invariant to a common shift of both oscillator phases and
     to a 2 pi shift of either, and reads the frame's measurement modulo 2 pi
@@ -222,7 +223,7 @@ def _simulate_chunk(geom: _CellGeometry, chunk_index: int, n_runs: int,
     for scheme in trackers:
         # tracker outputs of frames W-1 and W
         theta = np.stack([s.alpha_hat for s in deque(track(obs, model, scheme), maxlen=2)])
-        deltas.append(np.exp(1j * (theta[tracker] + psi_at - nu_at)))
+        deltas.append(np.cos(theta[tracker] + psi_at - nu_at))
     return deltas
 
 
@@ -274,25 +275,24 @@ def monte_carlo_delta(params: SystemParams, schemes: tuple, n_realizations: int,
     # per scheme: run sums, and cross products about run 0's values, which keep
     # cancellation small
     S = len(geom.segments)
-    run_sum = np.zeros((len(schemes), S), dtype=complex)
-    shift = np.zeros((len(schemes), 2 * S, 1))
-    cross = np.zeros((len(schemes), 2 * S, 2 * S))
+    run_sum = np.zeros((len(schemes), S))
+    shift = np.zeros((len(schemes), S, 1))
+    cross = np.zeros((len(schemes), S, S))
     for j, start in enumerate(range(0, n_realizations, CHUNK_SIZE)):
         n = min(CHUNK_SIZE, n_realizations - start)
         deltas = _simulate_chunk(geom, j, n, master_seed, op_norms[start:start + n], schemes)
         for k, delta in enumerate(deltas):
             run_sum[k] += delta.sum(axis=1)
-            x = np.concatenate((delta.real, delta.imag))
             if j == 0:
-                shift[k] = x[:, :1]
-            x -= shift[k]
-            cross[k] += x @ x.T
+                shift[k] = delta[:, :1]
+            delta -= shift[k]
+            cross[k] += delta @ delta.T
     out = []
     for k in range(len(schemes)):
         mean = run_sum[k] / n_realizations
         mean_delta = _ap1_row(params, plan)
         mean_delta[1, geom.pos - 1] = mean[geom.segment] * geom.weight
-        d = np.concatenate((mean.real, mean.imag)) - shift[k, :, 0]
+        d = mean - shift[k, :, 0]
         cov = (cross[k] - n_realizations * np.outer(d, d)) / (n_realizations - 1) \
             if n_realizations > 1 else np.full_like(cross[k], np.nan)
         out.append(DeltaStats(mean_delta=mean_delta, n_runs=n_realizations, cov=cov,

@@ -119,9 +119,9 @@ def run_cell(params: SystemParams, schemes: tuple, n_realizations: int, seed: in
 
     Returns one (se_mean, se_stderr) per scheme, in order. Runs are i.i.d.,
     so the stderr is the delta method's sqrt(h^T cov h / n), h the SE's
-    gradient with respect to [Re; Im] of AP 2's segment means (AP 1's row is
-    exact): exactly 0 where nothing is drawn, NaN for one run of a cell that
-    draws. op_norms goes to monte_carlo_delta."""
+    gradient with respect to AP 2's segment means (AP 1's row is exact):
+    exactly 0 where nothing is drawn, NaN for one run of a cell that draws.
+    op_norms goes to monte_carlo_delta."""
     plan = build_plan(params, schemes[0])
     results = []
     for stats in monte_carlo_delta(params, schemes, n_realizations, seed, plan=plan,
@@ -133,8 +133,7 @@ def run_cell(params: SystemParams, schemes: tuple, n_realizations: int, seed: in
             continue
         # E[Delta] at AP 2's column p is weight[p] times its segment's mean
         g = se_gradient(params, plan, stats.mean_delta)[1, stats.cols] * stats.weight
-        h = np.concatenate([np.bincount(stats.segment, part, len(stats.cov) // 2)
-                            for part in (g.real, g.imag)])
+        h = np.bincount(stats.segment, g, len(stats.cov))
         # h^T cov h >= 0 but for rounding, as when every run reads the same values
         results.append((se, float(np.sqrt(np.maximum(h @ stats.cov @ h, 0.0) / stats.n_runs))))
     return results

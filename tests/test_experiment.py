@@ -164,7 +164,7 @@ def test_run_cell_builds_one_plan(scheme, params, monkeypatch):
 
 
 def test_covariance_matches_per_run_values(params, monkeypatch):
-    # the per-run covariance of [Re; Im] of AP 2's segment values, by hand
+    # the per-run covariance of AP 2's segment values, by hand
     # from the chunks' own values; 1100 runs straddle the chunk boundary at
     # run 1024
     simulate = compensation._simulate_chunk
@@ -176,8 +176,7 @@ def test_covariance_matches_per_run_values(params, monkeypatch):
     geom = spy.call_args.args[0]
     delta = np.concatenate([simulate(*call.args)[0] for call in spy.call_args_list], axis=1)
     assert delta.shape == (len(geom.segments), n) and stats.n_runs == n
-    assert np.allclose(stats.cov, np.cov(np.concatenate((delta.real, delta.imag))),
-                       rtol=1e-9, atol=1e-15)
+    assert np.allclose(stats.cov, np.cov(delta), rtol=1e-9, atol=1e-15)
     assert np.allclose(stats.mean_delta[1, geom.pos - 1], delta.mean(axis=1)[geom.segment]
                        * geom.weight, rtol=0.0, atol=1e-12)
     # the map from segments to AP 2's positions is the geometry's
@@ -186,7 +185,7 @@ def test_covariance_matches_per_run_values(params, monkeypatch):
     assert np.array_equal(stats.weight, geom.weight)
     # and the stderr is the spread of each run's SE, linearized at the mean
     grad = se_gradient(params, build_plan(params, "kalman"), stats.mean_delta)[1, geom.pos - 1]
-    per_run = (np.conj(grad) * delta[geom.segment].T * geom.weight).real.sum(axis=1)
+    per_run = (grad * delta[geom.segment].T * geom.weight).sum(axis=1)
     assert run_cell(params, ("kalman",), n, 8)[0][1] == pytest.approx(
         per_run.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
